@@ -3,9 +3,9 @@
 from .corpus import (ColumnSpec, Dataset, ParseError, Sentence, TagSet, Token,
                      induce_tagset, mix_datasets, parse_conll, validate_iob,
                      write_conll)
-from .crf import (CrfModel, TrainConfig, TrainHistory, load_model, log_partition,
-                  marginals, nll_and_gradient, save_model, sequence_score, train,
-                  viterbi)
+from .crf import (CrfModel, TrainConfig, TrainHistory, decode, load_model,
+                  log_partition, marginals, nll_and_gradient, save_model,
+                  sequence_score, train, viterbi, viterbi_batch)
 from .eval import (ConfusionMatrix, EntitySpan, EvalReport, extract_entities,
                    render_report, score_entities, spans_to_tags, token_confusion)
 from .features import (EncodedSentence, FeatureIndex, TemplateConfig,

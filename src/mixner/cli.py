@@ -10,11 +10,9 @@ from pathlib import Path
 
 from .corpus import (ColumnSpec, Dataset, ParseError, induce_tagset,
                      mix_datasets, parse_conll, validate_iob, write_conll)
-from .crf import (CrfModel, TrainConfig, load_model, save_model, train,
-                  viterbi)
+from .crf import TrainConfig, decode, load_model, save_model, train
 from .features import DEFAULT_TEMPLATE, build_index, encode_dataset
 from .eval import render_report, score_entities
-from .corpus import Sentence, Token
 from .oracle import run_verification
 
 DEFAULT_SEED = 42
@@ -68,14 +66,8 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     model = load_model(args.model)
     ds = _read_dataset(args.input, require_tags=False)
-    encoded = encode_dataset(ds, model.index, DEFAULT_TEMPLATE)
-    tagged = []
-    for s, enc in zip(ds.sentences, encoded):
-        path, _ = viterbi(model, enc)
-        toks = tuple(Token(tok.surface, model.tagset.tags[k], tok.lang)
-                     for tok, k in zip(s.tokens, path))
-        tagged.append(Sentence(toks, id=s.id, source=s.source))
-    Path(args.out).write_text(write_conll(Dataset(tuple(tagged))), encoding="utf-8")
+    tagged = decode(model, ds, encode_dataset(ds, model.index, DEFAULT_TEMPLATE))
+    Path(args.out).write_text(write_conll(tagged), encoding="utf-8")
     print(f"tagged {len(tagged)} sentences")
     return 0
 

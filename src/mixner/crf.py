@@ -13,19 +13,20 @@ the seed.
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Dataset, Sentence, TagSet, Token
 from .eval import score_entities
-from .features import (DEFAULT_TEMPLATE, EncodedSentence, FeatureIndex,
-                       TemplateConfig, encode_dataset)
+from .features import EncodedSentence, FeatureIndex, TemplateConfig, encode_dataset
 
 MODEL_HEADER = "MIXNER-CRF v1"
 _SECTIONS = ("tags", "attributes", "start", "end", "transitions", "emissions")
 _ADAGRAD_EPS = 1e-8
+DECODE_CHUNK = 256  # sentences per packed Viterbi call in decode
 
 
 @dataclass(eq=False)
@@ -85,76 +86,94 @@ class Gradient:
         return np.concatenate([b.ravel() for b in self.blocks()])
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None):
-    m = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    if axis is None:
-        return out.item()
-    return np.squeeze(out, axis=axis)
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
 
 
-def _emission_scores(model: CrfModel, enc: EncodedSentence) -> np.ndarray:
-    """Per-position emission score rows: em[t, k] = sum of W_e over attrs."""
-    em = np.zeros((enc.length, model.num_tags))
-    for t, ids in enumerate(enc.attr_ids):
-        if ids:
-            em[t] = model.emissions[list(ids)].sum(axis=0)
-    return em
+class _Packed:
+    """A batch scored under a model, laid out time-major and packed by length:
+    sentences are ranked longest first (ties in input order), and step t holds
+    the sentences longer than t in rows offsets[t] + rank, a prefix of step
+    t - 1.  em[row] sums W_e over the row's attributes in listed order, so it
+    is bit for bit the same whatever batch the sentence is in."""
+
+    def __init__(self, model: CrfModel, batch: list[EncodedSentence]):
+        if not batch:
+            raise ValueError("empty batch")
+        self.b = b = len(batch)
+        self.lengths = lengths = np.fromiter((e.length for e in batch), np.intp, b)
+        self.rank = np.argsort(np.argsort(-lengths, kind="stable"))
+        sizes = b - np.cumsum(np.bincount(lengths))[:-1]
+        offsets = np.cumsum(sizes) - sizes
+        # (row offset, sentences active, previous step's row offset), steps >= 1
+        self.steps = list(zip(offsets[1:].tolist(), sizes[1:].tolist(), offsets.tolist()))
+        self.n = n = int(lengths.sum())
+        step = np.repeat(np.arange(len(sizes)), sizes)
+        self.rank_of_row = np.arange(n) - offsets[step]
+        self.prev = np.arange(b, n) - sizes[step[b:] - 1]  # predecessors of rows b..n-1
+        self.last = offsets[np.sort(lengths)[::-1] - 1] + np.arange(b)
+        # Packed row of every token, sentence by sentence in input order.
+        pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        self.rows = offsets[pos] + np.repeat(self.rank, lengths)
+        self.tags = np.empty(n, np.intp)
+        self.tags[self.rows] = np.fromiter(chain.from_iterable(e.tag_ids for e in batch), np.intp)
+        ids = list(chain.from_iterable(e.attr_ids for e in batch))  # one tuple per token
+        self.attrs = np.fromiter(chain.from_iterable(ids), np.intp)
+        self.attr_rows = np.repeat(self.rows, np.fromiter(map(len, ids), np.intp, n))
+        self.em = np.zeros((n, model.num_tags))
+        np.add.at(self.em, self.attr_rows, model.emissions[self.attrs])
+
+
+def _forward(model: CrfModel, p: _Packed, reduce) -> np.ndarray:
+    """alpha[row] = reduce over the previous tag of (alpha[prev] + W_t), plus
+    em[row]: the forward pass with _logsumexp, Viterbi's delta with a max."""
+    alpha = np.empty_like(p.em)
+    alpha[:p.b] = model.start + p.em[:p.b]
+    for lo, size, plo in p.steps:
+        alpha[lo:lo + size] = (reduce(alpha[plo:plo + size, :, None] + model.transitions, 1)
+                               + p.em[lo:lo + size])
+    return alpha
+
+
+def _forward_backward(model: CrfModel, p: _Packed):
+    """Node marginals per row, edge marginals from each row's predecessor
+    into rows b..n-1, and log Z per rank."""
+    em, trans = p.em, model.transitions
+    alpha, beta = _forward(model, p, _logsumexp), np.empty_like(em)
+    beta[p.last] = model.end
+    for lo, size, plo in reversed(p.steps):
+        nxt = em[lo:lo + size] + beta[lo:lo + size]
+        beta[plo:plo + size] = _logsumexp(trans + nxt[:, None], 2)
+    log_z = _logsumexp(alpha[p.last] + model.end, 1)
+    node = np.exp(alpha + beta - log_z[p.rank_of_row, None])
+    edge = alpha[p.prev, :, None] + trans  # built in place: (n - b, K, K) is the largest array
+    edge += (em + beta)[p.b:, None] - log_z[p.rank_of_row[p.b:], None, None]
+    np.exp(edge, out=edge)
+    return node, edge, log_z
 
 
 def sequence_score(model: CrfModel, enc: EncodedSentence,
                    tags: tuple[int, ...] | list[int]) -> float:
-    """Unnormalized log score of one tag sequence."""
+    """Unnormalized log score of one tag sequence.  It runs viterbi's recursion
+    with the given tags in place of the maximum, so the decoder's returned
+    score is bitwise equal to rescoring its path."""
     if len(tags) != enc.length:
         raise ValueError("tag sequence length does not match the sentence")
-    em = _emission_scores(model, enc)
-    # Accumulation order mirrors viterbi exactly, so the decoder's returned
-    # score is bitwise equal to rescoring its returned sequence.
-    score = float(model.start[tags[0]] + em[0, tags[0]])
-    for t in range(1, enc.length):
-        score = score + float(model.transitions[tags[t - 1], tags[t]])
-        score = score + float(em[t, tags[t]])
-    return score + float(model.end[tags[-1]])
+    previous = iter(tags)
+    alpha = _forward(model, _Packed(model, [enc]), lambda cand, _: cand[:, next(previous)])
+    return float(alpha[-1, tags[-1]] + model.end[tags[-1]])
 
 
 def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
     """log Z by the forward recursion."""
-    em = _emission_scores(model, enc)
-    alpha = model.start + em[0]
-    for t in range(1, enc.length):
-        alpha = _logsumexp(alpha[:, None] + model.transitions, axis=0) + em[t]
-    return _logsumexp(alpha + model.end)
-
-
-def _forward_backward(model: CrfModel, enc: EncodedSentence):
-    em = _emission_scores(model, enc)
-    t_len, k = em.shape
-    alpha = np.empty((t_len, k))
-    beta = np.empty((t_len, k))
-    alpha[0] = model.start + em[0]
-    for t in range(1, t_len):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + model.transitions, axis=0) + em[t]
-    beta[t_len - 1] = model.end
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = _logsumexp(model.transitions + (em[t + 1] + beta[t + 1])[None, :], axis=1)
-    log_z = _logsumexp(alpha[t_len - 1] + model.end)
-    return alpha, beta, em, log_z
+    return float(_forward_backward(model, _Packed(model, [enc]))[2][0])
 
 
 def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior tag distributions.
-
-    Returns (node, edge): node[t, k] = P(y_t = k) with shape (T, K), and
-    edge[t, j, k] = P(y_t = j, y_{t+1} = k) with shape (T-1, K, K).
-    """
-    alpha, beta, em, log_z = _forward_backward(model, enc)
-    node = np.exp(alpha + beta - log_z)
-    t_len, k = em.shape
-    edge = np.empty((t_len - 1, k, k))
-    for t in range(1, t_len):
-        edge[t - 1] = np.exp(alpha[t - 1][:, None] + model.transitions
-                             + (em[t] + beta[t])[None, :] - log_z)
-    return node, edge
+    """Posterior tag distributions (node, edge): node[t, k] = P(y_t = k) with
+    shape (T, K), and edge[t, j, k] = P(y_t = j, y_{t+1} = k), shape (T-1, K, K)."""
+    return _forward_backward(model, _Packed(model, [enc]))[:2]
 
 
 def nll_and_gradient(model: CrfModel, batch: list[EncodedSentence],
@@ -163,30 +182,19 @@ def nll_and_gradient(model: CrfModel, batch: list[EncodedSentence],
 
     loss = sum_s (log Z_s - score(y_gold_s)) + (l2 / 2) * ||w||^2 over every
     weight block; the gradient is expected minus empirical feature counts
-    plus l2 * w, accumulated sentence by sentence in batch order.
+    plus l2 * w, summed over the packed batch.
     """
-    if not batch:
-        raise ValueError("empty batch")
-    grad = Gradient.zeros_like(model)
-    loss = 0.0
-    for enc in batch:
-        alpha, beta, em, log_z = _forward_backward(model, enc)
-        loss += log_z - sequence_score(model, enc, enc.tag_ids)
-        node = np.exp(alpha + beta - log_z)
-        gold = enc.tag_ids
-        for t, ids in enumerate(enc.attr_ids):
-            if ids:
-                idx = list(ids)
-                np.add.at(grad.emissions, idx, node[t])
-                np.add.at(grad.emissions, (idx, gold[t]), -1.0)
-        for t in range(1, enc.length):
-            grad.transitions += np.exp(alpha[t - 1][:, None] + model.transitions
-                                       + (em[t] + beta[t])[None, :] - log_z)
-            grad.transitions[gold[t - 1], gold[t]] -= 1.0
-        grad.start += node[0]
-        grad.start[gold[0]] -= 1.0
-        grad.end += node[-1]
-        grad.end[gold[-1]] -= 1.0
+    p = _Packed(model, batch)
+    node, edge, log_z = _forward_backward(model, p)
+    k, tags, prev = model.num_tags, p.tags, p.tags[p.prev]
+    gold = (model.start[tags[:p.b]].sum() + p.em[np.arange(p.n), tags].sum()
+            + model.transitions[prev, tags[p.b:]].sum() + model.end[tags[p.last]].sum())
+    loss = float(log_z.sum() - gold)
+    node[np.arange(p.n), tags] -= 1.0  # now expected minus empirical counts per row
+    pairs = np.bincount(prev * k + tags[p.b:], minlength=k * k).reshape(k, k)
+    grad = Gradient(np.zeros_like(model.emissions), edge.sum(axis=0) - pairs,
+                    node[:p.b].sum(axis=0), node[p.last].sum(axis=0))
+    np.add.at(grad.emissions, p.attrs, node[p.attr_rows])
     if l2:
         loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in model.blocks())
         for g, w in zip(grad.blocks(), model.blocks()):
@@ -194,24 +202,45 @@ def nll_and_gradient(model: CrfModel, batch: list[EncodedSentence],
     return loss, grad
 
 
+def viterbi_batch(model: CrfModel,
+                  batch: list[EncodedSentence]) -> list[tuple[list[int], float]]:
+    """Best tag sequence and its score for every sentence, in input order; ties
+    go to the lower tag id at each backtracking step (argmax takes the first)."""
+    back = []  # per step: best previous tag for each active sentence and tag
+
+    def best(cand, axis):
+        back.append(cand.argmax(axis))
+        return cand.max(axis)
+
+    p = _Packed(model, batch)
+    final = _forward(model, p, best)[p.last] + model.end
+    cur = np.argmax(final, axis=1)
+    scores = final[np.arange(p.b), cur].tolist()
+    tags = np.empty(p.n, np.intp)
+    for (lo, size, _), ptr in zip(reversed(p.steps), reversed(back)):
+        tags[lo:lo + size] = cur[:size]
+        cur[:size] = ptr[np.arange(size), cur[:size]]
+    tags[:p.b] = cur
+    paths = np.split(tags[p.rows], np.cumsum(p.lengths)[:-1])
+    return [(path.tolist(), scores[r]) for path, r in zip(paths, p.rank)]
+
+
 def viterbi(model: CrfModel, enc: EncodedSentence) -> tuple[list[int], float]:
-    """Best tag sequence and its score; ties go to the lower tag id at each
-    backtracking step (np.argmax already picks the first maximum)."""
-    em = _emission_scores(model, enc)
-    t_len, k = em.shape
-    back = np.zeros((t_len, k), dtype=np.intp)
-    delta = model.start + em[0]
-    for t in range(1, t_len):
-        cand = delta[:, None] + model.transitions
-        back[t] = np.argmax(cand, axis=0)
-        delta = cand[back[t], np.arange(k)] + em[t]
-    final = delta + model.end
-    last = int(np.argmax(final))
-    path = [last]
-    for t in range(t_len - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
-    path.reverse()
-    return path, float(final[last])
+    """Best tag sequence and its score; ties go to the lower tag id."""
+    return viterbi_batch(model, [enc])[0]
+
+
+def decode(model: CrfModel, dataset: Dataset, encoded: list[EncodedSentence]) -> Dataset:
+    """Viterbi-tag every sentence, DECODE_CHUNK sentences per packed call so
+    working memory does not grow with the dataset."""
+    if len(encoded) != len(dataset):
+        raise ValueError("encoded sentences do not match the dataset")
+    paths = [path for lo in range(0, len(encoded), DECODE_CHUNK)
+             for path, _ in viterbi_batch(model, encoded[lo:lo + DECODE_CHUNK])]
+    return Dataset(tuple(
+        Sentence(tuple(Token(tok.surface, model.tagset.tags[k], tok.lang)
+                       for tok, k in zip(s.tokens, path)), id=s.id, source=s.source)
+        for s, path in zip(dataset.sentences, paths)))
 
 
 @dataclass(frozen=True)
@@ -243,16 +272,6 @@ class EpochRecord:
 class TrainHistory:
     records: list[EpochRecord]
     best_epoch: int
-
-
-def _dev_f1(model: CrfModel, dev: Dataset, dev_encoded: list[EncodedSentence]) -> float:
-    pred_sentences = []
-    for s, enc in zip(dev.sentences, dev_encoded):
-        path, _ = viterbi(model, enc)
-        toks = tuple(Token(tok.surface, model.tagset.tags[k])
-                     for tok, k in zip(s.tokens, path))
-        pred_sentences.append(Sentence(toks, id=s.id))
-    return score_entities(dev, Dataset(tuple(pred_sentences))).weighted_f1
 
 
 def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
@@ -300,7 +319,7 @@ def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
                 g *= scale
                 acc += g * g
                 w -= cfg.learning_rate * g / (np.sqrt(acc) + _ADAGRAD_EPS)
-        f1 = _dev_f1(model, dev, dev_encoded)
+        f1 = score_entities(dev, decode(model, dev, dev_encoded)).weighted_f1
         records.append(EpochRecord(epoch, epoch_loss, f1, time.monotonic() - started))
         if f1 > best_f1:
             best_f1 = f1
@@ -321,18 +340,14 @@ def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
 
 def save_model(model: CrfModel, path: str | Path) -> None:
     """Write the model as versioned UTF-8 text; floats keep full precision."""
-    lines = [MODEL_HEADER, "[tags]"]
-    lines.extend(model.tagset.tags)
-    lines.append("[attributes]")
-    lines.extend(model.index.attributes())
-    lines.append("[start]")
-    lines.extend(repr(float(x)) for x in model.start)
-    lines.append("[end]")
-    lines.extend(repr(float(x)) for x in model.end)
-    lines.append("[transitions]")
-    lines.extend(" ".join(repr(float(x)) for x in row) for row in model.transitions)
-    lines.append("[emissions]")
-    lines.extend(" ".join(repr(float(x)) for x in row) for row in model.emissions)
+    if not all(np.isfinite(b).all() for b in model.blocks()):
+        raise ValueError("refusing to save a model with non-finite weights")
+    lines = [MODEL_HEADER, "[tags]", *model.tagset.tags,
+             "[attributes]", *model.index.attributes()]
+    for name in _SECTIONS[2:]:  # start and end hold one weight per line
+        lines.append(f"[{name}]")
+        lines.extend(" ".join(map(repr, np.atleast_1d(row).tolist()))
+                     for row in getattr(model, name))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -347,14 +362,19 @@ def _take_section(lines: list[str], pos: int, name: str) -> tuple[list[str], int
     return items, pos
 
 
-def _parse_floats(rows: list[str], width: int, section: str) -> np.ndarray:
+def _parse_floats(rows: list[str], count: int, width: int, section: str) -> np.ndarray:
+    if len(rows) != count:
+        raise ValueError(f"truncated model file: bad row count in [{section}]")
     try:
         mat = [[float(x) for x in row.split()] for row in rows]
     except ValueError:
         raise ValueError(f"malformed number in [{section}]") from None
     if any(len(r) != width for r in mat):
         raise ValueError(f"truncated model file: bad row width in [{section}]")
-    return np.array(mat, dtype=np.float64)
+    arr = np.array(mat, dtype=np.float64).reshape(count, width)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite weight in [{section}]")
+    return arr
 
 
 def load_model(path: str | Path) -> CrfModel:
@@ -374,15 +394,8 @@ def load_model(path: str | Path) -> CrfModel:
                          frozen=True)
     if len(index.attribute_to_id) != len(attributes):
         raise ValueError("duplicate attribute in [attributes]")
-    if len(sections["start"]) != k or len(sections["end"]) != k:
-        raise ValueError("truncated model file: bad length in [start] or [end]")
-    if len(sections["transitions"]) != k:
-        raise ValueError("truncated model file: bad row count in [transitions]")
-    if len(sections["emissions"]) != len(attributes):
-        raise ValueError("truncated model file: bad row count in [emissions]")
-    start = _parse_floats(sections["start"], 1, "start").reshape(-1)
-    end = _parse_floats(sections["end"], 1, "end").reshape(-1)
-    transitions = _parse_floats(sections["transitions"], k, "transitions")
-    emissions = (_parse_floats(sections["emissions"], k, "emissions")
-                 if attributes else np.zeros((0, k)))
-    return CrfModel(emissions, transitions, start, end, tagset, index)
+    shapes = {"start": (k, 1), "end": (k, 1), "transitions": (k, k),
+              "emissions": (len(attributes), k)}
+    w = {name: _parse_floats(sections[name], *shape, name) for name, shape in shapes.items()}
+    return CrfModel(w["emissions"], w["transitions"], w["start"][:, 0], w["end"][:, 0],
+                    tagset, index)

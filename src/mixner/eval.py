@@ -96,6 +96,10 @@ def _check_aligned(gold: Dataset, pred: Dataset) -> None:
         if len(g.tokens) != len(p.tokens):
             raise ValueError(f"sentence {si}: token count mismatch "
                              f"({len(g.tokens)} gold vs {len(p.tokens)} predicted)")
+        if g.surfaces != p.surfaces:
+            i = next(i for i, (a, b) in enumerate(zip(g.surfaces, p.surfaces)) if a != b)
+            raise ValueError(f"sentence {si}: token {i} differs "
+                             f"({g.surfaces[i]!r} gold vs {p.surfaces[i]!r} predicted)")
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -160,6 +160,29 @@ class TestTagAndEval:
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
 
+    def test_eval_surface_mismatch_exits_2(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+        gold.write_text("a B-CW\nb O\n")
+        pred.write_text("zzz B-CW\nyyy O\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 2
+        assert "sentence 0" in capsys.readouterr().err
+
+    def test_tag_rejects_non_finite_model(self, corpus_files, tmp_path, capsys):
+        train_ds = parse_conll(corpus_files["cm_train"].read_text())
+        tagset = induce_tagset(train_ds)
+        model_path = tmp_path / "zero.txt"
+        save_model(CrfModel.zeros(build_index(train_ds, tagset), tagset), model_path)
+        lines = model_path.read_text().splitlines()
+        row = lines.index("[emissions]") + 1
+        lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+        model_path.write_text("\n".join(lines) + "\n")
+        pred_path = tmp_path / "pred.conll"
+        assert main(["tag", "--model", str(model_path),
+                     "--input", str(corpus_files["cm_dev"]),
+                     "-o", str(pred_path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not pred_path.exists()
+
 
 class TestVerify:
     def test_passes_and_prints_per_check(self, capsys):
@@ -167,6 +190,12 @@ class TestVerify:
         out = capsys.readouterr().out
         for name in ("logZ", "viterbi", "marginals", "gradient"):
             assert f"{name:<10} 20/20 pass" in out
+
+    def test_near_tied_viterbi_paths_pass(self, capsys):
+        # Trial 15 of this seed has two optimal paths whose scores differ
+        # only by float summation order; either one is a correct answer.
+        assert main(["verify", "--trials", "20", "--seed", "1000115"]) == 0
+        assert "viterbi    20/20 pass" in capsys.readouterr().out
 
     def test_zero_trials_warns(self, capsys):
         assert main(["verify", "--trials", "0"]) == 0

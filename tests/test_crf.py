@@ -1,5 +1,6 @@
 import math
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,13 +9,15 @@ from hypothesis import strategies as st
 
 from helpers import make_separable_corpus
 from mixner.corpus import Dataset, Sentence, TagSet, Token, induce_tagset
-from mixner.crf import (CrfModel, TrainConfig, load_model, log_partition,
+import mixner.crf as crf_module
+from mixner.crf import (CrfModel, TrainConfig, decode, load_model, log_partition,
                         marginals, nll_and_gradient, save_model,
-                        sequence_score, train, viterbi)
+                        sequence_score, train, viterbi, viterbi_batch)
 from mixner.eval import score_entities
 from mixner.features import (DEFAULT_TEMPLATE, EncodedSentence, FeatureIndex,
                              build_index, encode_dataset)
-from mixner.oracle import naive_sequence_score, random_instance
+from mixner.oracle import (TinyInstance, enumerate_logZ, naive_sequence_score,
+                           random_instance)
 
 
 def tiny_model(tags, num_attrs):
@@ -200,6 +203,26 @@ class TestPersistence:
         with pytest.raises(ValueError, match="transitions"):
             load_model(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section", ["start", "transitions", "emissions"])
+    def test_non_finite_weight_rejected_on_load(self, tmp_path, bad, section):
+        path = tmp_path / "model.txt"
+        save_model(self.trained_like_model(), path)
+        lines = path.read_text().splitlines()
+        row = lines.index(f"[{section}]") + 1
+        lines[row] = " ".join([bad] + lines[row].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"non-finite weight in \\[{section}\\]"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_not_saved(self, tmp_path, bad):
+        m = self.trained_like_model()
+        m.end[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            save_model(m, tmp_path / "model.txt")
+        assert not (tmp_path / "model.txt").exists()
+
     def test_decoding_survives_round_trip(self, tmp_path):
         m = self.trained_like_model()
         e = enc([(0, 1), (2,), (3, 4)], [0, 1, 2])
@@ -289,3 +312,71 @@ def test_logz_bounds_gold_score_property(seed):
     gold = list(inst.sentence.tag_ids)
     log_z = log_partition(inst.model, inst.sentence)
     assert sequence_score(inst.model, inst.sentence, gold) <= log_z + 1e-9
+
+
+@st.composite
+def ragged_batches(draw):
+    """A random model and a batch of 1..8 sentences of length 1..6, with
+    positions that may have no attributes and some sentences repeated."""
+    k = draw(st.integers(1, 4))
+    num_attrs = draw(st.integers(1, 5))
+    model = tiny_model(["O", "B-X", "B-Y", "I-X"][:k], num_attrs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for block in model.blocks():
+        block[...] = rng.uniform(-2, 2, block.shape)
+    position = st.tuples(st.lists(st.integers(0, num_attrs - 1), max_size=3),
+                         st.integers(0, k - 1))
+    sentences = draw(st.lists(st.lists(position, min_size=1, max_size=6),
+                              min_size=1, max_size=8))
+    batch = [enc([a for a, _ in s], [t for _, t in s]) for s in sentences]
+    repeats = draw(st.lists(st.integers(0, len(batch) - 1), max_size=3))
+    return model, batch + [batch[i] for i in repeats]
+
+
+def close(a, b, rel=1e-9):
+    return float(np.linalg.norm(np.subtract(a, b))) <= rel * max(float(np.linalg.norm(b)), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches())
+def test_packed_nll_matches_single_sentence_sum(case):
+    model, batch = case
+    loss, grad = nll_and_gradient(model, batch)
+    singles = [nll_and_gradient(model, [e]) for e in batch]
+    assert close(loss, sum(l for l, _ in singles))
+    for j, block in enumerate(grad.blocks()):
+        assert close(block, sum(g.blocks()[j] for _, g in singles))
+    oracle = sum(enumerate_logZ(TinyInstance(model, e))
+                 - naive_sequence_score(model, e, e.tag_ids) for e in batch)
+    assert close(loss, oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches(), st.integers(1, 4))
+def test_packed_viterbi_and_decode_match_single_sentence(case, chunk):
+    model, batch = case
+    singles = [viterbi(model, e) for e in batch]
+    assert viterbi_batch(model, batch) == singles
+    for e, (path, score) in zip(batch, singles):
+        assert score == sequence_score(model, e, path)
+    ds = Dataset(tuple(Sentence(tuple(Token(f"w{i}", "O") for i in range(e.length)))
+                       for e in batch))
+    with patch.object(crf_module, "DECODE_CHUNK", chunk):
+        tagged = decode(model, ds, batch)
+    assert [s.tags for s in tagged] == [[model.tagset.tags[k] for k in path]
+                                        for path, _ in singles]
+    assert [s.surfaces for s in tagged] == [s.surfaces for s in ds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches(), st.data())
+def test_packed_results_independent_of_input_order(case, data):
+    model, batch = case
+    perm = data.draw(st.permutations(range(len(batch))))
+    shuffled = [batch[i] for i in perm]
+    decoded = viterbi_batch(model, batch)
+    assert viterbi_batch(model, shuffled) == [decoded[i] for i in perm]
+    loss, grad = nll_and_gradient(model, batch, 1e-2)
+    loss_s, grad_s = nll_and_gradient(model, shuffled, 1e-2)
+    assert close(loss_s, loss)
+    assert all(close(a, b) for a, b in zip(grad_s.blocks(), grad.blocks()))

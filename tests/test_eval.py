@@ -92,11 +92,19 @@ class TestScore:
         with pytest.raises(ValueError, match="sentence 1"):
             score_entities(tagged(["O"], ["O", "O"]), tagged(["O"], ["O"]))
 
+    def test_surface_mismatch_names_sentence(self):
+        gold = Dataset((sent([("a", "O")]), sent([("a", "B-X"), ("b", "O")])))
+        pred = Dataset((sent([("a", "O")]), sent([("zzz", "B-X"), ("yyy", "O")])))
+        with pytest.raises(ValueError, match="sentence 1"):
+            score_entities(gold, pred)
+        with pytest.raises(ValueError, match="sentence 1"):
+            token_confusion(gold, pred)
+
 
 class TestConfusion:
     def test_table1_all_o_prediction(self, table1_text):
         gold = parse_conll(table1_text)
-        pred = tagged(["O", "O", "O", "O"])
+        pred = Dataset((sent([(w, "O") for w in gold.sentences[0].surfaces]),))
         cm = token_confusion(gold, pred)
         assert cm.labels == ("O", "CW")
         gold_cw = cm.labels.index("CW")

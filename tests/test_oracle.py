@@ -136,3 +136,13 @@ class TestDriver:
         logz = next(r for r in results if r.name == "logZ")
         assert not logz.ok
         assert "instance" in logz.detail
+
+    def test_wrong_path_fails_even_among_ties(self, monkeypatch):
+        # Accepting any near-tied optimum must not accept a suboptimal path.
+        import mixner.crf as crf_module
+        real = viterbi
+        monkeypatch.setattr(crf_module, "viterbi",
+                            lambda m, e: ([0] * e.length, real(m, e)[1]))
+        results = run_verification(trials=20, seed=1000115)
+        check = next(r for r in results if r.name == "viterbi")
+        assert check.failed > 0 and "instance" in check.detail
