@@ -8,7 +8,7 @@ from .crf import (CrfModel, TrainConfig, TrainHistory, decode, load_model,
                   sequence_score, train, viterbi, viterbi_batch)
 from .eval import (ConfusionMatrix, EntitySpan, EvalReport, extract_entities,
                    render_report, score_entities, spans_to_tags, token_confusion)
-from .features import (EncodedSentence, FeatureIndex, TemplateConfig,
-                       build_index, encode_dataset, extract_attributes)
+from .features import (EncodedSentence, FeatureIndex, build_index,
+                       encode_dataset, extract_attributes)
 
 __version__ = "0.1.0"

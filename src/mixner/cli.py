@@ -11,7 +11,7 @@ from pathlib import Path
 from .corpus import (ColumnSpec, Dataset, ParseError, induce_tagset,
                      mix_datasets, parse_conll, validate_iob, write_conll)
 from .crf import TrainConfig, decode, load_model, save_model, train
-from .features import DEFAULT_TEMPLATE, build_index, encode_dataset
+from .features import build_index, encode_dataset
 from .eval import render_report, score_entities
 from .oracle import run_verification
 
@@ -40,17 +40,17 @@ def cmd_train(args) -> int:
     print(f"train: --epochs {args.epochs} --batch {args.batch} "
           f"--patience {args.patience} --lr {args.lr} --l2 {args.l2} "
           f"--min-count {args.min_count} --seed {args.seed}")
+    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch,
+                      patience=args.patience, learning_rate=args.lr,
+                      l2=args.l2, seed=args.seed)
     train_ds = validate_iob(_read_dataset(args.train), "repair")
     dev_ds = validate_iob(_read_dataset(args.dev), "repair")
     if not train_ds.sentences:
         raise ValueError(f"empty training file: {args.train}")
-    tagset = induce_tagset(train_ds)
-    index = build_index(train_ds, tagset, DEFAULT_TEMPLATE, min_count=args.min_count)
-    encoded = encode_dataset(train_ds, index, DEFAULT_TEMPLATE)
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch,
-                      patience=args.patience, learning_rate=args.lr,
-                      l2=args.l2, seed=args.seed)
-    model, history = train(encoded, dev_ds, cfg, DEFAULT_TEMPLATE, index, tagset)
+    if not dev_ds.sentences:
+        raise ValueError(f"empty dev file: {args.dev}")
+    index = build_index(train_ds, induce_tagset(train_ds), min_count=args.min_count)
+    model, history = train(encode_dataset(train_ds, index), dev_ds, cfg, index)
     save_model(model, args.out)
     history_path = Path(args.out).with_name(Path(args.out).name + ".history.tsv")
     rows = ["epoch\ttrain_nll\tdev_weighted_f1\tseconds"]
@@ -66,7 +66,7 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     model = load_model(args.model)
     ds = _read_dataset(args.input, require_tags=False)
-    tagged = decode(model, ds, encode_dataset(ds, model.index, DEFAULT_TEMPLATE))
+    tagged = decode(model, ds, encode_dataset(ds, model.index))
     Path(args.out).write_text(write_conll(tagged), encoding="utf-8")
     print(f"tagged {len(tagged)} sentences")
     return 0

@@ -7,7 +7,7 @@ immutable value objects so they can be shared freely between pipeline stages.
 
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 TAG_RE = re.compile(r"^(?:O|[BI]-\S+)$")

@@ -11,6 +11,7 @@ penalty, optimized by mini-batch AdaGrad; everything is deterministic given
 the seed.
 """
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from .corpus import Dataset, Sentence, TagSet, Token
 from .eval import score_entities
-from .features import EncodedSentence, FeatureIndex, TemplateConfig, encode_dataset
+from .features import EncodedSentence, FeatureIndex, encode_dataset
 
 MODEL_HEADER = "MIXNER-CRF v1"
 _SECTIONS = ("tags", "attributes", "start", "end", "transitions", "emissions")
@@ -29,61 +30,44 @@ _ADAGRAD_EPS = 1e-8
 DECODE_CHUNK = 256  # sentences per packed Viterbi call in decode
 
 
-@dataclass(eq=False)
-class CrfModel:
-    """Weight blocks plus the tag set and attribute index they are tied to.
+def _views(weights: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """emissions, transitions, start and end: views of a vector laid out
+    [emissions | transitions | start | end] for k tags."""
+    split = weights.size - (k + 2) * k
+    rest = weights[split:].reshape(k + 2, k)
+    return weights[:split].reshape(-1, k), rest[:k], rest[k], rest[k + 1]
 
-    emissions has one row per attribute and one column per tag; transitions
-    is indexed [previous, current].
+
+class CrfModel:
+    """One contiguous weight vector plus the attribute index it is tied to.
+
+    The vector is laid out [emissions | transitions | start | end], as in
+    CRFsuite, and the four blocks are writable views into it: emissions has
+    one row per attribute and one column per tag; transitions is indexed
+    [previous, current].  The tag set is the index's.
     """
 
-    emissions: np.ndarray
-    transitions: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
-    tagset: TagSet
-    index: FeatureIndex
-
-    def __post_init__(self):
-        a, k = self.emissions.shape
-        if (self.transitions.shape != (k, k) or self.start.shape != (k,)
-                or self.end.shape != (k,)):
-            raise ValueError("inconsistent weight shapes")
-        if a != self.index.num_attributes or k != len(self.tagset):
+    def __init__(self, weights: np.ndarray, index: FeatureIndex):
+        k = len(index.tagset)
+        # Contiguous, so that the blocks below are views and never copies.
+        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
+        if self.weights.shape != ((index.num_attributes + k + 2) * k,):
             raise ValueError("weights do not match the index/tag set")
+        self.index = index
+        self.emissions, self.transitions, self.start, self.end = _views(self.weights, k)
 
     @classmethod
-    def zeros(cls, index: FeatureIndex, tagset: TagSet) -> "CrfModel":
-        k = len(tagset)
-        return cls(np.zeros((index.num_attributes, k)), np.zeros((k, k)),
-                   np.zeros(k), np.zeros(k), tagset, index)
+    def zeros(cls, index: FeatureIndex) -> "CrfModel":
+        k = len(index.tagset)
+        return cls(np.zeros((index.num_attributes + k + 2) * k), index)
+
+    @property
+    def tagset(self) -> TagSet:
+        return self.index.tagset
 
     @property
     def num_tags(self) -> int:
         return len(self.tagset)
-
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        return (self.emissions, self.transitions, self.start, self.end)
-
-
-@dataclass(eq=False)
-class Gradient:
-    """Per-block gradients, same shapes as the model weights."""
-
-    emissions: np.ndarray
-    transitions: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
-
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        return (self.emissions, self.transitions, self.start, self.end)
-
-    @classmethod
-    def zeros_like(cls, model: CrfModel) -> "Gradient":
-        return cls(*(np.zeros_like(b) for b in model.blocks()))
-
-    def ravel(self) -> np.ndarray:
-        return np.concatenate([b.ravel() for b in self.blocks()])
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -177,12 +161,13 @@ def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.nda
 
 
 def nll_and_gradient(model: CrfModel, batch: list[EncodedSentence],
-                     l2: float = 0.0) -> tuple[float, Gradient]:
+                     l2: float = 0.0) -> tuple[float, np.ndarray]:
     """Regularized negative log likelihood of a batch and its exact gradient.
 
-    loss = sum_s (log Z_s - score(y_gold_s)) + (l2 / 2) * ||w||^2 over every
-    weight block; the gradient is expected minus empirical feature counts
-    plus l2 * w, summed over the packed batch.
+    loss = sum_s (log Z_s - score(y_gold_s)) + (l2 / 2) * ||w||^2 over the
+    whole weight vector; the gradient, a vector in the same layout, is
+    expected minus empirical feature counts plus l2 * w, summed over the
+    packed batch.
     """
     p = _Packed(model, batch)
     node, edge, log_z = _forward_backward(model, p)
@@ -192,13 +177,15 @@ def nll_and_gradient(model: CrfModel, batch: list[EncodedSentence],
     loss = float(log_z.sum() - gold)
     node[np.arange(p.n), tags] -= 1.0  # now expected minus empirical counts per row
     pairs = np.bincount(prev * k + tags[p.b:], minlength=k * k).reshape(k, k)
-    grad = Gradient(np.zeros_like(model.emissions), edge.sum(axis=0) - pairs,
-                    node[:p.b].sum(axis=0), node[p.last].sum(axis=0))
-    np.add.at(grad.emissions, p.attrs, node[p.attr_rows])
+    grad = np.zeros_like(model.weights)
+    emissions, transitions, start, end = _views(grad, k)
+    np.add.at(emissions, p.attrs, node[p.attr_rows])
+    transitions[...] = edge.sum(axis=0) - pairs
+    start[...] = node[:p.b].sum(axis=0)
+    end[...] = node[p.last].sum(axis=0)
     if l2:
-        loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in model.blocks())
-        for g, w in zip(grad.blocks(), model.blocks()):
-            g += l2 * w
+        loss += 0.5 * l2 * float(model.weights @ model.weights)
+        grad += l2 * model.weights
     return loss, grad
 
 
@@ -237,8 +224,9 @@ def decode(model: CrfModel, dataset: Dataset, encoded: list[EncodedSentence]) ->
         raise ValueError("encoded sentences do not match the dataset")
     paths = [path for lo in range(0, len(encoded), DECODE_CHUNK)
              for path, _ in viterbi_batch(model, encoded[lo:lo + DECODE_CHUNK])]
+    tags = model.tagset.tags
     return Dataset(tuple(
-        Sentence(tuple(Token(tok.surface, model.tagset.tags[k], tok.lang)
+        Sentence(tuple(Token(tok.surface, tags[k], tok.lang)
                        for tok, k in zip(s.tokens, path)), id=s.id, source=s.source)
         for s, path in zip(dataset.sentences, paths)))
 
@@ -256,8 +244,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.patience < 0 or self.learning_rate <= 0:
-            raise ValueError("patience must be >= 0 and learning_rate > 0")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        for name in ("l2", "min_delta"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -275,34 +268,34 @@ class TrainHistory:
 
 
 def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
-          template: TemplateConfig, index: FeatureIndex,
-          tagset: TagSet) -> tuple[CrfModel, TrainHistory]:
+          index: FeatureIndex) -> tuple[CrfModel, TrainHistory]:
     """Fit a CRF by mini-batch AdaGrad with early stopping on dev entity F1.
 
     Weights start at zero.  After every epoch the dev set is decoded and
     scored; when weighted F1 fails to improve by more than min_delta for more
     than `patience` consecutive epochs, training stops.  The returned model
     carries the weights of the best epoch (first occurrence on ties), and the
-    whole procedure is reproducible bit for bit from the seed.
+    whole procedure is reproducible bit for bit from the seed.  A loss that
+    is not finite stops training with ValueError.
     """
-    if not encoded_train:
-        raise ValueError("empty training set")
+    if not encoded_train or not dev.sentences:
+        raise ValueError("empty training or dev set")
     for si, s in enumerate(dev.sentences):
         for tok in s.tokens:
             if tok.tag not in index.tag_to_id:
                 raise ValueError(f"dev sentence {si}: tag {tok.tag!r} "
                                  "is not in the training tag set")
 
-    model = CrfModel.zeros(index, tagset)
-    accum = Gradient.zeros_like(model)
+    model = CrfModel.zeros(index)
+    accum = np.zeros_like(model.weights)
     rng = random.Random(cfg.seed)
     order = list(range(len(encoded_train)))
-    dev_encoded = encode_dataset(dev, index, template)
+    dev_encoded = encode_dataset(dev, index)
 
     records: list[EpochRecord] = []
     best_f1 = -1.0
     best_epoch = 0
-    best_weights = tuple(b.copy() for b in model.blocks())
+    best_weights = model.weights.copy()
     stop_ref = -1.0
     bad_epochs = 0
 
@@ -314,17 +307,18 @@ def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
             batch = [encoded_train[i] for i in order[lo:lo + cfg.batch_size]]
             loss, grad = nll_and_gradient(model, batch, cfg.l2)
             epoch_loss += loss
-            scale = 1.0 / len(batch)
-            for w, g, acc in zip(model.blocks(), grad.blocks(), accum.blocks()):
-                g *= scale
-                acc += g * g
-                w -= cfg.learning_rate * g / (np.sqrt(acc) + _ADAGRAD_EPS)
+            grad *= 1.0 / len(batch)
+            accum += grad * grad
+            model.weights -= cfg.learning_rate * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
+        if not math.isfinite(epoch_loss):
+            raise ValueError(f"epoch {epoch}: training loss is {epoch_loss}; "
+                             "try a smaller learning rate")
         f1 = score_entities(dev, decode(model, dev, dev_encoded)).weighted_f1
         records.append(EpochRecord(epoch, epoch_loss, f1, time.monotonic() - started))
         if f1 > best_f1:
             best_f1 = f1
             best_epoch = epoch
-            best_weights = tuple(b.copy() for b in model.blocks())
+            best_weights = model.weights.copy()
         if f1 > stop_ref + cfg.min_delta:
             stop_ref = f1
             bad_epochs = 0
@@ -333,14 +327,13 @@ def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
             if bad_epochs > cfg.patience:
                 break
 
-    for w, best in zip(model.blocks(), best_weights):
-        w[...] = best
+    model.weights[...] = best_weights
     return model, TrainHistory(records, best_epoch)
 
 
 def save_model(model: CrfModel, path: str | Path) -> None:
     """Write the model as versioned UTF-8 text; floats keep full precision."""
-    if not all(np.isfinite(b).all() for b in model.blocks()):
+    if not np.isfinite(model.weights).all():
         raise ValueError("refusing to save a model with non-finite weights")
     lines = [MODEL_HEADER, "[tags]", *model.tagset.tags,
              "[attributes]", *model.index.attributes()]
@@ -362,8 +355,10 @@ def _take_section(lines: list[str], pos: int, name: str) -> tuple[list[str], int
     return items, pos
 
 
-def _parse_floats(rows: list[str], count: int, width: int, section: str) -> np.ndarray:
-    if len(rows) != count:
+def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
+    """Fill a weight block from its section, one block row per line."""
+    width = block.shape[1] if block.ndim == 2 else 1
+    if len(rows) != len(block):
         raise ValueError(f"truncated model file: bad row count in [{section}]")
     try:
         mat = [[float(x) for x in row.split()] for row in rows]
@@ -371,10 +366,10 @@ def _parse_floats(rows: list[str], count: int, width: int, section: str) -> np.n
         raise ValueError(f"malformed number in [{section}]") from None
     if any(len(r) != width for r in mat):
         raise ValueError(f"truncated model file: bad row width in [{section}]")
-    arr = np.array(mat, dtype=np.float64).reshape(count, width)
+    arr = np.array(mat, dtype=np.float64).reshape(block.shape)
     if not np.isfinite(arr).all():
         raise ValueError(f"non-finite weight in [{section}]")
-    return arr
+    block[...] = arr
 
 
 def load_model(path: str | Path) -> CrfModel:
@@ -386,16 +381,8 @@ def load_model(path: str | Path) -> CrfModel:
     sections = {}
     for name in _SECTIONS:
         sections[name], pos = _take_section(lines, pos, name)
-    tagset = TagSet(tuple(sections["tags"]))
-    k = len(tagset)
-    attributes = sections["attributes"]
-    index = FeatureIndex(attribute_to_id={a: i for i, a in enumerate(attributes)},
-                         tag_to_id={t: i for i, t in enumerate(tagset.tags)},
-                         frozen=True)
-    if len(index.attribute_to_id) != len(attributes):
-        raise ValueError("duplicate attribute in [attributes]")
-    shapes = {"start": (k, 1), "end": (k, 1), "transitions": (k, k),
-              "emissions": (len(attributes), k)}
-    w = {name: _parse_floats(sections[name], *shape, name) for name, shape in shapes.items()}
-    return CrfModel(w["emissions"], w["transitions"], w["start"][:, 0], w["end"][:, 0],
-                    tagset, index)
+    index = FeatureIndex(sections["attributes"], TagSet(tuple(sections["tags"])))
+    model = CrfModel.zeros(index)
+    for name in _SECTIONS[2:]:
+        _read_block(sections[name], getattr(model, name), name)
+    return model

@@ -1,4 +1,4 @@
-"""First-order feature templates and the attribute/tag index.
+"""The fixed first-order feature template and the attribute/tag index.
 
 Every position gets a bias plus the current, previous, and next surface
 forms; tag context is handled entirely by the transition weights of the
@@ -6,7 +6,9 @@ model, never by the attributes.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .corpus import Dataset, Sentence, TagSet
 
@@ -14,75 +16,45 @@ BOS = "<BOS>"
 EOS = "<EOS>"
 
 
-@dataclass(frozen=True)
-class TemplateConfig:
-    """Optional extras on top of the fixed default template."""
-
-    lowercase: bool = False
-    affixes: bool = False
-    max_affix: int = 3
-
-
-DEFAULT_TEMPLATE = TemplateConfig()
-
-
-def extract_attributes(sentence: Sentence, i: int,
-                       template: TemplateConfig = DEFAULT_TEMPLATE) -> list[str]:
-    """Attribute strings for position i; exactly 4 under the default template."""
+def extract_attributes(sentence: Sentence, i: int) -> list[str]:
+    """The four attribute strings for position i: bias, w0, w-1 and w+1."""
     if not 0 <= i < len(sentence.tokens):
         raise IndexError(f"position {i} out of range for sentence of "
                          f"length {len(sentence.tokens)}")
     w = sentence.tokens[i].surface
     prev = sentence.tokens[i - 1].surface if i > 0 else BOS
     nxt = sentence.tokens[i + 1].surface if i + 1 < len(sentence.tokens) else EOS
-    attrs = ["b", f"w0={w}", f"w-1={prev}", f"w+1={nxt}"]
-    if template.lowercase:
-        attrs.append(f"w0.lower={w.lower()}")
-        if prev != BOS:
-            attrs.append(f"w-1.lower={prev.lower()}")
-        if nxt != EOS:
-            attrs.append(f"w+1.lower={nxt.lower()}")
-    if template.affixes:
-        for n in range(1, min(template.max_affix, len(w)) + 1):
-            attrs.append(f"p{n}={w[:n]}")
-            attrs.append(f"s{n}={w[-n:]}")
-    return attrs
+    return ["b", f"w0={w}", f"w-1={prev}", f"w+1={nxt}"]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FeatureIndex:
-    """Bidirectional numbering of attributes and tags.
+    """Immutable numbering of attributes and tags, built once.
 
-    Attribute ids are dense and allocated in first-seen order while the index
-    is unfrozen; once frozen, unknown attributes simply look up as None.
+    Attribute ids are dense and follow the order of the given attributes;
+    tag ids follow the tag set's order.  Unknown attributes look up as absent.
     """
 
-    attribute_to_id: dict[str, int] = field(default_factory=dict)
-    tag_to_id: dict[str, int] = field(default_factory=dict)
-    frozen: bool = False
+    attributes_in_order: InitVar[Sequence[str]]
+    tagset: TagSet
+    attribute_to_id: Mapping[str, int] = field(init=False)
+    tag_to_id: Mapping[str, int] = field(init=False)
 
-    def add_attribute(self, attribute: str) -> int:
-        if self.frozen:
-            raise ValueError("cannot add attributes to a frozen index")
-        return self.attribute_to_id.setdefault(attribute, len(self.attribute_to_id))
-
-    def attribute_id(self, attribute: str) -> int | None:
-        return self.attribute_to_id.get(attribute)
-
-    def freeze(self) -> None:
-        self.frozen = True
+    def __post_init__(self, attributes_in_order):
+        ids = {a: i for i, a in enumerate(attributes_in_order)}
+        if len(ids) != len(attributes_in_order):
+            raise ValueError("duplicate attribute in the index")
+        object.__setattr__(self, "attribute_to_id", MappingProxyType(ids))
+        object.__setattr__(self, "tag_to_id", MappingProxyType(
+            {t: k for k, t in enumerate(self.tagset.tags)}))
 
     @property
     def num_attributes(self) -> int:
         return len(self.attribute_to_id)
 
-    @property
-    def num_tags(self) -> int:
-        return len(self.tag_to_id)
-
     def attributes(self) -> list[str]:
         """Attribute strings ordered by id."""
-        return sorted(self.attribute_to_id, key=self.attribute_to_id.get)
+        return list(self.attribute_to_id)
 
 
 @dataclass(frozen=True)
@@ -104,40 +76,29 @@ class EncodedSentence:
         return len(self.tag_ids)
 
 
-def build_index(train: Dataset, tagset: TagSet,
-                template: TemplateConfig = DEFAULT_TEMPLATE,
-                min_count: int = 1) -> FeatureIndex:
+def build_index(train: Dataset, tagset: TagSet, min_count: int = 1) -> FeatureIndex:
     """Count attributes over the training data and keep those seen enough.
 
     Ids follow first occurrence order, so the index is a deterministic
-    function of the data and the template.
+    function of the data.
     """
     if not train.sentences:
         raise ValueError("empty training set")
     counts: Counter[str] = Counter()
     for s in train.sentences:
         for i in range(len(s.tokens)):
-            counts.update(extract_attributes(s, i, template))
-    index = FeatureIndex(tag_to_id={t: k for k, t in enumerate(tagset.tags)})
-    for attribute, n in counts.items():
-        if n >= min_count:
-            index.add_attribute(attribute)
-    index.freeze()
-    return index
+            counts.update(extract_attributes(s, i))
+    return FeatureIndex([a for a, n in counts.items() if n >= min_count], tagset)
 
 
-def encode_dataset(ds: Dataset, index: FeatureIndex,
-                   template: TemplateConfig = DEFAULT_TEMPLATE) -> list[EncodedSentence]:
+def encode_dataset(ds: Dataset, index: FeatureIndex) -> list[EncodedSentence]:
     """Map every sentence to attribute ids, silently dropping unknown attributes."""
-    if not index.frozen:
-        raise ValueError("the index must be frozen before encoding")
     encoded = []
     for si, s in enumerate(ds.sentences):
         attr_ids = []
         tag_ids = []
         for i, tok in enumerate(s.tokens):
-            ids = [index.attribute_to_id[a]
-                   for a in extract_attributes(s, i, template)
+            ids = [index.attribute_to_id[a] for a in extract_attributes(s, i)
                    if a in index.attribute_to_id]
             attr_ids.append(tuple(ids))
             tid = index.tag_to_id.get(tok.tag)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TagSet
-from .crf import CrfModel, Gradient, nll_and_gradient
+from .crf import CrfModel, nll_and_gradient
 from .features import EncodedSentence, FeatureIndex
 
 MAX_SEQUENCES = 4096
@@ -94,21 +94,19 @@ def enumerate_marginals(inst: TinyInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fd_gradient(model: CrfModel, batch: list[EncodedSentence], l2: float = 0.0,
-                h: float = 1e-5) -> Gradient:
-    """Central finite differences of the regularized NLL, one coordinate at
-    a time: (f(w + h) - f(w - h)) / (2h)."""
-    out = Gradient.zeros_like(model)
-    for block, target in zip(model.blocks(), out.blocks()):
-        flat = block.reshape(-1)
-        flat_out = target.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            f_plus = nll_and_gradient(model, batch, l2)[0]
-            flat[j] = orig - h
-            f_minus = nll_and_gradient(model, batch, l2)[0]
-            flat[j] = orig
-            flat_out[j] = (f_plus - f_minus) / (2.0 * h)
+                h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of the regularized NLL, one coordinate of
+    the weight vector at a time: (f(w + h) - f(w - h)) / (2h)."""
+    w = model.weights
+    out = np.empty_like(w)
+    for j in range(w.size):
+        orig = w[j]
+        w[j] = orig + h
+        f_plus = nll_and_gradient(model, batch, l2)[0]
+        w[j] = orig - h
+        f_minus = nll_and_gradient(model, batch, l2)[0]
+        w[j] = orig
+        out[j] = (f_plus - f_minus) / (2.0 * h)
     return out
 
 
@@ -118,20 +116,10 @@ def random_instance(rng: random.Random, max_len: int = 6, max_tags: int = 4,
     k = rng.randint(1, max_tags)
     t_len = rng.randint(1, max_len)
     vocab = rng.randint(1, max_vocab)
-    tagset = TagSet(_TINY_TAGS[:k])
-    index = FeatureIndex(attribute_to_id={f"a{j}": j for j in range(vocab)},
-                         tag_to_id={t: i for i, t in enumerate(tagset.tags)},
-                         frozen=True)
-
-    def uniform():
-        return rng.uniform(-weight_range, weight_range)
-
-    model = CrfModel(
-        np.array([[uniform() for _ in range(k)] for _ in range(vocab)]),
-        np.array([[uniform() for _ in range(k)] for _ in range(k)]),
-        np.array([uniform() for _ in range(k)]),
-        np.array([uniform() for _ in range(k)]),
-        tagset, index)
+    index = FeatureIndex([f"a{j}" for j in range(vocab)], TagSet(_TINY_TAGS[:k]))
+    # Drawn in weight-vector order: emissions, transitions, start, end.
+    model = CrfModel(np.array([rng.uniform(-weight_range, weight_range)
+                               for _ in range((vocab + k + 2) * k)]), index)
     attr_ids = tuple(tuple(rng.sample(range(vocab), rng.randint(0, min(3, vocab))))
                      for _ in range(t_len))
     gold = tuple(rng.randrange(k) for _ in range(t_len))
@@ -152,17 +140,15 @@ def serialize_instance(inst: TinyInstance) -> str:
     })
 
 
-def gradient_error(analytic: Gradient, numeric: Gradient) -> float:
+def gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Error between gradients: ||a - n|| / max(||a||, ||n||, 1).
 
     Relative for gradients of norm >= 1, absolute below.  The floor keeps
     near-zero gradients (single-tag instances have a constant loss) from
     turning float cancellation noise into a large ratio.
     """
-    a = analytic.ravel()
-    n = numeric.ravel()
-    denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(n)), 1.0)
-    return float(np.linalg.norm(a - n)) / denom
+    denom = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1.0)
+    return float(np.linalg.norm(analytic - numeric)) / denom
 
 
 @dataclass
@@ -184,6 +170,8 @@ def run_verification(trials: int, seed: int, tol: float = 1e-9,
     gradient), keeping the first failing instance for reproduction."""
     from . import crf
 
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     results = {name: CheckResult(name, 0, 0) for name in
                ("logZ", "viterbi", "marginals", "gradient")}
 

@@ -24,7 +24,7 @@ from mixner.corpus import (Dataset, Sentence, Token, induce_tagset,
 from mixner.crf import (TrainConfig, log_partition, marginals,
                         nll_and_gradient, save_model, train, viterbi)
 from mixner.eval import score_entities, token_confusion
-from mixner.features import DEFAULT_TEMPLATE, build_index, encode_dataset
+from mixner.features import build_index, encode_dataset
 from mixner.oracle import (enumerate_best, enumerate_logZ,
                            enumerate_marginals, fd_gradient, gradient_error,
                            random_instance)
@@ -95,12 +95,12 @@ def test_synthetic_end_to_end(tmp_path):
     cfg = TrainConfig()
 
     started = time.monotonic()
-    model_a, hist_a = train(encoded, dev_ds, cfg, DEFAULT_TEMPLATE, index, tagset)
+    model_a, hist_a = train(encoded, dev_ds, cfg, index)
     elapsed = time.monotonic() - started
     assert hist_a.records[hist_a.best_epoch - 1].dev_f1 >= 0.95
     assert elapsed <= 60.0
 
-    model_b, hist_b = train(encoded, dev_ds, cfg, DEFAULT_TEMPLATE, index, tagset)
+    model_b, hist_b = train(encoded, dev_ds, cfg, index)
     save_model(model_a, tmp_path / "a.txt")
     save_model(model_b, tmp_path / "b.txt")
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from helpers import content, make_separable_corpus
@@ -94,6 +95,35 @@ class TestTrain:
         assert code == 2
         assert "empty" in capsys.readouterr().err
 
+    def test_empty_dev_file_exits_2(self, corpus_files, tmp_path, capsys):
+        empty = tmp_path / "empty.conll"
+        empty.write_text("")
+        code = main(["train", "--train", str(corpus_files["cm_train"]),
+                     "--dev", str(empty), "-o", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert f"empty dev file: {empty}" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--l2", "-1", "l2"), ("--l2", "nan", "l2"), ("--l2", "inf", "l2"),
+        ("--lr", "nan", "learning_rate"), ("--lr", "0", "learning_rate"),
+        ("--lr", "-0.1", "learning_rate"), ("--lr", "inf", "learning_rate")])
+    def test_bad_optimizer_setting_exits_2(self, corpus_files, tmp_path, capsys,
+                                           flag, value, name):
+        code, model_path = self.run_train(corpus_files, tmp_path, flag, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and value in err
+        assert not model_path.exists()
+
+    def test_non_finite_loss_exits_2(self, corpus_files, tmp_path, capsys):
+        # A finite but absurd step size overflows the weights in epoch 1.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, model_path = self.run_train(corpus_files, tmp_path, "--lr", "1e300")
+        assert code == 2
+        assert "epoch 1" in capsys.readouterr().err
+        assert not model_path.exists()
+
 
 class TestTagAndEval:
     def test_tag_preserves_token_count(self, corpus_files, tmp_path):
@@ -112,8 +142,7 @@ class TestTagAndEval:
 
     def test_zero_weight_model_tags_all_o(self, corpus_files, tmp_path):
         train_ds = parse_conll(corpus_files["cm_train"].read_text())
-        tagset = induce_tagset(train_ds)
-        model = CrfModel.zeros(build_index(train_ds, tagset), tagset)
+        model = CrfModel.zeros(build_index(train_ds, induce_tagset(train_ds)))
         model_path = tmp_path / "zero.txt"
         save_model(model, model_path)
         pred_path = tmp_path / "pred.conll"
@@ -169,9 +198,8 @@ class TestTagAndEval:
 
     def test_tag_rejects_non_finite_model(self, corpus_files, tmp_path, capsys):
         train_ds = parse_conll(corpus_files["cm_train"].read_text())
-        tagset = induce_tagset(train_ds)
         model_path = tmp_path / "zero.txt"
-        save_model(CrfModel.zeros(build_index(train_ds, tagset), tagset), model_path)
+        save_model(CrfModel.zeros(build_index(train_ds, induce_tagset(train_ds))), model_path)
         lines = model_path.read_text().splitlines()
         row = lines.index("[emissions]") + 1
         lines[row] = " ".join(["nan"] + lines[row].split()[1:])
@@ -200,6 +228,12 @@ class TestVerify:
     def test_zero_trials_warns(self, capsys):
         assert main(["verify", "--trials", "0"]) == 0
         assert "no checks run" in capsys.readouterr().out
+
+    def test_negative_trials_exits_2(self, capsys):
+        assert main(["verify", "--trials", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "trials must be >= 0, got -3" in captured.err
+        assert "pass" not in captured.out
 
     def test_injected_fault_exits_1(self, monkeypatch, capsys):
         import mixner.crf as crf_module

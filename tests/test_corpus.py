@@ -240,3 +240,21 @@ def test_repair_idempotent_property(tags):
     once = validate_iob(ds, "repair")
     assert validate_iob(once, "strict") == []
     assert content(validate_iob(once, "repair")) == content(once)
+
+
+# Any token, tag and id the data model admits, not only IOB-valid ones.
+non_space = st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace())
+any_tokens = st.builds(
+    Token, st.text(non_space, min_size=1, max_size=4),
+    st.just("O") | st.builds(str.__add__, st.sampled_from(["B-", "I-"]),
+                             st.text(non_space, min_size=1, max_size=3)))
+any_datasets = st.builds(
+    lambda ss: Dataset(tuple(ss)),
+    st.lists(st.builds(Sentence, st.lists(any_tokens, min_size=1, max_size=4),
+                       id=st.none() | st.text(max_size=8)), max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_datasets)
+def test_parse_write_is_identity_property(ds):
+    assert parse_conll(write_conll(ds)) == ds

@@ -1,5 +1,8 @@
 import math
 import random
+import re
+import tempfile
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -14,22 +17,55 @@ from mixner.crf import (CrfModel, TrainConfig, decode, load_model, log_partition
                         marginals, nll_and_gradient, save_model,
                         sequence_score, train, viterbi, viterbi_batch)
 from mixner.eval import score_entities
-from mixner.features import (DEFAULT_TEMPLATE, EncodedSentence, FeatureIndex,
-                             build_index, encode_dataset)
+from mixner.features import EncodedSentence, FeatureIndex, build_index, encode_dataset
 from mixner.oracle import (TinyInstance, enumerate_logZ, naive_sequence_score,
                            random_instance)
 
 
 def tiny_model(tags, num_attrs):
-    tagset = TagSet(tuple(tags))
-    index = FeatureIndex(
-        attribute_to_id={f"a{i}": i for i in range(num_attrs)},
-        tag_to_id={t: i for i, t in enumerate(tagset.tags)}, frozen=True)
-    return CrfModel.zeros(index, tagset)
+    index = FeatureIndex([f"a{i}" for i in range(num_attrs)], TagSet(tuple(tags)))
+    return CrfModel.zeros(index)
+
+
+def views(model, vector):
+    """The four blocks of a vector laid out like the model's weights."""
+    v = CrfModel(vector, model.index)
+    return v.emissions, v.transitions, v.start, v.end
 
 
 def enc(attr_ids, tag_ids):
     return EncodedSentence(tuple(tuple(ids) for ids in attr_ids), tuple(tag_ids))
+
+
+class TestWeightVector:
+    def test_blocks_are_views_in_layout_order(self):
+        m = tiny_model(["O", "B-X", "I-X"], 2)
+        assert m.weights.shape == ((2 + 3 + 2) * 3,)
+        m.weights[:] = np.arange(m.weights.size)
+        assert m.emissions.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert m.transitions.tolist() == [[6, 7, 8], [9, 10, 11], [12, 13, 14]]
+        assert m.start.tolist() == [15, 16, 17] and m.end.tolist() == [18, 19, 20]
+        m.end[2] = -1.0
+        assert m.weights[-1] == -1.0
+
+    def test_tagset_is_the_index_tagset(self):
+        m = tiny_model(["O", "B-X"], 1)
+        assert m.tagset is m.index.tagset and m.num_tags == 2
+
+    def test_wrong_size_rejected(self):
+        m = tiny_model(["O", "B-X"], 2)
+        with pytest.raises(ValueError, match="do not match"):
+            CrfModel(np.zeros(m.weights.size - 1), m.index)
+
+    def test_gradient_has_the_weight_layout(self):
+        m = tiny_model(["O", "B-X"], 2)
+        _, grad = nll_and_gradient(m, [enc([(0,), (1,)], [0, 1])])
+        assert grad.shape == m.weights.shape
+        emissions, transitions, start, end = views(m, grad)
+        # Zero weights: every tag has probability 1/2 at both positions.
+        assert emissions.tolist() == [[-0.5, 0.5], [0.5, -0.5]]
+        assert transitions.tolist() == [[0.25, -0.75], [0.25, 0.25]]
+        assert start.tolist() == [-0.5, 0.5] and end.tolist() == [0.5, -0.5]
 
 
 class TestSequenceScore:
@@ -119,7 +155,7 @@ class TestNll:
         loss0, g0 = nll_and_gradient(m, batch, l2=0.0)
         loss1, g1 = nll_and_gradient(m, batch, l2=0.5)
         assert loss0 == loss1
-        assert all(np.array_equal(a, b) for a, b in zip(g0.blocks(), g1.blocks()))
+        assert np.array_equal(g0, g1)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -138,7 +174,7 @@ class TestViterbi:
         ds = Dataset((sentence,))
         tagset = TagSet(("O", "B-CW"))
         index = build_index(ds, tagset)
-        m = CrfModel.zeros(index, tagset)
+        m = CrfModel.zeros(index)
         m.emissions[index.attribute_to_id["w0=dig"], index.tag_to_id["B-CW"]] = 2.0
         path, score = viterbi(m, encode_dataset(ds, index)[0])
         assert path == [1, 0]
@@ -169,8 +205,7 @@ class TestPersistence:
         loaded = load_model(path)
         assert loaded.tagset == m.tagset
         assert loaded.index.attribute_to_id == m.index.attribute_to_id
-        for a, b in zip(m.blocks(), loaded.blocks()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(m.weights, loaded.weights)
 
     def test_second_save_byte_identical(self, tmp_path):
         m = self.trained_like_model()
@@ -201,6 +236,16 @@ class TestPersistence:
         cut = lines.index("[transitions]")
         path.write_text("\n".join(lines[:cut]) + "\n")
         with pytest.raises(ValueError, match="transitions"):
+            load_model(path)
+
+    def test_duplicate_attribute_rejected_on_load(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(self.trained_like_model(), path)
+        lines = path.read_text().splitlines()
+        first = lines.index("[attributes]") + 1
+        lines[first + 1] = lines[first]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="duplicate attribute"):
             load_model(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -239,7 +284,7 @@ class TestTrain:
         tagset = induce_tagset(train_ds)
         index = build_index(train_ds, tagset)
         encoded = encode_dataset(train_ds, index)
-        model, history = train(encoded, dev_ds, cfg, DEFAULT_TEMPLATE, index, tagset)
+        model, history = train(encoded, dev_ds, cfg, index)
         return model, history, dev_ds, index, tagset
 
     def test_learns_separable_data(self):
@@ -286,7 +331,7 @@ class TestTrain:
         tagset = induce_tagset(ds)
         index = build_index(ds, tagset)
         with pytest.raises(ValueError, match="empty"):
-            train([], ds, TrainConfig(epochs=1), DEFAULT_TEMPLATE, index, tagset)
+            train([], ds, TrainConfig(epochs=1), index)
 
     def test_dev_outside_tagset_rejected(self):
         ds = make_separable_corpus(5, 1)
@@ -295,14 +340,35 @@ class TestTrain:
         encoded = encode_dataset(ds, index)
         alien = Dataset((Sentence((Token("x", "B-UNSEEN"),)),))
         with pytest.raises(ValueError, match="B-UNSEEN"):
-            train(encoded, alien, TrainConfig(epochs=1), DEFAULT_TEMPLATE,
-                  index, tagset)
+            train(encoded, alien, TrainConfig(epochs=1), index)
+
+    def test_empty_dev_rejected(self):
+        ds = make_separable_corpus(5, 1)
+        index = build_index(ds, induce_tagset(ds))
+        with pytest.raises(ValueError, match="empty"):
+            train(encode_dataset(ds, index), Dataset(), TrainConfig(epochs=1), index)
+
+    def test_non_finite_loss_stops_training(self):
+        # A finite but absurd step size overflows the weights in epoch 1.
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1e300)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="epoch 1: training loss is"):
+            self.fit(cfg, n_train=40, n_dev=10)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(patience=-1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", 0.0), ("learning_rate", -0.1), ("learning_rate", math.nan),
+        ("learning_rate", math.inf), ("l2", -1.0), ("l2", math.nan), ("l2", math.inf),
+        ("min_delta", -1e-4), ("min_delta", math.nan), ("min_delta", -math.inf)])
+    def test_config_rejects_bad_number(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite") + ".*"
+                           + re.escape(f"got {value!r}")):
+            TrainConfig(**{name: value})
 
 
 @settings(max_examples=30, deadline=None)
@@ -322,8 +388,7 @@ def ragged_batches(draw):
     num_attrs = draw(st.integers(1, 5))
     model = tiny_model(["O", "B-X", "B-Y", "I-X"][:k], num_attrs)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    for block in model.blocks():
-        block[...] = rng.uniform(-2, 2, block.shape)
+    model.weights[...] = rng.uniform(-2, 2, model.weights.size)
     position = st.tuples(st.lists(st.integers(0, num_attrs - 1), max_size=3),
                          st.integers(0, k - 1))
     sentences = draw(st.lists(st.lists(position, min_size=1, max_size=6),
@@ -344,8 +409,8 @@ def test_packed_nll_matches_single_sentence_sum(case):
     loss, grad = nll_and_gradient(model, batch)
     singles = [nll_and_gradient(model, [e]) for e in batch]
     assert close(loss, sum(l for l, _ in singles))
-    for j, block in enumerate(grad.blocks()):
-        assert close(block, sum(g.blocks()[j] for _, g in singles))
+    for j, block in enumerate(views(model, grad)):
+        assert close(block, sum(views(model, g)[j] for _, g in singles))
     oracle = sum(enumerate_logZ(TinyInstance(model, e))
                  - naive_sequence_score(model, e, e.tag_ids) for e in batch)
     assert close(loss, oracle)
@@ -379,4 +444,47 @@ def test_packed_results_independent_of_input_order(case, data):
     loss, grad = nll_and_gradient(model, batch, 1e-2)
     loss_s, grad_s = nll_and_gradient(model, shuffled, 1e-2)
     assert close(loss_s, loss)
-    assert all(close(a, b) for a, b in zip(grad_s.blocks(), grad.blocks()))
+    assert all(close(a, b) for a, b in zip(views(model, grad_s), views(model, grad)))
+
+
+def saved_model_lines(seed):
+    with tempfile.TemporaryDirectory() as d:
+        save_model(random_instance(random.Random(seed)).model, Path(d) / "model.txt")
+        return (Path(d) / "model.txt").read_text(encoding="utf-8").splitlines()
+
+
+def load_text(text):
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "model.txt").write_text(text, encoding="utf-8")
+        return load_model(Path(d) / "model.txt")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_truncated_or_line_deleted_model_rejected_property(seed, data):
+    """Cutting the file anywhere before its last line, or deleting any one
+    line, always leaves a file load_model rejects with ValueError."""
+    lines = saved_model_lines(seed)
+    text = "\n".join(lines) + "\n"
+    i = data.draw(st.integers(0, len(lines) - 1))
+    damaged = data.draw(st.sampled_from([
+        "\n".join(lines[:i] + lines[i + 1:]) + "\n",
+        text[:data.draw(st.integers(0, len(text) - len(lines[-1]) - 1))]]))
+    with pytest.raises(ValueError):
+        load_text(damaged)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_line_replaced_model_raises_only_value_error_property(seed, data):
+    """Replacing any one line never makes load_model fail with anything but
+    ValueError.  The new line may still form a valid file (one weight for
+    another), so a successful load is allowed here."""
+    lines = saved_model_lines(seed)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = data.draw(st.text(max_size=12) | st.sampled_from(lines) | st.sampled_from(
+        ["", "O", "I-Z", "[tags]", "[end]", "nan", "-inf", "1e999", "0x10", "1_0", "1 2 3 4 5"]))
+    try:
+        load_text("\n".join(lines) + "\n")
+    except ValueError:
+        pass

@@ -1,9 +1,8 @@
 import pytest
 
-from mixner.corpus import Dataset, Sentence, Token, induce_tagset, parse_conll
-from mixner.features import (DEFAULT_TEMPLATE, EncodedSentence, FeatureIndex,
-                             TemplateConfig, build_index, encode_dataset,
-                             extract_attributes)
+from mixner.corpus import Dataset, Sentence, TagSet, Token, induce_tagset, parse_conll
+from mixner.features import (EncodedSentence, FeatureIndex, build_index,
+                             encode_dataset, extract_attributes)
 
 
 def sent(words, tags=None):
@@ -38,19 +37,6 @@ class TestExtract:
         with pytest.raises(IndexError):
             extract_attributes(s, i)
 
-    def test_lowercase_flag(self):
-        s = sent(["Foo", "BAR"])
-        attrs = extract_attributes(s, 0, TemplateConfig(lowercase=True))
-        assert "w0.lower=foo" in attrs and "w+1.lower=bar" in attrs
-
-    def test_affix_flag(self):
-        attrs = extract_attributes(sent(["dig"]), 0, TemplateConfig(affixes=True))
-        assert {"p1=d", "p2=di", "p3=dig", "s1=g", "s2=ig", "s3=dig"} <= set(attrs)
-
-    def test_affixes_stop_at_token_length(self):
-        attrs = extract_attributes(sent(["ab"]), 0, TemplateConfig(affixes=True))
-        assert "p2=ab" in attrs and not any(a.startswith("p3=") for a in attrs)
-
 
 class TestBuildIndex:
     def test_table1_attribute_count(self, table1_text):
@@ -79,11 +65,24 @@ class TestBuildIndex:
         ts = induce_tagset(ds)
         assert build_index(ds, ts).attribute_to_id == build_index(ds, ts).attribute_to_id
 
-    def test_frozen_rejects_new_attributes(self, table1_text):
+    def test_index_is_immutable(self, table1_text):
         ds = parse_conll(table1_text)
         index = build_index(ds, induce_tagset(ds))
-        with pytest.raises(ValueError, match="frozen"):
-            index.add_attribute("w0=new")
+        with pytest.raises(TypeError):
+            index.attribute_to_id["w0=new"] = 13
+        with pytest.raises(AttributeError):
+            index.tagset = TagSet(("O",))
+        assert index.num_attributes == 13 and "w0=new" not in index.attribute_to_id
+
+    def test_ids_follow_attribute_order(self):
+        index = FeatureIndex(["b", "w0=x", "w-1=<BOS>"], TagSet(("O", "B-X")))
+        assert index.attribute_to_id == {"b": 0, "w0=x": 1, "w-1=<BOS>": 2}
+        assert index.attributes() == ["b", "w0=x", "w-1=<BOS>"]
+        assert index.tag_to_id == {"O": 0, "B-X": 1}
+
+    def test_duplicate_attribute_rejected(self):
+        with pytest.raises(ValueError, match="duplicate attribute"):
+            FeatureIndex(["b", "w0=x", "b"], TagSet(("O",)))
 
 
 class TestEncode:
@@ -108,11 +107,6 @@ class TestEncode:
         alien = Dataset((sent(["x", "y"], ["O", "B-LOC"]),))
         with pytest.raises(ValueError, match="sentence 0, position 1"):
             encode_dataset(alien, index)
-
-    def test_unfrozen_index_rejected(self, table1_text):
-        ds = parse_conll(table1_text)
-        with pytest.raises(ValueError, match="frozen"):
-            encode_dataset(ds, FeatureIndex(tag_to_id={"O": 0}))
 
     def test_encoded_sentence_alignment_enforced(self):
         with pytest.raises(ValueError):
