@@ -1,13 +1,13 @@
 """Code-mixed NER toolkit: corpus handling, CRF tagging, evaluation."""
 
-from .corpus import (ColumnSpec, Dataset, ParseError, Sentence, TagSet, Token,
-                     induce_tagset, mix_datasets, parse_conll, validate_iob,
-                     write_conll)
+from .corpus import (Dataset, EntitySpan, ParseError, Sentence, TagSet, Token,
+                     extract_entities, induce_tagset, mix_datasets, parse_conll,
+                     spans_to_tags, validate_iob, write_conll)
 from .crf import (CrfModel, TrainConfig, TrainHistory, decode, load_model,
                   log_partition, marginals, nll_and_gradient, save_model,
                   sequence_score, train, viterbi, viterbi_batch)
-from .eval import (ConfusionMatrix, EntitySpan, EvalReport, extract_entities,
-                   render_report, score_entities, spans_to_tags, token_confusion)
+from .eval import (ConfusionMatrix, EvalReport, render_report, score_entities,
+                   token_confusion)
 from .features import (EncodedSentence, FeatureIndex, build_index,
                        encode_dataset, extract_attributes)
 

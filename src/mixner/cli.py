@@ -8,8 +8,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import (ColumnSpec, Dataset, ParseError, induce_tagset,
-                     mix_datasets, parse_conll, validate_iob, write_conll)
+from .corpus import (Dataset, ParseError, induce_tagset, mix_datasets,
+                     parse_conll, validate_iob, write_conll)
 from .crf import TrainConfig, decode, load_model, save_model, train
 from .features import build_index, encode_dataset
 from .eval import render_report, score_entities
@@ -20,8 +20,7 @@ DEFAULT_SEED = 42
 
 def _read_dataset(path: str, require_tags: bool = True) -> Dataset:
     text = Path(path).read_text(encoding="utf-8")
-    return parse_conll(text, ColumnSpec(), source_label=Path(path).stem,
-                       require_tags=require_tags)
+    return parse_conll(text, source_label=Path(path).stem, require_tags=require_tags)
 
 
 def cmd_mix(args) -> int:
@@ -43,8 +42,8 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch,
                       patience=args.patience, learning_rate=args.lr,
                       l2=args.l2, seed=args.seed)
-    train_ds = validate_iob(_read_dataset(args.train), "repair")
-    dev_ds = validate_iob(_read_dataset(args.dev), "repair")
+    train_ds = validate_iob(_read_dataset(args.train))
+    dev_ds = validate_iob(_read_dataset(args.dev))
     if not train_ds.sentences:
         raise ValueError(f"empty training file: {args.train}")
     if not dev_ds.sentences:

@@ -1,8 +1,10 @@
-"""CoNLL-style corpus handling: parsing, IOB2 validation, serialization, mixing.
+"""CoNLL-style corpus handling: parsing, IOB2 spans, serialization, mixing.
 
-The on-disk format is the usual one: one token per line, blank line between
-sentences, lines starting with "# " treated as metadata.  Datasets are plain
-immutable value objects so they can be shared freely between pipeline stages.
+The on-disk format is the shared task's: one token per line, the token in the
+first whitespace-separated column and the tag in the last, a blank line
+between sentences, and lines starting with "# " treated as metadata.  Datasets
+are plain immutable value objects so they can be shared freely between
+pipeline stages.
 """
 
 import random
@@ -15,8 +17,6 @@ _WS_RE = re.compile(r"\s")
 _ID_EQ_RE = re.compile(r"^id\s*=\s*(.*)$")
 _ID_BARE_RE = re.compile(r"^id\s+(\S+)")
 
-BLANK = ""
-
 
 class ParseError(ValueError):
     """Raised for malformed corpus files; carries the 1-based line number."""
@@ -28,11 +28,10 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Token:
-    """A single surface form with its IOB2 tag and optional language id."""
+    """A single surface form with its IOB2 tag."""
 
     surface: str
     tag: str
-    lang: str | None = None
 
     def __post_init__(self):
         if not self.surface or _WS_RE.search(self.surface):
@@ -108,47 +107,17 @@ class TagSet:
             if t.startswith("I-") and "B-" + t[2:] not in self.tags:
                 raise ValueError(f"tag set contains {t} without B-{t[2:]}")
 
-    @classmethod
-    def from_tags(cls, tags) -> "TagSet":
-        """Build a valid TagSet from any iterable of tags (order-insensitive)."""
-        rest = sorted(set(tags) - {"O"})
-        return cls(("O", *rest))
-
-    @property
-    def classes(self) -> tuple[str, ...]:
-        return tuple(sorted({t[2:] for t in self.tags if t != "O"}))
-
     def __len__(self) -> int:
         return len(self.tags)
 
 
 @dataclass(frozen=True)
-class ColumnSpec:
-    """Where to find things on a token line.
+class EntitySpan:
+    """One entity occurrence: class label plus inclusive token positions."""
 
-    tag_column may be an integer or the string "last"; separator is either
-    "tab" (split on single tabs) or "whitespace" (split on any run).
-    """
-
-    token_column: int = 0
-    tag_column: int | str = "last"
-    lang_column: int | None = None
-    separator: str = "whitespace"
-
-    def __post_init__(self):
-        if self.separator not in ("tab", "whitespace"):
-            raise ValueError(f"unknown separator {self.separator!r}")
-        if isinstance(self.tag_column, str) and self.tag_column != "last":
-            raise ValueError(f"tag_column must be an index or 'last', got {self.tag_column!r}")
-        if self.tag_column == self.token_column:
-            raise ValueError("token_column and tag_column must differ")
-
-
-@dataclass(frozen=True)
-class IobViolation:
-    sentence: int
-    position: int
-    reason: str
+    label: str
+    start: int
+    end: int
 
 
 def _is_metadata(line: str) -> bool:
@@ -170,16 +139,17 @@ def _metadata_id(line: str) -> str | None:
     return None
 
 
-def parse_conll(text: str, columns: ColumnSpec | None = None,
-                source_label: str = "", require_tags: bool = True) -> Dataset:
+def parse_conll(text: str, source_label: str = "",
+                require_tags: bool = True) -> Dataset:
     """Parse a CoNLL-style document into a Dataset.
 
-    Blank lines delimit sentences, "# id = ..." lines set sentence ids, and
-    other metadata lines are ignored.  With require_tags=False a missing or
-    malformed tag field falls back to "O", which lets the tagger accept raw
-    token-only input.
+    Token lines are split on whitespace: the first column is the token and
+    the last the tag, and columns between them (such as "_ _" or a language
+    id) are ignored.  Blank lines delimit sentences, "# id = ..." lines set
+    sentence ids, and other metadata lines are ignored.  With
+    require_tags=False a missing or malformed tag field falls back to "O",
+    which lets the tagger accept raw token-only input.
     """
-    layout = columns or ColumnSpec()
     sentences: list[Sentence] = []
     buf: list[Token] = []
     pending_id: str | None = None
@@ -202,36 +172,14 @@ def parse_conll(text: str, columns: ColumnSpec | None = None,
                 pending_id = found
             continue
 
-        cols = line.split("\t") if layout.separator == "tab" else line.split()
-        if len(cols) <= layout.token_column:
-            raise ParseError(f"expected a token in column {layout.token_column}, "
-                             f"found only {len(cols)} column(s)", lineno)
-
-        if layout.tag_column == "last":
-            tag_idx = len(cols) - 1
-            if tag_idx == layout.token_column:
-                tag_idx = None
-        else:
-            tag_idx = layout.tag_column if layout.tag_column < len(cols) else None
-        if tag_idx is None and require_tags:
-            raise ParseError("fewer columns than required: no tag column", lineno)
-
-        lang = None
-        if layout.lang_column is not None:
-            if layout.lang_column >= len(cols):
-                raise ParseError(f"no language column {layout.lang_column}", lineno)
-            lang = cols[layout.lang_column]
-
-        surface = cols[layout.token_column]
-        if not surface or _WS_RE.search(surface):
-            raise ParseError(f"invalid token {surface!r}", lineno)
-
-        tag = cols[tag_idx] if tag_idx is not None else None
+        cols = line.split()
+        tag = cols[-1] if len(cols) > 1 else None
         if tag is None or not TAG_RE.match(tag):
             if require_tags:
-                raise ParseError(f"invalid IOB tag {tag!r}", lineno)
+                raise ParseError(f"invalid IOB tag {tag!r}" if tag else
+                                 "fewer columns than required: no tag column", lineno)
             tag = "O"
-        buf.append(Token(surface, tag, lang))
+        buf.append(Token(cols[0], tag))
 
     flush()
     return Dataset(tuple(sentences), source_label=source_label)
@@ -249,38 +197,55 @@ def write_conll(ds: Dataset) -> str:
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
-def validate_iob(ds: Dataset, mode: str = "strict"):
-    """Check or fix IOB2 structure.
+def extract_entities(tags: Sequence[str]) -> list[EntitySpan]:
+    """Read entity spans off an IOB2 tag sequence.
 
-    mode="strict" returns a list of IobViolation records; mode="repair"
-    returns a new Dataset where every stray I-X is rewritten to B-X.  Repair
-    is idempotent and never changes a span's class.
+    B-X opens a span, and so does a stray I-X (one that does not continue an
+    X span); I-X continues the open X span.  Raises ValueError on tags that
+    are not O, B-X or I-X.
     """
-    if mode == "strict":
-        violations = []
-        for si, s in enumerate(ds.sentences):
-            prev = "O"
-            for pos, tok in enumerate(s.tokens):
-                if tok.tag.startswith("I-") and prev not in (
-                        "B-" + tok.tag[2:], "I-" + tok.tag[2:]):
-                    violations.append(IobViolation(
-                        si, pos, f"{tok.tag} does not continue a {tok.tag[2:]} span"))
-                prev = tok.tag
-        return violations
-    if mode == "repair":
-        fixed = []
-        for s in ds.sentences:
-            prev = "O"
-            toks = []
-            for tok in s.tokens:
-                tag = tok.tag
-                if tag.startswith("I-") and prev not in ("B-" + tag[2:], "I-" + tag[2:]):
-                    tag = "B-" + tag[2:]
-                toks.append(tok if tag == tok.tag else replace(tok, tag=tag))
-                prev = tag
-            fixed.append(replace(s, tokens=tuple(toks)))
-        return Dataset(tuple(fixed), source_label=ds.source_label)
-    raise ValueError(f"unknown mode {mode!r}")
+    spans: list[EntitySpan] = []
+    open_label: str | None = None
+    open_start = 0
+    for i, tag in enumerate(tags):
+        if tag != "O" and tag[:2] not in ("B-", "I-"):
+            raise ValueError(f"invalid tag {tag!r} at position {i}")
+        if tag[:2] == "I-" and tag[2:] == open_label:
+            continue
+        if open_label is not None:
+            spans.append(EntitySpan(open_label, open_start, i - 1))
+        open_label, open_start = (None if tag == "O" else tag[2:]), i
+    if open_label is not None:
+        spans.append(EntitySpan(open_label, open_start, len(tags) - 1))
+    return spans
+
+
+def spans_to_tags(spans: Sequence[EntitySpan], length: int) -> list[str]:
+    """Inverse of extract_entities for non-overlapping, in-bounds spans."""
+    tags = ["O"] * length
+    last_end = -1
+    for sp in sorted(spans, key=lambda s: s.start):
+        if sp.start <= last_end or not 0 <= sp.start <= sp.end < length:
+            raise ValueError(f"span {sp} overlaps or is out of bounds")
+        tags[sp.start] = "B-" + sp.label
+        for i in range(sp.start + 1, sp.end + 1):
+            tags[i] = "I-" + sp.label
+        last_end = sp.end
+    return tags
+
+
+def validate_iob(ds: Dataset) -> Dataset:
+    """Rewrite every stray I-X to B-X, so the tags spell out the spans that
+    extract_entities reads.  Idempotent; never changes a span's class, and
+    sentences that need no change are kept as they are."""
+    fixed = []
+    for s in ds.sentences:
+        tags = spans_to_tags(extract_entities(s.tags), len(s))
+        if tags != s.tags:
+            s = replace(s, tokens=tuple(tok if tag == tok.tag else replace(tok, tag=tag)
+                                        for tok, tag in zip(s.tokens, tags)))
+        fixed.append(s)
+    return Dataset(tuple(fixed), source_label=ds.source_label)
 
 
 def induce_tagset(*datasets: Dataset) -> TagSet:
@@ -295,7 +260,7 @@ def induce_tagset(*datasets: Dataset) -> TagSet:
     for tag in list(observed):
         if tag.startswith("I-"):
             observed.add("B-" + tag[2:])
-    return TagSet.from_tags(observed)
+    return TagSet(("O", *sorted(observed - {"O"})))
 
 
 def mix_datasets(primary: Dataset, auxiliaries: Sequence[Dataset] = (),

@@ -5,10 +5,12 @@ The score of a tag sequence y for a sentence with attributes attrs(i) is
     start[y_1] + sum_i sum_{a in attrs(i)} W_e[a, y_i]
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
-All inference runs in log space with max-subtraction log-sum-exp, so finite
-weights can never overflow.  Training is maximum likelihood with an L2
-penalty, optimized by mini-batch AdaGrad; everything is deterministic given
-the seed.
+All inference runs in log space with max-subtraction log-sum-exp, which
+cannot overflow while path scores are finite.  Marginals exponentiate
+alpha + beta - log Z, which is <= 0 only up to a rounding error that grows
+with the scores, so runaway weights (say 1e300) overflow there and train
+stops on the non-finite loss.  Training is maximum likelihood with an L2
+penalty, optimized by mini-batch AdaGrad, deterministic given the seed.
 """
 
 import math
@@ -27,6 +29,7 @@ from .features import EncodedSentence, FeatureIndex, encode_dataset
 MODEL_HEADER = "MIXNER-CRF v1"
 _SECTIONS = ("tags", "attributes", "start", "end", "transitions", "emissions")
 _ADAGRAD_EPS = 1e-8
+MIN_DELTA = 1e-4  # smallest dev F1 gain that resets the patience count
 DECODE_CHUNK = 256  # sentences per packed Viterbi call in decode
 
 
@@ -226,7 +229,7 @@ def decode(model: CrfModel, dataset: Dataset, encoded: list[EncodedSentence]) ->
              for path, _ in viterbi_batch(model, encoded[lo:lo + DECODE_CHUNK])]
     tags = model.tagset.tags
     return Dataset(tuple(
-        Sentence(tuple(Token(tok.surface, tags[k], tok.lang)
+        Sentence(tuple(Token(tok.surface, tags[k])
                        for tok, k in zip(s.tokens, path)), id=s.id, source=s.source)
         for s, path in zip(dataset.sentences, paths)))
 
@@ -239,7 +242,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     l2: float = 1e-4
     seed: int = 42
-    min_delta: float = 1e-4
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -248,9 +250,8 @@ class TrainConfig:
             raise ValueError("patience must be >= 0")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        for name in ("l2", "min_delta"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2!r}")
 
 
 @dataclass(frozen=True)
@@ -272,11 +273,12 @@ def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
     """Fit a CRF by mini-batch AdaGrad with early stopping on dev entity F1.
 
     Weights start at zero.  After every epoch the dev set is decoded and
-    scored; when weighted F1 fails to improve by more than min_delta for more
+    scored; when weighted F1 fails to improve by more than MIN_DELTA for more
     than `patience` consecutive epochs, training stops.  The returned model
     carries the weights of the best epoch (first occurrence on ties), and the
-    whole procedure is reproducible bit for bit from the seed.  A loss that
-    is not finite stops training with ValueError.
+    whole procedure is reproducible bit for bit from the seed.  A batch loss
+    that is not finite stops training with a ValueError naming the epoch and
+    batch, and numpy's floating-point warnings are muted as it reports them.
     """
     if not encoded_train or not dev.sentences:
         raise ValueError("empty training or dev set")
@@ -305,21 +307,22 @@ def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             batch = [encoded_train[i] for i in order[lo:lo + cfg.batch_size]]
-            loss, grad = nll_and_gradient(model, batch, cfg.l2)
-            epoch_loss += loss
-            grad *= 1.0 / len(batch)
-            accum += grad * grad
-            model.weights -= cfg.learning_rate * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
-        if not math.isfinite(epoch_loss):
-            raise ValueError(f"epoch {epoch}: training loss is {epoch_loss}; "
-                             "try a smaller learning rate")
+            with np.errstate(all="ignore"):
+                loss, grad = nll_and_gradient(model, batch, cfg.l2)
+                if not math.isfinite(loss):
+                    raise ValueError(f"epoch {epoch}, batch {lo // cfg.batch_size + 1}: "
+                                     f"training loss is {loss}; try a smaller learning rate")
+                epoch_loss += loss
+                grad *= 1.0 / len(batch)
+                accum += grad * grad
+                model.weights -= cfg.learning_rate * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
         f1 = score_entities(dev, decode(model, dev, dev_encoded)).weighted_f1
         records.append(EpochRecord(epoch, epoch_loss, f1, time.monotonic() - started))
         if f1 > best_f1:
             best_f1 = f1
             best_epoch = epoch
             best_weights = model.weights.copy()
-        if f1 > stop_ref + cfg.min_delta:
+        if f1 > stop_ref + MIN_DELTA:
             stop_ref = f1
             bad_epochs = 0
         else:
@@ -381,6 +384,9 @@ def load_model(path: str | Path) -> CrfModel:
     sections = {}
     for name in _SECTIONS:
         sections[name], pos = _take_section(lines, pos, name)
+    if pos < len(lines):
+        raise ValueError(f"malformed model file: unexpected {lines[pos]!r} "
+                         "after the [emissions] rows")
     index = FeatureIndex(sections["attributes"], TagSet(tuple(sections["tags"])))
     model = CrfModel.zeros(index)
     for name in _SECTIONS[2:]:

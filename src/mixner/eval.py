@@ -2,18 +2,8 @@
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
-from .corpus import Dataset, validate_iob
-
-
-@dataclass(frozen=True)
-class EntitySpan:
-    """One entity occurrence: class label plus inclusive token positions."""
-
-    label: str
-    start: int
-    end: int
+from .corpus import Dataset, extract_entities
 
 
 @dataclass(frozen=True)
@@ -44,50 +34,6 @@ class EvalReport:
     confusion: ConfusionMatrix
 
 
-def extract_entities(tags: Sequence[str]) -> list[EntitySpan]:
-    """Read maximal B-X (I-X)* runs off an IOB2-valid tag sequence.
-
-    Raises ValueError on stray I-X tags; repair the sequence first if it may
-    be malformed.
-    """
-    spans: list[EntitySpan] = []
-    open_label: str | None = None
-    open_start = 0
-    for i, tag in enumerate(tags):
-        if tag == "O":
-            closing = open_label is not None
-            if closing:
-                spans.append(EntitySpan(open_label, open_start, i - 1))
-            open_label = None
-        elif tag.startswith("B-"):
-            if open_label is not None:
-                spans.append(EntitySpan(open_label, open_start, i - 1))
-            open_label, open_start = tag[2:], i
-        elif tag.startswith("I-"):
-            if open_label != tag[2:]:
-                raise ValueError(f"invalid IOB2 sequence: {tag} at position {i} "
-                                 "does not continue a span")
-        else:
-            raise ValueError(f"invalid tag {tag!r} at position {i}")
-    if open_label is not None:
-        spans.append(EntitySpan(open_label, open_start, len(tags) - 1))
-    return spans
-
-
-def spans_to_tags(spans: Sequence[EntitySpan], length: int) -> list[str]:
-    """Inverse of extract_entities for non-overlapping, in-bounds spans."""
-    tags = ["O"] * length
-    last_end = -1
-    for sp in sorted(spans, key=lambda s: s.start):
-        if sp.start <= last_end or not 0 <= sp.start <= sp.end < length:
-            raise ValueError(f"span {sp} overlaps or is out of bounds")
-        tags[sp.start] = "B-" + sp.label
-        for i in range(sp.start + 1, sp.end + 1):
-            tags[i] = "I-" + sp.label
-        last_end = sp.end
-    return tags
-
-
 def _check_aligned(gold: Dataset, pred: Dataset) -> None:
     if len(gold.sentences) != len(pred.sentences):
         raise ValueError(f"sentence count mismatch: gold has {len(gold.sentences)}, "
@@ -113,7 +59,10 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 def token_confusion(gold: Dataset, pred: Dataset) -> ConfusionMatrix:
     """Count collapsed-class agreement token by token."""
     _check_aligned(gold, pred)
+    return _confusion(gold, pred)
 
+
+def _confusion(gold: Dataset, pred: Dataset) -> ConfusionMatrix:
     def collapse(tag: str) -> str:
         return "O" if tag == "O" else tag[2:]
 
@@ -136,17 +85,14 @@ def score_entities(gold: Dataset, pred: Dataset) -> EvalReport:
     """Exact-match entity scoring: a predicted span counts only when its
     class and both boundaries agree with a gold span.
 
-    Both sides are IOB-repaired before span extraction, so raw decoder output
-    can be scored directly.
+    Spans are read with extract_entities, where a stray I-X opens a span, so
+    raw decoder output can be scored directly.
     """
     _check_aligned(gold, pred)
-    gold_r = validate_iob(gold, "repair")
-    pred_r = validate_iob(pred, "repair")
-
     tp: dict[str, int] = {}
     fp: dict[str, int] = {}
     fn: dict[str, int] = {}
-    for g, p in zip(gold_r.sentences, pred_r.sentences):
+    for g, p in zip(gold.sentences, pred.sentences):
         gspans = extract_entities(g.tags)
         pspans = extract_entities(p.tags)
         gset = set(gspans)
@@ -170,8 +116,7 @@ def score_entities(gold: Dataset, pred: Dataset) -> EvalReport:
     supported = [cs.f1 for cs in per_class.values() if cs.support]
     macro = sum(supported) / len(supported) if supported else 0.0
     _, _, micro = _prf(sum(tp.values()), sum(fp.values()), sum(fn.values()))
-    return EvalReport(per_class, weighted, micro, macro,
-                      token_confusion(gold, pred))
+    return EvalReport(per_class, weighted, micro, macro, _confusion(gold, pred))
 
 
 def render_report(report: EvalReport, fmt: str = "text") -> str:

@@ -34,6 +34,12 @@ def make_separable_corpus(n_sentences: int, seed: int, label: str = "") -> Datas
     return Dataset(tuple(sentences), source_label=label)
 
 
+def stray_inside(tags: list[str]) -> list[int]:
+    """Positions of I-X tags that do not continue an X span."""
+    return [i for i, tag in enumerate(tags) if tag.startswith("I-") and (
+        i == 0 or tags[i - 1] not in ("B-" + tag[2:], tag))]
+
+
 def content(ds: Dataset) -> list:
     """The identity-relevant part of a dataset: ids, surfaces, and tags."""
     return [(s.id, [(t.surface, t.tag) for t in s.tokens]) for s in ds.sentences]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import content, make_separable_corpus
+from helpers import content, make_separable_corpus, stray_inside
 from mixner.cli import main
 from mixner.corpus import (Dataset, Sentence, Token, induce_tagset,
                            mix_datasets, parse_conll, validate_iob,
@@ -133,9 +133,10 @@ def test_corpus_round_trip(table1_text, table2_text, multiconer_text):
         assert write_conll(second) == canon
 
     broken = parse_conll("a\tI-X\nb\tI-X\n\nc\tO\nd\tI-Y\n")
-    repaired = validate_iob(broken, "repair")
-    assert validate_iob(repaired, "strict") == []
-    assert content(validate_iob(repaired, "repair")) == content(repaired)
+    repaired = validate_iob(broken)
+    assert [s.tags for s in repaired] == [["B-X", "I-X"], ["O", "B-Y"]]
+    assert all(stray_inside(s.tags) == [] for s in repaired)
+    assert content(validate_iob(repaired)) == content(repaired)
 
 
 @gate("metrics hit their hand-computed values exactly")

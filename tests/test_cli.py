@@ -1,4 +1,5 @@
-import numpy as np
+import re
+
 import pytest
 
 from helpers import content, make_separable_corpus
@@ -116,12 +117,16 @@ class TestTrain:
         assert name in err and value in err
         assert not model_path.exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_loss_exits_2(self, corpus_files, tmp_path, capsys):
-        # A finite but absurd step size overflows the weights in epoch 1.
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, model_path = self.run_train(corpus_files, tmp_path, "--lr", "1e300")
+        # A finite but absurd step size overflows the scores in epoch 1.  The
+        # error names the batch, and no numpy warning precedes it.
+        code, model_path = self.run_train(corpus_files, tmp_path, "--lr", "1e300")
         assert code == 2
-        assert "epoch 1" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"error: epoch 1, batch \d+: training loss is \S+; "
+                            r"try a smaller learning rate", err[0])
         assert not model_path.exists()
 
 

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import content
-from mixner.corpus import (ColumnSpec, Dataset, ParseError, Sentence, TagSet,
-                           Token, induce_tagset, mix_datasets, parse_conll,
-                           validate_iob, write_conll)
+from helpers import content, stray_inside
+from mixner.corpus import (Dataset, ParseError, Sentence, TagSet, Token,
+                           extract_entities, induce_tagset, mix_datasets,
+                           parse_conll, validate_iob, write_conll)
 
 
 def sent(pairs, id=None):
@@ -20,10 +20,12 @@ class TestParse:
         assert s.surfaces == ["hameM", "this", "magic", "moment"]
         assert s.tags == ["O", "B-CW", "I-CW", "I-CW"]
 
-    def test_table1_language_column(self, table1_lang_text):
-        layout = ColumnSpec(token_column=0, tag_column="last", lang_column=1)
-        ds = parse_conll(table1_lang_text, layout)
-        assert [t.lang for t in ds.sentences[0].tokens] == ["Hi", "En", "En", "En"]
+    def test_table1_language_column(self, table1_lang_text, table1_text):
+        # The language id between token and tag is ignored.
+        ds = parse_conll(table1_lang_text)
+        assert ds.sentences[0].surfaces == ["hameM", "this", "magic", "moment"]
+        assert ds.sentences[0].tags == ["O", "B-CW", "I-CW", "I-CW"]
+        assert ds == parse_conll(table1_text)
 
     def test_table2(self, table2_text):
         ds = parse_conll(table2_text)
@@ -76,9 +78,11 @@ class TestParse:
         assert parse_conll(write_conll(ds)).sentences[0].surfaces == ["#"]
 
     def test_tab_separator_keeps_underscores(self, multiconer_text):
-        layout = ColumnSpec(separator="tab")
-        ds = parse_conll(multiconer_text.replace(" _ _ ", "\t_\t_\t"), layout)
+        # Tab-separated "_ _" columns are skipped; the tag is the last column.
+        ds = parse_conll(multiconer_text.replace(" _ _ ", "\t_\t_\t"))
         assert ds.sentences[0].tags[3] == "B-CW"
+        assert "_" not in ds.sentences[0].surfaces
+        assert ds == parse_conll(multiconer_text)
 
 
 class TestWrite:
@@ -104,37 +108,40 @@ class TestWrite:
 
 
 class TestIob:
-    def test_valid_sequence_clean(self, table1_text):
-        assert validate_iob(parse_conll(table1_text), "strict") == []
+    def test_valid_sequence_clean(self, table1_text, table2_text):
+        for text in (table1_text, table2_text):
+            ds = parse_conll(text)
+            assert all(stray_inside(s.tags) == [] for s in ds)
+            fixed = validate_iob(ds)
+            assert all(a is b for a, b in zip(fixed.sentences, ds.sentences))
 
-    def test_stray_inside_reported(self):
-        ds = Dataset((sent([("a", "O"), ("b", "I-CW")]),))
-        violations = validate_iob(ds, "strict")
-        assert len(violations) == 1
-        assert (violations[0].sentence, violations[0].position) == (0, 1)
+    def test_stray_inside_found_then_repaired(self):
+        tags = ["O", "I-CW", "I-CW", "B-CW", "I-PROD", "O", "I-CW"]
+        assert stray_inside(tags) == [1, 4, 6]
+        ds = Dataset((sent([(f"w{i}", t) for i, t in enumerate(tags)]),))
+        assert stray_inside(validate_iob(ds).sentences[0].tags) == []
 
     def test_repair_stray_inside(self):
         ds = Dataset((sent([("a", "O"), ("b", "I-CW"), ("c", "I-CW")]),))
-        fixed = validate_iob(ds, "repair")
+        fixed = validate_iob(ds)
         assert fixed.sentences[0].tags == ["O", "B-CW", "I-CW"]
 
     def test_repair_class_switch(self):
         ds = Dataset((sent([("a", "I-PROD"), ("b", "I-CW")]),))
-        fixed = validate_iob(ds, "repair")
+        fixed = validate_iob(ds)
         assert fixed.sentences[0].tags == ["B-PROD", "B-CW"]
 
     def test_repair_idempotent(self):
         ds = Dataset((sent([("a", "I-X"), ("b", "O"), ("c", "I-Y")]),))
-        once = validate_iob(ds, "repair")
-        assert content(validate_iob(once, "repair")) == content(once)
-        assert validate_iob(once, "strict") == []
+        once = validate_iob(ds)
+        assert content(validate_iob(once)) == content(once)
+        assert stray_inside(once.sentences[0].tags) == []
 
 
 class TestTagset:
     def test_table1_tagset(self, table1_text):
         ts = induce_tagset(parse_conll(table1_text))
         assert ts.tags == ("O", "B-CW", "I-CW")
-        assert ts.classes == ("CW",)
 
     def test_only_o(self):
         ts = induce_tagset(Dataset((sent([("a", "O")]),)))
@@ -233,13 +240,14 @@ def test_round_trip_property(ds):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from(["O", "B-CW", "I-CW", "B-PROD", "I-PROD"]),
+@given(st.lists(st.sampled_from(["O", "B-X", "I-X", "B-Y", "I-Y"]),
                 min_size=1, max_size=8))
 def test_repair_idempotent_property(tags):
     ds = Dataset((sent([(f"w{i}", t) for i, t in enumerate(tags)]),))
-    once = validate_iob(ds, "repair")
-    assert validate_iob(once, "strict") == []
-    assert content(validate_iob(once, "repair")) == content(once)
+    once = validate_iob(ds)
+    assert stray_inside(once.sentences[0].tags) == []
+    assert content(validate_iob(once)) == content(once)
+    assert extract_entities(once.sentences[0].tags) == extract_entities(tags)
 
 
 # Any token, tag and id the data model admits, not only IOB-valid ones.

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from helpers import make_separable_corpus
 from mixner.corpus import Dataset, Sentence, TagSet, Token, induce_tagset
 import mixner.crf as crf_module
-from mixner.crf import (CrfModel, TrainConfig, decode, load_model, log_partition,
-                        marginals, nll_and_gradient, save_model,
+from mixner.crf import (MIN_DELTA, CrfModel, TrainConfig, decode, load_model,
+                        log_partition, marginals, nll_and_gradient, save_model,
                         sequence_score, train, viterbi, viterbi_batch)
 from mixner.eval import score_entities
 from mixner.features import EncodedSentence, FeatureIndex, build_index, encode_dataset
@@ -312,9 +312,9 @@ class TestTrain:
         assert len(history.records) < 40
         ref = -1.0
         for r in history.records[:-1]:
-            assert r.dev_f1 > ref + cfg.min_delta
+            assert r.dev_f1 > ref + MIN_DELTA
             ref = r.dev_f1
-        assert history.records[-1].dev_f1 <= ref + cfg.min_delta
+        assert history.records[-1].dev_f1 <= ref + MIN_DELTA
 
     def test_deterministic_given_seed(self, tmp_path):
         cfg = TrainConfig(epochs=5, batch_size=16, seed=4)
@@ -349,10 +349,9 @@ class TestTrain:
             train(encode_dataset(ds, index), Dataset(), TrainConfig(epochs=1), index)
 
     def test_non_finite_loss_stops_training(self):
-        # A finite but absurd step size overflows the weights in epoch 1.
+        # A finite but absurd step size overflows the scores in epoch 1.
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1e300)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="epoch 1: training loss is"):
+        with pytest.raises(ValueError, match=r"epoch 1, batch \d+: training loss is"):
             self.fit(cfg, n_train=40, n_dev=10)
 
     def test_config_validation(self):
@@ -363,8 +362,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("name, value", [
         ("learning_rate", 0.0), ("learning_rate", -0.1), ("learning_rate", math.nan),
-        ("learning_rate", math.inf), ("l2", -1.0), ("l2", math.nan), ("l2", math.inf),
-        ("min_delta", -1e-4), ("min_delta", math.nan), ("min_delta", -math.inf)])
+        ("learning_rate", math.inf), ("l2", -1.0), ("l2", math.nan), ("l2", math.inf)])
     def test_config_rejects_bad_number(self, name, value):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be finite") + ".*"
                            + re.escape(f"got {value!r}")):
@@ -472,6 +470,16 @@ def test_truncated_or_line_deleted_model_rejected_property(seed, data):
         text[:data.draw(st.integers(0, len(text) - len(lines[-1]) - 1))]]))
     with pytest.raises(ValueError):
         load_text(damaged)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.text(min_size=1, max_size=12) | st.sampled_from(
+    ["[extra]\nhello world\n", "[tags]\n", "[", "\n", " ", "0.5\n"]))
+def test_appended_text_model_rejected_property(seed, extra):
+    """The file ends after the [emissions] rows: any non-empty text
+    appended to a saved model makes load_model raise ValueError."""
+    with pytest.raises(ValueError):
+        load_text("\n".join(saved_model_lines(seed)) + "\n" + extra)
 
 
 @settings(max_examples=300, deadline=None)

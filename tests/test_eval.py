@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixner.corpus import Dataset, Sentence, Token, parse_conll
-from mixner.eval import (EntitySpan, extract_entities, render_report,
-                         report_from_json, score_entities, spans_to_tags,
+from helpers import stray_inside
+from mixner.corpus import (Dataset, EntitySpan, Sentence, Token, extract_entities,
+                           parse_conll, spans_to_tags, validate_iob)
+from mixner.eval import (render_report, report_from_json, score_entities,
                          token_confusion)
 
 
@@ -37,9 +38,14 @@ class TestExtract:
     def test_span_at_sentence_end(self):
         assert extract_entities(["O", "B-GRP"]) == [EntitySpan("GRP", 1, 1)]
 
-    def test_invalid_sequence_rejected(self):
+    def test_stray_inside_opens_span(self):
+        assert extract_entities(["O", "I-CW", "I-CW"]) == [EntitySpan("CW", 1, 2)]
+        assert extract_entities(["B-PROD", "I-CW", "I-PROD"]) == [
+            EntitySpan("PROD", 0, 0), EntitySpan("CW", 1, 1), EntitySpan("PROD", 2, 2)]
+
+    def test_non_iob_tag_rejected(self):
         with pytest.raises(ValueError, match="position 1"):
-            extract_entities(["O", "I-CW"])
+            extract_entities(["O", "X-CW"])
 
     def test_spans_to_tags_inverse(self):
         tags = ["O", "B-CW", "I-CW", "O", "B-PROD"]
@@ -165,11 +171,29 @@ def validate_iob_like(ds):
 @given(st.lists(st.sampled_from(["O", "B-CW", "I-CW", "B-PROD"]),
                 min_size=1, max_size=8))
 def test_spans_round_trip_property(tags):
-    from mixner.corpus import validate_iob
     ds = tagged(tags)
-    repaired = validate_iob(ds, "repair").sentences[0].tags
+    repaired = validate_iob(ds).sentences[0].tags
     spans = extract_entities(repaired)
     assert spans_to_tags(spans, len(repaired)) == repaired
+    assert spans == extract_entities(tags)
+
+
+iob_tag = st.sampled_from(["O", "B-X", "I-X", "B-Y", "I-Y"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(iob_tag, min_size=1, max_size=7), min_size=1, max_size=4),
+       st.data())
+def test_raw_and_repaired_reports_equal_property(gold_tags, data):
+    """Scoring raw tags with stray I-X gives the very report that scoring
+    their repaired copies gives."""
+    pred_tags = [data.draw(st.lists(iob_tag, min_size=len(tags), max_size=len(tags)))
+                 for tags in gold_tags]
+    gold, pred = tagged(*gold_tags), tagged(*pred_tags)
+    fixed_gold, fixed_pred = validate_iob(gold), validate_iob(pred)
+    assert all(stray_inside(s.tags) == [] for s in fixed_gold.sentences + fixed_pred.sentences)
+    assert (render_report(score_entities(gold, pred), "json")
+            == render_report(score_entities(fixed_gold, fixed_pred), "json"))
 
 
 @settings(max_examples=50, deadline=None)
