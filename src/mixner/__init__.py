@@ -6,8 +6,7 @@ from .corpus import (Dataset, EntitySpan, ParseError, Sentence, TagSet, Token,
 from .crf import (CrfModel, TrainConfig, TrainHistory, decode, load_model,
                   log_partition, marginals, nll_and_gradient, save_model,
                   sequence_score, train, viterbi, viterbi_batch)
-from .eval import (ConfusionMatrix, EvalReport, render_report, score_entities,
-                   token_confusion)
+from .eval import ConfusionMatrix, EvalReport, render_report, score_entities
 from .features import (EncodedSentence, FeatureIndex, build_index,
                        encode_dataset, extract_attributes)
 

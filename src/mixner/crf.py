@@ -22,15 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, Sentence, TagSet, Token
-from .eval import score_entities
+from .corpus import Dataset, Sentence, TagSet, Token, extract_entities
+from .eval import _class_scores, _span_counts
 from .features import EncodedSentence, FeatureIndex, encode_dataset
 
 MODEL_HEADER = "MIXNER-CRF v1"
 _SECTIONS = ("tags", "attributes", "start", "end", "transitions", "emissions")
 _ADAGRAD_EPS = 1e-8
 MIN_DELTA = 1e-4  # smallest dev F1 gain that resets the patience count
-DECODE_CHUNK = 256  # sentences per packed Viterbi call in decode
+DECODE_CHUNK = 256  # sentences per packed Viterbi call in _decode_paths
 
 
 def _views(weights: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
@@ -220,18 +220,22 @@ def viterbi(model: CrfModel, enc: EncodedSentence) -> tuple[list[int], float]:
     return viterbi_batch(model, [enc])[0]
 
 
+def _decode_paths(model: CrfModel, encoded: list[EncodedSentence]) -> list[list[int]]:
+    """The best tag-id path of every sentence, DECODE_CHUNK sentences per
+    packed call so working memory does not grow with the dataset."""
+    return [path for lo in range(0, len(encoded), DECODE_CHUNK)
+            for path, _ in viterbi_batch(model, encoded[lo:lo + DECODE_CHUNK])]
+
+
 def decode(model: CrfModel, dataset: Dataset, encoded: list[EncodedSentence]) -> Dataset:
-    """Viterbi-tag every sentence, DECODE_CHUNK sentences per packed call so
-    working memory does not grow with the dataset."""
+    """Viterbi-tag every sentence: _decode_paths wrapped into sentences."""
     if len(encoded) != len(dataset):
         raise ValueError("encoded sentences do not match the dataset")
-    paths = [path for lo in range(0, len(encoded), DECODE_CHUNK)
-             for path, _ in viterbi_batch(model, encoded[lo:lo + DECODE_CHUNK])]
     tags = model.tagset.tags
     return Dataset(tuple(
         Sentence(tuple(Token(tok.surface, tags[k])
                        for tok, k in zip(s.tokens, path)), id=s.id, source=s.source)
-        for s, path in zip(dataset.sentences, paths)))
+        for s, path in zip(dataset.sentences, _decode_paths(model, encoded))))
 
 
 @dataclass(frozen=True)
@@ -272,13 +276,14 @@ def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
           index: FeatureIndex) -> tuple[CrfModel, TrainHistory]:
     """Fit a CRF by mini-batch AdaGrad with early stopping on dev entity F1.
 
-    Weights start at zero.  After every epoch the dev set is decoded and
-    scored; when weighted F1 fails to improve by more than MIN_DELTA for more
-    than `patience` consecutive epochs, training stops.  The returned model
-    carries the weights of the best epoch (first occurrence on ties), and the
-    whole procedure is reproducible bit for bit from the seed.  A batch loss
-    that is not finite stops training with a ValueError naming the epoch and
-    batch, and numpy's floating-point warnings are muted as it reports them.
+    Weights start at zero.  After every epoch the dev set is decoded to tag
+    ids and scored against its gold spans, read once; when weighted F1 fails
+    to improve by more than MIN_DELTA for more than `patience` consecutive
+    epochs, training stops.  The returned model carries the weights of the
+    best epoch (first occurrence on ties), and the whole procedure is
+    reproducible bit for bit from the seed.  A batch loss that is not finite
+    stops training with a ValueError naming the epoch and batch, and numpy's
+    floating-point warnings are muted as it reports them.
     """
     if not encoded_train or not dev.sentences:
         raise ValueError("empty training or dev set")
@@ -293,6 +298,8 @@ def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
     rng = random.Random(cfg.seed)
     order = list(range(len(encoded_train)))
     dev_encoded = encode_dataset(dev, index)
+    gold_spans = [extract_entities(s.tags) for s in dev.sentences]
+    tags = index.tagset.tags
 
     records: list[EpochRecord] = []
     best_f1 = -1.0
@@ -316,7 +323,9 @@ def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
                 grad *= 1.0 / len(batch)
                 accum += grad * grad
                 model.weights -= cfg.learning_rate * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
-        f1 = score_entities(dev, decode(model, dev, dev_encoded)).weighted_f1
+        pred_spans = (extract_entities([tags[k] for k in path])
+                      for path in _decode_paths(model, dev_encoded))
+        f1 = _class_scores(*_span_counts(gold_spans, pred_spans))[1]
         records.append(EpochRecord(epoch, epoch_loss, f1, time.monotonic() - started))
         if f1 > best_f1:
             best_f1 = f1
@@ -363,16 +372,15 @@ def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
     width = block.shape[1] if block.ndim == 2 else 1
     if len(rows) != len(block):
         raise ValueError(f"truncated model file: bad row count in [{section}]")
+    if any(len(row.split()) != width for row in rows):  # blank too: loadtxt skips those
+        raise ValueError(f"truncated model file: bad row width in [{section}]")
     try:
-        mat = [[float(x) for x in row.split()] for row in rows]
+        arr = np.loadtxt(rows, comments=None, ndmin=2, dtype=np.float64) if rows else block
     except ValueError:
         raise ValueError(f"malformed number in [{section}]") from None
-    if any(len(r) != width for r in mat):
-        raise ValueError(f"truncated model file: bad row width in [{section}]")
-    arr = np.array(mat, dtype=np.float64).reshape(block.shape)
     if not np.isfinite(arr).all():
         raise ValueError(f"non-finite weight in [{section}]")
-    block[...] = arr
+    block[...] = arr.reshape(block.shape)
 
 
 def load_model(path: str | Path) -> CrfModel:

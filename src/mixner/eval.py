@@ -1,9 +1,11 @@
 """Entity-level exact-match scoring and token-level confusion matrices."""
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
-from .corpus import Dataset, extract_entities
+from .corpus import Dataset, EntitySpan, extract_entities
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,6 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return p, r, f1
 
 
-def token_confusion(gold: Dataset, pred: Dataset) -> ConfusionMatrix:
-    """Count collapsed-class agreement token by token."""
-    _check_aligned(gold, pred)
-    return _confusion(gold, pred)
-
-
 def _confusion(gold: Dataset, pred: Dataset) -> ConfusionMatrix:
     def collapse(tag: str) -> str:
         return "O" if tag == "O" else tag[2:]
@@ -81,6 +77,32 @@ def _confusion(gold: Dataset, pred: Dataset) -> ConfusionMatrix:
     return ConfusionMatrix(tuple(labels), tuple(tuple(row) for row in counts))
 
 
+def _span_counts(gold_spans: Iterable[list[EntitySpan]],
+                 pred_spans: Iterable[list[EntitySpan]]) -> tuple[Counter, Counter, Counter]:
+    """True positives, false positives and false negatives per class, from
+    the gold and predicted span lists of aligned sentences."""
+    tp, fp, fn = Counter(), Counter(), Counter()
+    for gspans, pspans in zip(gold_spans, pred_spans):
+        gset, pset = set(gspans), set(pspans)
+        for sp in pspans:
+            (tp if sp in gset else fp)[sp.label] += 1
+        fn.update(sp.label for sp in gspans if sp not in pset)
+    return tp, fp, fn
+
+
+def _class_scores(tp: Counter, fp: Counter, fn: Counter) -> tuple[dict[str, ClassScore], float]:
+    """Per-class scores in sorted class order, and their support-weighted F1
+    summed in that order."""
+    per_class = {}
+    for c in sorted(set(tp) | set(fp) | set(fn)):
+        p, r, f1 = _prf(tp[c], fp[c], fn[c])
+        per_class[c] = ClassScore(p, r, f1, tp[c] + fn[c])
+    total_support = sum(cs.support for cs in per_class.values())
+    weighted = (sum(cs.f1 * cs.support for cs in per_class.values()) / total_support
+                if total_support else 0.0)
+    return per_class, weighted
+
+
 def score_entities(gold: Dataset, pred: Dataset) -> EvalReport:
     """Exact-match entity scoring: a predicted span counts only when its
     class and both boundaries agree with a gold span.
@@ -89,30 +111,9 @@ def score_entities(gold: Dataset, pred: Dataset) -> EvalReport:
     raw decoder output can be scored directly.
     """
     _check_aligned(gold, pred)
-    tp: dict[str, int] = {}
-    fp: dict[str, int] = {}
-    fn: dict[str, int] = {}
-    for g, p in zip(gold.sentences, pred.sentences):
-        gspans = extract_entities(g.tags)
-        pspans = extract_entities(p.tags)
-        gset = set(gspans)
-        pset = set(pspans)
-        for sp in pspans:
-            bucket = tp if sp in gset else fp
-            bucket[sp.label] = bucket.get(sp.label, 0) + 1
-        for sp in gspans:
-            if sp not in pset:
-                fn[sp.label] = fn.get(sp.label, 0) + 1
-
-    classes = sorted(set(tp) | set(fp) | set(fn))
-    per_class = {}
-    for c in classes:
-        p, r, f1 = _prf(tp.get(c, 0), fp.get(c, 0), fn.get(c, 0))
-        per_class[c] = ClassScore(p, r, f1, tp.get(c, 0) + fn.get(c, 0))
-
-    total_support = sum(cs.support for cs in per_class.values())
-    weighted = (sum(cs.f1 * cs.support for cs in per_class.values()) / total_support
-                if total_support else 0.0)
+    tp, fp, fn = _span_counts((extract_entities(s.tags) for s in gold.sentences),
+                              (extract_entities(s.tags) for s in pred.sentences))
+    per_class, weighted = _class_scores(tp, fp, fn)
     supported = [cs.f1 for cs in per_class.values() if cs.support]
     macro = sum(supported) / len(supported) if supported else 0.0
     _, _, micro = _prf(sum(tp.values()), sum(fp.values()), sum(fn.values()))
@@ -155,14 +156,3 @@ def render_report(report: EvalReport, fmt: str = "text") -> str:
     for label, row in zip(labels, report.confusion.counts):
         lines.append(f"{label:<{col_w}}" + "".join(f"  {n:>{col_w}d}" for n in row))
     return "\n".join(lines) + "\n"
-
-
-def report_from_json(text: str) -> EvalReport:
-    """Rebuild an EvalReport from render_report(..., "json") output."""
-    obj = json.loads(text)
-    per_class = {c: ClassScore(d["p"], d["r"], d["f1"], d["support"])
-                 for c, d in obj["per_class"].items()}
-    confusion = ConfusionMatrix(tuple(obj["confusion"]["labels"]),
-                                tuple(tuple(row) for row in obj["confusion"]["counts"]))
-    return EvalReport(per_class, obj["weighted_f1"], obj["micro_f1"],
-                      obj["macro_f1"], confusion)

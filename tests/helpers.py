@@ -1,8 +1,10 @@
 """Shared test utilities: synthetic corpora and content comparison."""
 
+import json
 import random
 
 from mixner.corpus import Dataset, Sentence, Token
+from mixner.eval import ClassScore, ConfusionMatrix, EvalReport
 
 CLASSES = ("LOC", "ORG", "PER")
 
@@ -43,3 +45,14 @@ def stray_inside(tags: list[str]) -> list[int]:
 def content(ds: Dataset) -> list:
     """The identity-relevant part of a dataset: ids, surfaces, and tags."""
     return [(s.id, [(t.surface, t.tag) for t in s.tokens]) for s in ds.sentences]
+
+
+def report_from_json(text: str) -> EvalReport:
+    """Rebuild an EvalReport from render_report(..., "json") output."""
+    obj = json.loads(text)
+    per_class = {c: ClassScore(d["p"], d["r"], d["f1"], d["support"])
+                 for c, d in obj["per_class"].items()}
+    confusion = ConfusionMatrix(tuple(obj["confusion"]["labels"]),
+                                tuple(tuple(row) for row in obj["confusion"]["counts"]))
+    return EvalReport(per_class, obj["weighted_f1"], obj["micro_f1"],
+                      obj["macro_f1"], confusion)

@@ -23,7 +23,7 @@ from mixner.corpus import (Dataset, Sentence, Token, induce_tagset,
                            write_conll)
 from mixner.crf import (TrainConfig, log_partition, marginals,
                         nll_and_gradient, save_model, train, viterbi)
-from mixner.eval import score_entities, token_confusion
+from mixner.eval import score_entities
 from mixner.features import build_index, encode_dataset
 from mixner.oracle import (enumerate_best, enumerate_logZ,
                            enumerate_marginals, fd_gradient, gradient_error,
@@ -153,7 +153,7 @@ def test_metric_sanity(table2_text):
     assert score_entities(gold, shifted).per_class["CW"].f1 == 0.0
 
     n_tokens = sum(len(s.tokens) for s in perfect.sentences)
-    assert token_confusion(perfect, perfect).total() == n_tokens
+    assert score_entities(perfect, perfect).confusion.total() == n_tokens
 
 
 def run_sequence(tmp_path, tag, train_file, dev_file, aux=None):

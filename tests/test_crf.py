@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_separable_corpus
+from helpers import make_separable_corpus, stray_inside
 from mixner.corpus import Dataset, Sentence, TagSet, Token, induce_tagset
 import mixner.crf as crf_module
+import mixner.eval as eval_module
 from mixner.crf import (MIN_DELTA, CrfModel, TrainConfig, decode, load_model,
                         log_partition, marginals, nll_and_gradient, save_model,
                         sequence_score, train, viterbi, viterbi_batch)
@@ -260,6 +261,26 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"non-finite weight in \\[{section}\\]"):
             load_model(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: "", "bad row width"),  # np.loadtxt alone would skip it
+        (lambda row: "   ", "bad row width"),
+        (lambda row: row + " 0.5", "bad row width"),
+        (lambda row: " ".join(row.split()[1:]), "bad row width"),
+        (lambda row: " ".join(["abc"] + row.split()[1:]), "malformed number"),
+        (lambda row: " ".join(["1_0"] + row.split()[1:]), "malformed number"),
+        (lambda row: " ".join(["#"] + row.split()[1:]), "malformed number"),
+    ])
+    @pytest.mark.parametrize("section", ["start", "transitions", "emissions"])
+    def test_damaged_weight_row_names_section(self, tmp_path, section, edit, message):
+        path = tmp_path / "model.txt"
+        save_model(self.trained_like_model(), path)
+        lines = path.read_text().splitlines()
+        row = lines.index(f"[{section}]") + 2
+        lines[row] = edit(lines[row])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{message} in \\[{section}\\]"):
+            load_model(path)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weight_not_saved(self, tmp_path, bad):
         m = self.trained_like_model()
@@ -277,10 +298,24 @@ class TestPersistence:
         assert log_partition(m, e) == log_partition(loaded, e)
 
 
+def with_stray_inside(ds):
+    """A copy where every B-X that opens a span after O or at the sentence
+    start is written I-X: a stray I-X, left unrepaired."""
+    def retag(tags, i):
+        stray = tags[i][:2] == "B-" and (i == 0 or tags[i - 1] == "O")
+        return "I-" + tags[i][2:] if stray else tags[i]
+
+    return Dataset(tuple(Sentence(tuple(Token(t.surface, retag(s.tags, i))
+                                        for i, t in enumerate(s.tokens)))
+                         for s in ds.sentences))
+
+
 class TestTrain:
-    def fit(self, cfg, n_train=300, n_dev=60, train_seed=31, dev_seed=32):
+    def fit(self, cfg, n_train=300, n_dev=60, train_seed=31, dev_seed=32, stray=False):
         train_ds = make_separable_corpus(n_train, train_seed)
         dev_ds = make_separable_corpus(n_dev, dev_seed)
+        if stray:
+            dev_ds = with_stray_inside(dev_ds)
         tagset = induce_tagset(train_ds)
         index = build_index(train_ds, tagset)
         encoded = encode_dataset(train_ds, index)
@@ -296,15 +331,37 @@ class TestTrain:
             key=lambda i: history.records[i].dev_f1) + 1
 
     def test_returned_weights_are_best_epoch(self):
+        """The best epoch's dev F1 is score_entities of the returned model's
+        Viterbi paths, also on a dev set with stray I-X gold tags."""
         cfg = TrainConfig(epochs=10, batch_size=16, seed=2)
-        model, history, dev_ds, index, tagset = self.fit(cfg)
-        pred = []
-        for s, e in zip(dev_ds.sentences, encode_dataset(dev_ds, index)):
-            path, _ = viterbi(model, e)
-            pred.append(Sentence(tuple(
-                Token(t.surface, tagset.tags[k]) for t, k in zip(s.tokens, path))))
-        f1 = score_entities(dev_ds, Dataset(tuple(pred))).weighted_f1
-        assert f1 == history.records[history.best_epoch - 1].dev_f1
+        for stray in (False, True):
+            model, history, dev_ds, index, tagset = self.fit(cfg, stray=stray)
+            assert stray == any(stray_inside(s.tags) for s in dev_ds.sentences)
+            pred = []
+            for s, e in zip(dev_ds.sentences, encode_dataset(dev_ds, index)):
+                path, _ = viterbi(model, e)
+                pred.append(Sentence(tuple(
+                    Token(t.surface, tagset.tags[k]) for t, k in zip(s.tokens, path))))
+            f1 = score_entities(dev_ds, Dataset(tuple(pred))).weighted_f1
+            assert f1 == history.records[history.best_epoch - 1].dev_f1
+
+    def test_dev_scoring_builds_no_dataset(self, monkeypatch):
+        """train scores dev from decoded tag ids: with the public decode and
+        score_entities made to raise, its history is unchanged."""
+        cfg = TrainConfig(epochs=4, batch_size=16, seed=5)
+        _, expected, *_ = self.fit(cfg, stray=True)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("train must not rebuild the dev set")
+
+        for module in (crf_module, eval_module):
+            for name in ("decode", "score_entities"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        _, history, *_ = self.fit(cfg, stray=True)
+        assert [(r.epoch, r.train_nll, r.dev_f1) for r in history.records] == \
+               [(r.epoch, r.train_nll, r.dev_f1) for r in expected.records]
+        assert history.best_epoch == expected.best_epoch
 
     def test_patience_zero_stops_at_first_plateau(self):
         cfg = TrainConfig(epochs=40, batch_size=16, patience=0, seed=3)

@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import stray_inside
+from helpers import report_from_json, stray_inside
 from mixner.corpus import (Dataset, EntitySpan, Sentence, Token, extract_entities,
                            parse_conll, spans_to_tags, validate_iob)
-from mixner.eval import (render_report, report_from_json, score_entities,
-                         token_confusion)
+from mixner.eval import _class_scores, _span_counts, render_report, score_entities
 
 
 def sent(pairs):
@@ -104,14 +103,14 @@ class TestScore:
         with pytest.raises(ValueError, match="sentence 1"):
             score_entities(gold, pred)
         with pytest.raises(ValueError, match="sentence 1"):
-            token_confusion(gold, pred)
+            score_entities(pred, gold)
 
 
 class TestConfusion:
     def test_table1_all_o_prediction(self, table1_text):
         gold = parse_conll(table1_text)
         pred = Dataset((sent([(w, "O") for w in gold.sentences[0].surfaces]),))
-        cm = token_confusion(gold, pred)
+        cm = score_entities(gold, pred).confusion
         assert cm.labels == ("O", "CW")
         gold_cw = cm.labels.index("CW")
         assert cm.counts[gold_cw][cm.labels.index("O")] == 3
@@ -194,6 +193,19 @@ def test_raw_and_repaired_reports_equal_property(gold_tags, data):
     assert all(stray_inside(s.tags) == [] for s in fixed_gold.sentences + fixed_pred.sentences)
     assert (render_report(score_entities(gold, pred), "json")
             == render_report(score_entities(fixed_gold, fixed_pred), "json"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(iob_tag, min_size=1, max_size=7), min_size=1, max_size=4),
+       st.data())
+def test_span_helpers_match_score_entities_property(gold_tags, data):
+    """Weighted F1 from the span-list helpers, which train uses on decoded
+    tag ids, is exactly score_entities' weighted F1, stray I-X included."""
+    pred_tags = [data.draw(st.lists(iob_tag, min_size=len(tags), max_size=len(tags)))
+                 for tags in gold_tags]
+    counts = _span_counts(map(extract_entities, gold_tags), map(extract_entities, pred_tags))
+    report = score_entities(tagged(*gold_tags), tagged(*pred_tags))
+    assert _class_scores(*counts) == (report.per_class, report.weighted_f1)
 
 
 @settings(max_examples=50, deadline=None)
