@@ -10,9 +10,9 @@ pipeline stages.
 import random
 import re
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-TAG_RE = re.compile(r"^(?:O|[BI]-\S+)$")
+TAG_RE = re.compile(r"(?:O|[BI]-\S+)\Z")
 _WS_RE = re.compile(r"\s")
 _ID_EQ_RE = re.compile(r"^id\s*=\s*(.*)$")
 _ID_BARE_RE = re.compile(r"^id\s+(\S+)")
@@ -26,33 +26,35 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single surface form with its IOB2 tag."""
+class Token(NamedTuple):
+    """One surface form with its IOB2 tag: an item of Sentence.tokens."""
 
     surface: str
     tag: str
 
-    def __post_init__(self):
-        if not self.surface or _WS_RE.search(self.surface):
-            raise ValueError(f"invalid token surface {self.surface!r}: "
-                             "must be non-empty and contain no whitespace")
-        if not TAG_RE.match(self.tag):
-            raise ValueError(f"invalid IOB tag {self.tag!r}")
-
 
 @dataclass(frozen=True)
 class Sentence:
-    """An ordered, non-empty token sequence with an optional id and origin."""
+    """A non-empty sentence as two aligned columns, surface forms and IOB2
+    tags, with an optional id and origin."""
 
-    tokens: tuple[Token, ...]
+    surfaces: tuple[str, ...]
+    tags: tuple[str, ...]
     id: str | None = None
     source: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if not self.tokens:
-            raise ValueError("a sentence must contain at least one token")
+        object.__setattr__(self, "surfaces", tuple(self.surfaces))
+        object.__setattr__(self, "tags", tuple(self.tags))
+        if not self.surfaces or len(self.surfaces) != len(self.tags):
+            raise ValueError("a sentence needs one or more tokens, each with one tag")
+        if not all(self.surfaces) or _WS_RE.search("".join(self.surfaces)):
+            bad = next(w for w in self.surfaces if not w or _WS_RE.search(w))
+            raise ValueError(f"invalid token surface {bad!r}: "
+                             "must be non-empty and contain no whitespace")
+        for tag in set(self.tags):
+            if not TAG_RE.match(tag):
+                raise ValueError(f"invalid IOB tag {tag!r}")
         if self.id is not None:
             # Ids are written on "# id = ..." lines, so they must survive a
             # strip-and-reread cycle: normalize here instead of failing later.
@@ -60,15 +62,13 @@ class Sentence:
             object.__setattr__(self, "id", clean or None)
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.surfaces)
 
     @property
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
-    @property
-    def tags(self) -> list[str]:
-        return [t.tag for t in self.tokens]
+    def tokens(self) -> tuple[Token, ...]:
+        """(surface, tag) pairs built from the columns on every call, for
+        readers outside mixner; mixner itself reads the columns."""
+        return tuple(map(Token, self.surfaces, self.tags))
 
 
 @dataclass(frozen=True)
@@ -151,35 +151,41 @@ def parse_conll(text: str, source_label: str = "",
     which lets the tagger accept raw token-only input.
     """
     sentences: list[Sentence] = []
-    buf: list[Token] = []
+    surfaces: list[str] = []
+    tags: list[str] = []
+    valid_tags: set[str] = set()
     pending_id: str | None = None
 
     def flush():
         nonlocal pending_id
-        if buf:
-            sentences.append(Sentence(tuple(buf), id=pending_id,
-                                      source=source_label or None))
-            buf.clear()
+        if surfaces:
+            sentences.append(Sentence(tuple(surfaces), tuple(tags), pending_id,
+                                      source_label or None))
+            surfaces.clear()
+            tags.clear()
             pending_id = None
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        cols = line.split()
+        if not cols:
             flush()
             continue
-        if _is_metadata(line):
+        if line[0] == "#" and _is_metadata(line):
             found = _metadata_id(line)
             if found is not None:
                 pending_id = found
             continue
 
-        cols = line.split()
         tag = cols[-1] if len(cols) > 1 else None
-        if tag is None or not TAG_RE.match(tag):
-            if require_tags:
-                raise ParseError(f"invalid IOB tag {tag!r}" if tag else
-                                 "fewer columns than required: no tag column", lineno)
-            tag = "O"
-        buf.append(Token(cols[0], tag))
+        if tag not in valid_tags:  # so TAG_RE runs once per distinct tag
+            if tag is None or not TAG_RE.match(tag):
+                if require_tags:
+                    raise ParseError(f"invalid IOB tag {tag!r}" if tag else
+                                     "fewer columns than required: no tag column", lineno)
+                tag = "O"
+            valid_tags.add(tag)
+        surfaces.append(cols[0])
+        tags.append(tag)
 
     flush()
     return Dataset(tuple(sentences), source_label=source_label)
@@ -192,7 +198,7 @@ def write_conll(ds: Dataset) -> str:
         lines = []
         if s.id is not None:
             lines.append(f"# id = {s.id}")
-        lines.extend(f"{t.surface}\t{t.tag}" for t in s.tokens)
+        lines.extend(map("\t".join, zip(s.surfaces, s.tags)))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
@@ -240,11 +246,8 @@ def validate_iob(ds: Dataset) -> Dataset:
     sentences that need no change are kept as they are."""
     fixed = []
     for s in ds.sentences:
-        tags = spans_to_tags(extract_entities(s.tags), len(s))
-        if tags != s.tags:
-            s = replace(s, tokens=tuple(tok if tag == tok.tag else replace(tok, tag=tag)
-                                        for tok, tag in zip(s.tokens, tags)))
-        fixed.append(s)
+        tags = tuple(spans_to_tags(extract_entities(s.tags), len(s)))
+        fixed.append(s if tags == s.tags else replace(s, tags=tags))
     return Dataset(tuple(fixed), source_label=ds.source_label)
 
 
@@ -255,8 +258,7 @@ def induce_tagset(*datasets: Dataset) -> TagSet:
     observed = {"O"}
     for ds in datasets:
         for s in ds.sentences:
-            for tok in s.tokens:
-                observed.add(tok.tag)
+            observed.update(s.tags)
     for tag in list(observed):
         if tag.startswith("I-"):
             observed.add("B-" + tag[2:])

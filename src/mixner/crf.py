@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, Sentence, TagSet, Token, extract_entities
+from .corpus import Dataset, Sentence, TagSet, extract_entities
 from .eval import _class_scores, _span_counts
 from .features import EncodedSentence, FeatureIndex, encode_dataset
 
@@ -198,9 +198,10 @@ def viterbi_batch(model: CrfModel,
     go to the lower tag id at each backtracking step (argmax takes the first)."""
     back = []  # per step: best previous tag for each active sentence and tag
 
-    def best(cand, axis):
-        back.append(cand.argmax(axis))
-        return cand.max(axis)
+    def best(cand, axis):  # the max is read at the argmax, one pass over cand
+        idx = cand.argmax(axis)
+        back.append(idx)
+        return np.take_along_axis(cand, np.expand_dims(idx, axis), axis).squeeze(axis)
 
     p = _Packed(model, batch)
     final = _forward(model, p, best)[p.last] + model.end
@@ -233,8 +234,7 @@ def decode(model: CrfModel, dataset: Dataset, encoded: list[EncodedSentence]) ->
         raise ValueError("encoded sentences do not match the dataset")
     tags = model.tagset.tags
     return Dataset(tuple(
-        Sentence(tuple(Token(tok.surface, tags[k])
-                       for tok, k in zip(s.tokens, path)), id=s.id, source=s.source)
+        Sentence(s.surfaces, tuple(map(tags.__getitem__, path)), s.id, s.source)
         for s, path in zip(dataset.sentences, _decode_paths(model, encoded))))
 
 
@@ -288,9 +288,9 @@ def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
     if not encoded_train or not dev.sentences:
         raise ValueError("empty training or dev set")
     for si, s in enumerate(dev.sentences):
-        for tok in s.tokens:
-            if tok.tag not in index.tag_to_id:
-                raise ValueError(f"dev sentence {si}: tag {tok.tag!r} "
+        for tag in s.tags:
+            if tag not in index.tag_to_id:
+                raise ValueError(f"dev sentence {si}: tag {tag!r} "
                                  "is not in the training tag set")
 
     model = CrfModel.zeros(index)
@@ -372,12 +372,19 @@ def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
     width = block.shape[1] if block.ndim == 2 else 1
     if len(rows) != len(block):
         raise ValueError(f"truncated model file: bad row count in [{section}]")
-    if any(len(row.split()) != width for row in rows):  # blank too: loadtxt skips those
-        raise ValueError(f"truncated model file: bad row width in [{section}]")
-    try:
-        arr = np.loadtxt(rows, comments=None, ndmin=2, dtype=np.float64) if rows else block
+    if not rows:
+        return
+    try:  # a blank first row is left to the check below: loadtxt warns on no data
+        arr = (np.loadtxt(rows, comments=None, ndmin=2, dtype=np.float64)
+               if rows[0].strip() else None)
     except ValueError:
-        raise ValueError(f"malformed number in [{section}]") from None
+        arr = None
+    # loadtxt skips blank rows and rejects ragged ones, so this shape means
+    # every row has `width` fields; anything else gets the row-by-row check.
+    if arr is None or arr.shape != (len(rows), width):
+        if any(len(row.split()) != width for row in rows):
+            raise ValueError(f"truncated model file: bad row width in [{section}]")
+        raise ValueError(f"malformed number in [{section}]")
     if not np.isfinite(arr).all():
         raise ValueError(f"non-finite weight in [{section}]")
     block[...] = arr.reshape(block.shape)

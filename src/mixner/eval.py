@@ -41,9 +41,9 @@ def _check_aligned(gold: Dataset, pred: Dataset) -> None:
         raise ValueError(f"sentence count mismatch: gold has {len(gold.sentences)}, "
                          f"predictions have {len(pred.sentences)}")
     for si, (g, p) in enumerate(zip(gold.sentences, pred.sentences)):
-        if len(g.tokens) != len(p.tokens):
+        if len(g) != len(p):
             raise ValueError(f"sentence {si}: token count mismatch "
-                             f"({len(g.tokens)} gold vs {len(p.tokens)} predicted)")
+                             f"({len(g)} gold vs {len(p)} predicted)")
         if g.surfaces != p.surfaces:
             i = next(i for i, (a, b) in enumerate(zip(g.surfaces, p.surfaces)) if a != b)
             raise ValueError(f"sentence {si}: token {i} differs "
@@ -62,18 +62,15 @@ def _confusion(gold: Dataset, pred: Dataset) -> ConfusionMatrix:
     def collapse(tag: str) -> str:
         return "O" if tag == "O" else tag[2:]
 
-    classes = set()
-    pairs = []
+    pairs = Counter()  # (gold tag, predicted tag) -> tokens
     for g, p in zip(gold.sentences, pred.sentences):
-        for gt, pt in zip(g.tokens, p.tokens):
-            gc, pc = collapse(gt.tag), collapse(pt.tag)
-            classes.update((gc, pc))
-            pairs.append((gc, pc))
+        pairs.update(zip(g.tags, p.tags))
+    classes = {collapse(t) for pair in pairs for t in pair}
     labels = ["O"] + sorted(classes - {"O"})
     pos = {c: i for i, c in enumerate(labels)}
     counts = [[0] * len(labels) for _ in labels]
-    for gc, pc in pairs:
-        counts[pos[gc]][pos[pc]] += 1
+    for (gt, pt), n in pairs.items():
+        counts[pos[collapse(gt)]][pos[collapse(pt)]] += n
     return ConfusionMatrix(tuple(labels), tuple(tuple(row) for row in counts))
 
 

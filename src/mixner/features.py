@@ -7,24 +7,21 @@ model, never by the attributes.
 
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .corpus import Dataset, Sentence, TagSet
+from .corpus import Dataset, TagSet
 
 BOS = "<BOS>"
 EOS = "<EOS>"
 
 
-def extract_attributes(sentence: Sentence, i: int) -> list[str]:
-    """The four attribute strings for position i: bias, w0, w-1 and w+1."""
-    if not 0 <= i < len(sentence.tokens):
-        raise IndexError(f"position {i} out of range for sentence of "
-                         f"length {len(sentence.tokens)}")
-    w = sentence.tokens[i].surface
-    prev = sentence.tokens[i - 1].surface if i > 0 else BOS
-    nxt = sentence.tokens[i + 1].surface if i + 1 < len(sentence.tokens) else EOS
-    return ["b", f"w0={w}", f"w-1={prev}", f"w+1={nxt}"]
+def extract_attributes(surfaces: Sequence[str]) -> list[tuple[str, str, str, str]]:
+    """The template for every position of a sentence: bias, w0, w-1 and w+1."""
+    return list(zip(repeat("b"), [f"w0={w}" for w in surfaces],
+                    [f"w-1={w}" for w in (BOS, *surfaces[:-1])],
+                    [f"w+1={w}" for w in (*surfaces[1:], EOS)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,25 +83,21 @@ def build_index(train: Dataset, tagset: TagSet, min_count: int = 1) -> FeatureIn
         raise ValueError("empty training set")
     counts: Counter[str] = Counter()
     for s in train.sentences:
-        for i in range(len(s.tokens)):
-            counts.update(extract_attributes(s, i))
+        counts.update(chain.from_iterable(extract_attributes(s.surfaces)))
     return FeatureIndex([a for a, n in counts.items() if n >= min_count], tagset)
 
 
 def encode_dataset(ds: Dataset, index: FeatureIndex) -> list[EncodedSentence]:
     """Map every sentence to attribute ids, silently dropping unknown attributes."""
+    attr_id, tag_to_id = index.attribute_to_id.get, index.tag_to_id
     encoded = []
     for si, s in enumerate(ds.sentences):
-        attr_ids = []
-        tag_ids = []
-        for i, tok in enumerate(s.tokens):
-            ids = [index.attribute_to_id[a] for a in extract_attributes(s, i)
-                   if a in index.attribute_to_id]
-            attr_ids.append(tuple(ids))
-            tid = index.tag_to_id.get(tok.tag)
-            if tid is None:
-                raise ValueError(f"sentence {si}, position {i}: "
-                                 f"tag {tok.tag!r} is not in the tag set")
-            tag_ids.append(tid)
-        encoded.append(EncodedSentence(tuple(attr_ids), tuple(tag_ids)))
+        tag_ids = tuple(map(tag_to_id.get, s.tags))
+        if None in tag_ids:
+            i = tag_ids.index(None)
+            raise ValueError(f"sentence {si}, position {i}: "
+                             f"tag {s.tags[i]!r} is not in the tag set")
+        attr_ids = tuple(tuple([a for a in map(attr_id, attrs) if a is not None])
+                         for attrs in extract_attributes(s.surfaces))
+        encoded.append(EncodedSentence(attr_ids, tag_ids))
     return encoded

@@ -3,7 +3,7 @@
 import json
 import random
 
-from mixner.corpus import Dataset, Sentence, Token
+from mixner.corpus import Dataset, Sentence
 from mixner.eval import ClassScore, ConfusionMatrix, EvalReport
 
 CLASSES = ("LOC", "ORG", "PER")
@@ -27,12 +27,12 @@ def make_separable_corpus(n_sentences: int, seed: int, label: str = "") -> Datas
         while len(toks) < target:
             if rng.random() < 0.35:
                 c = rng.choice(CLASSES)
-                toks.append(Token(rng.choice(begin[c]), f"B-{c}"))
+                toks.append((rng.choice(begin[c]), f"B-{c}"))
                 for _ in range(rng.randint(0, 2)):
-                    toks.append(Token(rng.choice(inside[c]), f"I-{c}"))
+                    toks.append((rng.choice(inside[c]), f"I-{c}"))
             else:
-                toks.append(Token(rng.choice(context), "O"))
-        sentences.append(Sentence(tuple(toks)))
+                toks.append((rng.choice(context), "O"))
+        sentences.append(Sentence(*zip(*toks)))
     return Dataset(tuple(sentences), source_label=label)
 
 
@@ -44,7 +44,7 @@ def stray_inside(tags: list[str]) -> list[int]:
 
 def content(ds: Dataset) -> list:
     """The identity-relevant part of a dataset: ids, surfaces, and tags."""
-    return [(s.id, [(t.surface, t.tag) for t in s.tokens]) for s in ds.sentences]
+    return [(s.id, s.surfaces, s.tags) for s in ds.sentences]
 
 
 def report_from_json(text: str) -> EvalReport:

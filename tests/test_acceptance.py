@@ -18,7 +18,7 @@ import pytest
 
 from helpers import content, make_separable_corpus, stray_inside
 from mixner.cli import main
-from mixner.corpus import (Dataset, Sentence, Token, induce_tagset,
+from mixner.corpus import (Dataset, Sentence, induce_tagset,
                            mix_datasets, parse_conll, validate_iob,
                            write_conll)
 from mixner.crf import (TrainConfig, log_partition, marginals,
@@ -49,8 +49,7 @@ def gate(name):
 def tagged(*sentences):
     sents = []
     for tags in sentences:
-        sents.append(Sentence(tuple(
-            Token(f"w{i}", t) for i, t in enumerate(tags))))
+        sents.append(Sentence(tuple(f"w{i}" for i in range(len(tags))), tags))
     return Dataset(tuple(sents))
 
 
@@ -134,7 +133,7 @@ def test_corpus_round_trip(table1_text, table2_text, multiconer_text):
 
     broken = parse_conll("a\tI-X\nb\tI-X\n\nc\tO\nd\tI-Y\n")
     repaired = validate_iob(broken)
-    assert [s.tags for s in repaired] == [["B-X", "I-X"], ["O", "B-Y"]]
+    assert [s.tags for s in repaired] == [("B-X", "I-X"), ("O", "B-Y")]
     assert all(stray_inside(s.tags) == [] for s in repaired)
     assert content(validate_iob(repaired)) == content(repaired)
 
@@ -152,7 +151,7 @@ def test_metric_sanity(table2_text):
     shifted = tagged(["O", "B-CW", "O", "O"])
     assert score_entities(gold, shifted).per_class["CW"].f1 == 0.0
 
-    n_tokens = sum(len(s.tokens) for s in perfect.sentences)
+    n_tokens = sum(len(s) for s in perfect.sentences)
     assert score_entities(perfect, perfect).confusion.total() == n_tokens
 
 

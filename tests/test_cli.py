@@ -4,7 +4,7 @@ import pytest
 
 from helpers import content, make_separable_corpus
 from mixner.cli import main
-from mixner.corpus import induce_tagset, parse_conll, write_conll
+from mixner.corpus import Sentence, induce_tagset, parse_conll, write_conll
 from mixner.crf import CrfModel, save_model
 from mixner.features import build_index
 
@@ -249,3 +249,39 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "instance" in captured.err
+
+
+def run_pipeline(files, out):
+    """mix, train, tag and eval through main on the corpus files, with a dev
+    file whose spans open with stray I-X and a tag input with no tag column;
+    the bytes of every output, the timing column of the history dropped."""
+    out.mkdir()
+    dev, raw = out / "dev.conll", out / "raw.conll"
+    dev.write_text(files["cm_dev"].read_text().replace("\tB-", "\tI-"))
+    raw.write_text(re.sub(r"\t\S+$", "", files["cm_dev"].read_text(), flags=re.M))
+    steps = [["mix", "--primary", files["cm_train"], "--aux", files["ml_train"],
+              "--shuffle", "--seed", "5", "-o", out / "mixed.conll"],
+             ["train", "--train", out / "mixed.conll", "--dev", dev, "--epochs", "3",
+              "-o", out / "model.txt"],
+             ["tag", "--model", out / "model.txt", "--input", raw, "-o", out / "pred.conll"],
+             ["eval", "--gold", dev, "--pred", out / "pred.conll", "--format", "json",
+              "--report", out / "report.json"],
+             ["eval", "--gold", dev, "--pred", out / "pred.conll", "--report", out / "report.txt"]]
+    for argv in steps:
+        assert main([str(a) for a in argv]) == 0
+    history = out / "model.txt.history.tsv"
+    history.write_text("\n".join(row.rsplit("\t", 1)[0]
+                                 for row in history.read_text().splitlines()))
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_pipeline_reads_no_token_view(corpus_files, tmp_path, monkeypatch):
+    """No layer goes back to per-token objects: with Sentence.tokens made to
+    raise, every output of mix, train, tag and eval equals an unpatched run's."""
+    expected = run_pipeline(corpus_files, tmp_path / "plain")
+
+    def no_tokens(self):
+        raise AssertionError("Sentence.tokens read inside mixner")
+
+    monkeypatch.setattr(Sentence, "tokens", property(no_tokens))
+    assert run_pipeline(corpus_files, tmp_path / "columnar") == expected

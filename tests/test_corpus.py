@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from mixner.corpus import (Dataset, ParseError, Sentence, TagSet, Token,
 
 
 def sent(pairs, id=None):
-    return Sentence(tuple(Token(w, t) for w, t in pairs), id=id)
+    return Sentence(*zip(*pairs), id=id)
 
 
 class TestParse:
@@ -17,27 +19,27 @@ class TestParse:
         ds = parse_conll(table1_text)
         assert len(ds) == 1
         s = ds.sentences[0]
-        assert s.surfaces == ["hameM", "this", "magic", "moment"]
-        assert s.tags == ["O", "B-CW", "I-CW", "I-CW"]
+        assert s.surfaces == ("hameM", "this", "magic", "moment")
+        assert s.tags == ("O", "B-CW", "I-CW", "I-CW")
 
     def test_table1_language_column(self, table1_lang_text, table1_text):
         # The language id between token and tag is ignored.
         ds = parse_conll(table1_lang_text)
-        assert ds.sentences[0].surfaces == ["hameM", "this", "magic", "moment"]
-        assert ds.sentences[0].tags == ["O", "B-CW", "I-CW", "I-CW"]
+        assert ds.sentences[0].surfaces == ("hameM", "this", "magic", "moment")
+        assert ds.sentences[0].tags == ("O", "B-CW", "I-CW", "I-CW")
         assert ds == parse_conll(table1_text)
 
     def test_table2(self, table2_text):
         ds = parse_conll(table2_text)
         assert [len(s) for s in ds] == [10, 7, 5]
-        assert ds.sentences[1].tags == ["O", "O", "O", "B-CW", "I-CW", "I-CW", "O"]
-        assert ds.sentences[2].tags == ["O", "B-CW", "I-CW", "O", "O"]
+        assert ds.sentences[1].tags == ("O", "O", "O", "B-CW", "I-CW", "I-CW", "O")
+        assert ds.sentences[2].tags == ("O", "B-CW", "I-CW", "O", "O")
 
     def test_multiconer_four_column(self, multiconer_text):
         ds = parse_conll(multiconer_text)
         assert len(ds) == 2
         assert ds.sentences[0].id == "5bb93fba-ba27-4a91-9b6d-ed1a9e4ff94b"
-        assert ds.sentences[0].surfaces[:4] == ["what", "city", "is", "dig"]
+        assert ds.sentences[0].surfaces[:4] == ("what", "city", "is", "dig")
         assert ds.sentences[0].tags[3] == "B-CW"
 
     def test_empty_document(self):
@@ -45,7 +47,7 @@ class TestParse:
 
     def test_consecutive_blank_lines_collapse(self):
         ds = parse_conll("a\tO\n\n\n\nb\tO\n")
-        assert [s.surfaces for s in ds] == [["a"], ["b"]]
+        assert [s.surfaces for s in ds] == [("a",), ("b",)]
 
     def test_id_equals_form(self):
         ds = parse_conll("# id = my sentence\nfoo\tO\n")
@@ -65,17 +67,17 @@ class TestParse:
 
     def test_lenient_mode_fills_o(self):
         ds = parse_conll("hello\nworld\n", require_tags=False)
-        assert ds.sentences[0].tags == ["O", "O"]
+        assert ds.sentences[0].tags == ("O", "O")
 
     def test_hash_initial_token_is_not_metadata(self):
         ds = parse_conll("#hashtag\tO\n")
-        assert ds.sentences[0].surfaces == ["#hashtag"]
+        assert ds.sentences[0].surfaces == ("#hashtag",)
 
     def test_bare_hash_token_round_trips(self):
         # "#\tO" is a data line; only "#" alone or "# ..." is metadata.
         ds = parse_conll("#\tO\n")
-        assert ds.sentences[0].surfaces == ["#"]
-        assert parse_conll(write_conll(ds)).sentences[0].surfaces == ["#"]
+        assert ds.sentences[0].surfaces == ("#",)
+        assert parse_conll(write_conll(ds)).sentences[0].surfaces == ("#",)
 
     def test_tab_separator_keeps_underscores(self, multiconer_text):
         # Tab-separated "_ _" columns are skipped; the tag is the last column.
@@ -124,12 +126,12 @@ class TestIob:
     def test_repair_stray_inside(self):
         ds = Dataset((sent([("a", "O"), ("b", "I-CW"), ("c", "I-CW")]),))
         fixed = validate_iob(ds)
-        assert fixed.sentences[0].tags == ["O", "B-CW", "I-CW"]
+        assert fixed.sentences[0].tags == ("O", "B-CW", "I-CW")
 
     def test_repair_class_switch(self):
         ds = Dataset((sent([("a", "I-PROD"), ("b", "I-CW")]),))
         fixed = validate_iob(ds)
-        assert fixed.sentences[0].tags == ["B-PROD", "B-CW"]
+        assert fixed.sentences[0].tags == ("B-PROD", "B-CW")
 
     def test_repair_idempotent(self):
         ds = Dataset((sent([("a", "I-X"), ("b", "O"), ("c", "I-Y")]),))
@@ -252,17 +254,73 @@ def test_repair_idempotent_property(tags):
 
 # Any token, tag and id the data model admits, not only IOB-valid ones.
 non_space = st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace())
-any_tokens = st.builds(
-    Token, st.text(non_space, min_size=1, max_size=4),
-    st.just("O") | st.builds(str.__add__, st.sampled_from(["B-", "I-"]),
-                             st.text(non_space, min_size=1, max_size=3)))
-any_datasets = st.builds(
-    lambda ss: Dataset(tuple(ss)),
-    st.lists(st.builds(Sentence, st.lists(any_tokens, min_size=1, max_size=4),
-                       id=st.none() | st.text(max_size=8)), max_size=4))
+any_surfaces = st.text(non_space, min_size=1, max_size=4)
+any_tags = st.just("O") | st.builds(str.__add__, st.sampled_from(["B-", "I-"]),
+                                    st.text(non_space, min_size=1, max_size=3))
+any_sentences = st.builds(sent, st.lists(st.tuples(any_surfaces, any_tags),
+                                         min_size=1, max_size=4),
+                          id=st.none() | st.text(max_size=8))
+any_datasets = st.builds(lambda ss: Dataset(tuple(ss)), st.lists(any_sentences, max_size=4))
 
 
 @settings(max_examples=200, deadline=None)
 @given(any_datasets)
 def test_parse_write_is_identity_property(ds):
     assert parse_conll(write_conll(ds)) == ds
+
+
+# The Sentence contract: two aligned, non-empty columns, checked once on
+# construction, and a derived (surface, tag) view.
+WHITESPACE = [c for c in map(chr, range(0x110000)) if c.isspace()]
+bad_tags = st.text(max_size=4).filter(lambda t: not re.fullmatch(r"O|[BI]-\S+", t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(any_surfaces, any_tags), min_size=1, max_size=5), st.data())
+def test_sentence_rejects_malformed_columns_property(pairs, data):
+    words, tags = map(list, zip(*pairs))
+    Sentence(words, tags)  # the unmodified columns are accepted
+    i = data.draw(st.integers(0, len(words) - 1))
+    fault = data.draw(st.sampled_from(
+        ["empty", "unequal", "empty surface", "whitespace", "bad tag"]))
+    if fault == "empty":
+        words, tags = [], []
+    elif fault == "unequal":
+        tags = data.draw(st.sampled_from([tags[:-1], tags + ["O"]]))
+    elif fault == "empty surface":
+        words[i] = ""
+    elif fault == "whitespace":
+        cut = data.draw(st.integers(0, len(words[i])))
+        words[i] = words[i][:cut] + data.draw(st.sampled_from(WHITESPACE)) + words[i][cut:]
+    else:
+        tags[i] = data.draw(bad_tags)
+    with pytest.raises(ValueError):
+        Sentence(words, tags)
+
+
+@pytest.mark.parametrize("tag", ["", "B-", "X-CW", "0", "o", "O\n", "B-X\n", "I-X Y"])
+def test_sentence_rejects_non_iob_tag(tag):
+    with pytest.raises(ValueError, match="invalid IOB tag"):
+        Sentence(("a",), (tag,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.sampled_from(["O", "B-X", "I-X", "B-Y"])),
+                min_size=1, max_size=300),
+       st.sampled_from(["X-CW", "0", "B-", "b-X"]))
+def test_parse_names_the_line_of_a_bad_tag_property(lines, bad):
+    """A bad tag after many valid lines (None: a blank line) is still reported
+    on its own line; without require_tags it reads as O."""
+    text = "".join("\n" if t is None else f"w\t{t}\n" for t in lines)
+    with pytest.raises(ParseError) as err:
+        parse_conll(text + f"w\t{bad}\n")
+    assert err.value.line == len(lines) + 1
+    assert parse_conll(text + f"w\t{bad}\n", require_tags=False).sentences[-1].tags[-1] == "O"
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_sentences)
+def test_tokens_view_property(s):
+    assert s.tokens == tuple(zip(s.surfaces, s.tags))
+    assert all(isinstance(t, Token) for t in s.tokens)
+    assert [(t.surface, t.tag) for t in s.tokens] == list(zip(s.surfaces, s.tags))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_separable_corpus, stray_inside
-from mixner.corpus import Dataset, Sentence, TagSet, Token, induce_tagset
+from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset
 import mixner.crf as crf_module
 import mixner.eval as eval_module
 from mixner.crf import (MIN_DELTA, CrfModel, TrainConfig, decode, load_model,
@@ -171,7 +171,7 @@ class TestViterbi:
 
     def test_tie_breaks_toward_lower_id(self):
         # Only "dig" as B-CW scores; the second position ties and takes O.
-        sentence = Sentence((Token("dig", "O"), Token("me", "O")))
+        sentence = Sentence(("dig", "me"), ("O", "O"))
         ds = Dataset((sentence,))
         tagset = TagSet(("O", "B-CW"))
         index = build_index(ds, tagset)
@@ -305,8 +305,7 @@ def with_stray_inside(ds):
         stray = tags[i][:2] == "B-" and (i == 0 or tags[i - 1] == "O")
         return "I-" + tags[i][2:] if stray else tags[i]
 
-    return Dataset(tuple(Sentence(tuple(Token(t.surface, retag(s.tags, i))
-                                        for i, t in enumerate(s.tokens)))
+    return Dataset(tuple(Sentence(s.surfaces, tuple(retag(s.tags, i) for i in range(len(s))))
                          for s in ds.sentences))
 
 
@@ -340,8 +339,7 @@ class TestTrain:
             pred = []
             for s, e in zip(dev_ds.sentences, encode_dataset(dev_ds, index)):
                 path, _ = viterbi(model, e)
-                pred.append(Sentence(tuple(
-                    Token(t.surface, tagset.tags[k]) for t, k in zip(s.tokens, path))))
+                pred.append(Sentence(s.surfaces, tuple(tagset.tags[k] for k in path)))
             f1 = score_entities(dev_ds, Dataset(tuple(pred))).weighted_f1
             assert f1 == history.records[history.best_epoch - 1].dev_f1
 
@@ -395,7 +393,7 @@ class TestTrain:
         tagset = induce_tagset(ds)
         index = build_index(ds, tagset)
         encoded = encode_dataset(ds, index)
-        alien = Dataset((Sentence((Token("x", "B-UNSEEN"),)),))
+        alien = Dataset((Sentence(("x",), ("B-UNSEEN",)),))
         with pytest.raises(ValueError, match="B-UNSEEN"):
             train(encoded, alien, TrainConfig(epochs=1), index)
 
@@ -479,11 +477,11 @@ def test_packed_viterbi_and_decode_match_single_sentence(case, chunk):
     assert viterbi_batch(model, batch) == singles
     for e, (path, score) in zip(batch, singles):
         assert score == sequence_score(model, e, path)
-    ds = Dataset(tuple(Sentence(tuple(Token(f"w{i}", "O") for i in range(e.length)))
+    ds = Dataset(tuple(Sentence(tuple(f"w{i}" for i in range(e.length)), ("O",) * e.length)
                        for e in batch))
     with patch.object(crf_module, "DECODE_CHUNK", chunk):
         tagged = decode(model, ds, batch)
-    assert [s.tags for s in tagged] == [[model.tagset.tags[k] for k in path]
+    assert [s.tags for s in tagged] == [tuple(model.tagset.tags[k] for k in path)
                                         for path, _ in singles]
     assert [s.surfaces for s in tagged] == [s.surfaces for s in ds]
 

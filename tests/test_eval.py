@@ -3,13 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import report_from_json, stray_inside
-from mixner.corpus import (Dataset, EntitySpan, Sentence, Token, extract_entities,
+from mixner.corpus import (Dataset, EntitySpan, Sentence, extract_entities,
                            parse_conll, spans_to_tags, validate_iob)
 from mixner.eval import _class_scores, _span_counts, render_report, score_entities
 
 
 def sent(pairs):
-    return Sentence(tuple(Token(w, t) for w, t in pairs))
+    return Sentence(*zip(*pairs))
 
 
 def tagged(*tag_lists):
@@ -161,8 +161,7 @@ def validate_iob_like(ds):
     """A slightly perturbed copy: drop the last entity of the last sentence."""
     sentences = list(ds.sentences)
     last = sentences[-1]
-    toks = tuple(Token(t.surface, "O") for t in last.tokens)
-    sentences[-1] = Sentence(toks)
+    sentences[-1] = Sentence(last.surfaces, ("O",) * len(last))
     return Dataset(tuple(sentences))
 
 
@@ -173,7 +172,7 @@ def test_spans_round_trip_property(tags):
     ds = tagged(tags)
     repaired = validate_iob(ds).sentences[0].tags
     spans = extract_entities(repaired)
-    assert spans_to_tags(spans, len(repaired)) == repaired
+    assert tuple(spans_to_tags(spans, len(repaired))) == repaired
     assert spans == extract_entities(tags)
 
 

@@ -1,41 +1,48 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixner.corpus import Dataset, Sentence, TagSet, Token, induce_tagset, parse_conll
-from mixner.features import (EncodedSentence, FeatureIndex, build_index,
+from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset, parse_conll
+from mixner.features import (BOS, EOS, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset, extract_attributes)
 
 
 def sent(words, tags=None):
-    tags = tags or ["O"] * len(words)
-    return Sentence(tuple(Token(w, t) for w, t in zip(words, tags)))
+    return Sentence(words, tags or ["O"] * len(words))
 
 
 class TestExtract:
     def test_interior_position(self, table1_text):
         s = parse_conll(table1_text).sentences[0]
-        assert set(extract_attributes(s, 1)) == {"b", "w0=this", "w-1=hameM",
-                                                 "w+1=magic"}
+        assert set(extract_attributes(s.surfaces)[1]) == {"b", "w0=this", "w-1=hameM",
+                                                          "w+1=magic"}
 
     def test_single_token_sentence(self):
-        s = sent(["x"])
-        assert set(extract_attributes(s, 0)) == {"b", "w0=x", "w-1=<BOS>",
-                                                 "w+1=<EOS>"}
+        assert extract_attributes(("x",)) == [("b", "w0=x", "w-1=<BOS>", "w+1=<EOS>")]
 
     def test_table2_dig(self, table2_text):
         s = parse_conll(table2_text).sentences[1]
-        assert set(extract_attributes(s, 3)) == {"b", "w0=dig", "w-1=is",
-                                                 "w+1=me"}
+        assert set(extract_attributes(s.surfaces)[3]) == {"b", "w0=dig", "w-1=is",
+                                                          "w+1=me"}
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
     def test_exactly_four_attributes(self, table1_text, i):
         s = parse_conll(table1_text).sentences[0]
-        assert len(extract_attributes(s, i)) == 4
+        assert len(extract_attributes(s.surfaces)) == len(s)
+        assert len(extract_attributes(s.surfaces)[i]) == 4
 
-    @pytest.mark.parametrize("i", [-1, 4])
-    def test_out_of_range(self, table1_text, i):
-        s = parse_conll(table1_text).sentences[0]
-        with pytest.raises(IndexError):
-            extract_attributes(s, i)
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=8))
+def test_template_matches_per_position_reference(words):
+    """The whole-sentence template equals, position by position and in
+    order, the bias, w0, w-1 and w+1 of a per-position loop."""
+    def reference(i):
+        prev = words[i - 1] if i > 0 else BOS
+        nxt = words[i + 1] if i + 1 < len(words) else EOS
+        return ("b", f"w0={words[i]}", f"w-1={prev}", f"w+1={nxt}")
+
+    assert extract_attributes(words) == [reference(i) for i in range(len(words))]
 
 
 class TestBuildIndex:
