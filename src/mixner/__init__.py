@@ -7,7 +7,7 @@ from .crf import (CrfModel, TrainConfig, TrainHistory, decode, load_model,
                   log_partition, marginals, nll_and_gradient, save_model,
                   sequence_score, train, viterbi, viterbi_batch)
 from .eval import ConfusionMatrix, EvalReport, render_report, score_entities
-from .features import (EncodedSentence, FeatureIndex, build_index,
+from .features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                        encode_dataset, extract_attributes)
 
 __version__ = "0.1.0"

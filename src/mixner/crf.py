@@ -17,14 +17,13 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Dataset, Sentence, TagSet, extract_entities
 from .eval import _class_scores, _span_counts
-from .features import EncodedSentence, FeatureIndex, encode_dataset
+from .features import EncodedCorpus, EncodedSentence, FeatureIndex, encode_dataset
 
 MODEL_HEADER = "MIXNER-CRF v1"
 _SECTIONS = ("tags", "attributes", "start", "end", "transitions", "emissions")
@@ -78,38 +77,64 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
 
 
+def _scatter(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """A (size, K) float64 array whose row i sums the rows[j] with index[j] == i.
+    np.bincount adds its weights in order of occurrence, as np.add.at does, so
+    each sum is bit for bit the listed-order sum.  With no rows at all
+    bincount returns integers, hence the cast."""
+    k = rows.shape[1]
+    flat = (index[:, None] * k + np.arange(k)).ravel()
+    sums = np.bincount(flat, rows.ravel(), size * k).reshape(size, k)
+    return sums.astype(np.float64, copy=False)
+
+
+def _check_range(ids: np.ndarray, limit: int, what: str, where) -> None:
+    """Reject ids outside [0, limit) instead of letting -1 index the last;
+    where(j) names the place of entry j."""
+    if ids.size and (ids.min() < 0 or ids.max() >= limit):
+        j = int(np.flatnonzero((ids < 0) | (ids >= limit))[0])
+        raise ValueError(f"{where(j)}: {what} id {ids[j]} is out of range "
+                         f"for {limit} {what}s")
+
+
 class _Packed:
     """A batch scored under a model, laid out time-major and packed by length:
     sentences are ranked longest first (ties in input order), and step t holds
     the sentences longer than t in rows offsets[t] + rank, a prefix of step
     t - 1.  em[row] sums W_e over the row's attributes in listed order, so it
-    is bit for bit the same whatever batch the sentence is in."""
+    is bit for bit the same whatever batch the sentence is in: the corpus keeps
+    each token's attributes in listed order, and _scatter adds in that order."""
 
-    def __init__(self, model: CrfModel, batch: list[EncodedSentence]):
-        if not batch:
+    def __init__(self, model: CrfModel, batch: EncodedCorpus):
+        if not len(batch):
             raise ValueError("empty batch")
+
+        def where(token):
+            return "sentence {}, position {}".format(*batch.locate(token))
+
+        _check_range(batch.tags, model.num_tags, "tag", where)
+        _check_range(batch.attrs, model.index.num_attributes, "attribute",
+                     lambda j: where(np.searchsorted(batch.attr_offsets, j, "right") - 1))
         self.b = b = len(batch)
-        self.lengths = lengths = np.fromiter((e.length for e in batch), np.intp, b)
+        self.lengths = lengths = batch.lengths
         self.rank = np.argsort(np.argsort(-lengths, kind="stable"))
         sizes = b - np.cumsum(np.bincount(lengths))[:-1]
         offsets = np.cumsum(sizes) - sizes
         # (row offset, sentences active, previous step's row offset), steps >= 1
         self.steps = list(zip(offsets[1:].tolist(), sizes[1:].tolist(), offsets.tolist()))
-        self.n = n = int(lengths.sum())
+        self.n = n = len(batch.tags)
         step = np.repeat(np.arange(len(sizes)), sizes)
         self.rank_of_row = np.arange(n) - offsets[step]
         self.prev = np.arange(b, n) - sizes[step[b:] - 1]  # predecessors of rows b..n-1
         self.last = offsets[np.sort(lengths)[::-1] - 1] + np.arange(b)
         # Packed row of every token, sentence by sentence in input order.
-        pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        pos = np.arange(n) - np.repeat(batch.offsets[:-1], lengths)
         self.rows = offsets[pos] + np.repeat(self.rank, lengths)
         self.tags = np.empty(n, np.intp)
-        self.tags[self.rows] = np.fromiter(chain.from_iterable(e.tag_ids for e in batch), np.intp)
-        ids = list(chain.from_iterable(e.attr_ids for e in batch))  # one tuple per token
-        self.attrs = np.fromiter(chain.from_iterable(ids), np.intp)
-        self.attr_rows = np.repeat(self.rows, np.fromiter(map(len, ids), np.intp, n))
-        self.em = np.zeros((n, model.num_tags))
-        np.add.at(self.em, self.attr_rows, model.emissions[self.attrs])
+        self.tags[self.rows] = batch.tags
+        self.attrs = batch.attrs
+        self.attr_rows = np.repeat(self.rows, np.diff(batch.attr_offsets))
+        self.em = _scatter(self.attr_rows, model.emissions[self.attrs], n)
 
 
 def _forward(model: CrfModel, p: _Packed, reduce) -> np.ndarray:
@@ -140,6 +165,10 @@ def _forward_backward(model: CrfModel, p: _Packed):
     return node, edge, log_z
 
 
+def _one(enc: EncodedSentence) -> EncodedCorpus:
+    return EncodedCorpus.from_sentences([enc])
+
+
 def sequence_score(model: CrfModel, enc: EncodedSentence,
                    tags: tuple[int, ...] | list[int]) -> float:
     """Unnormalized log score of one tag sequence.  It runs viterbi's recursion
@@ -147,23 +176,24 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
     score is bitwise equal to rescoring its path."""
     if len(tags) != enc.length:
         raise ValueError("tag sequence length does not match the sentence")
+    _check_range(np.asarray(tags, np.intp), model.num_tags, "tag", "position {}".format)
     previous = iter(tags)
-    alpha = _forward(model, _Packed(model, [enc]), lambda cand, _: cand[:, next(previous)])
+    alpha = _forward(model, _Packed(model, _one(enc)), lambda cand, _: cand[:, next(previous)])
     return float(alpha[-1, tags[-1]] + model.end[tags[-1]])
 
 
 def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
     """log Z by the forward recursion."""
-    return float(_forward_backward(model, _Packed(model, [enc]))[2][0])
+    return float(_forward_backward(model, _Packed(model, _one(enc)))[2][0])
 
 
 def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.ndarray]:
     """Posterior tag distributions (node, edge): node[t, k] = P(y_t = k) with
     shape (T, K), and edge[t, j, k] = P(y_t = j, y_{t+1} = k), shape (T-1, K, K)."""
-    return _forward_backward(model, _Packed(model, [enc]))[:2]
+    return _forward_backward(model, _Packed(model, _one(enc)))[:2]
 
 
-def nll_and_gradient(model: CrfModel, batch: list[EncodedSentence],
+def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
                      l2: float = 0.0) -> tuple[float, np.ndarray]:
     """Regularized negative log likelihood of a batch and its exact gradient.
 
@@ -182,7 +212,7 @@ def nll_and_gradient(model: CrfModel, batch: list[EncodedSentence],
     pairs = np.bincount(prev * k + tags[p.b:], minlength=k * k).reshape(k, k)
     grad = np.zeros_like(model.weights)
     emissions, transitions, start, end = _views(grad, k)
-    np.add.at(emissions, p.attrs, node[p.attr_rows])
+    emissions[...] = _scatter(p.attrs, node[p.attr_rows], len(emissions))
     transitions[...] = edge.sum(axis=0) - pairs
     start[...] = node[:p.b].sum(axis=0)
     end[...] = node[p.last].sum(axis=0)
@@ -192,8 +222,7 @@ def nll_and_gradient(model: CrfModel, batch: list[EncodedSentence],
     return loss, grad
 
 
-def viterbi_batch(model: CrfModel,
-                  batch: list[EncodedSentence]) -> list[tuple[list[int], float]]:
+def viterbi_batch(model: CrfModel, batch: EncodedCorpus) -> list[tuple[list[int], float]]:
     """Best tag sequence and its score for every sentence, in input order; ties
     go to the lower tag id at each backtracking step (argmax takes the first)."""
     back = []  # per step: best previous tag for each active sentence and tag
@@ -218,17 +247,17 @@ def viterbi_batch(model: CrfModel,
 
 def viterbi(model: CrfModel, enc: EncodedSentence) -> tuple[list[int], float]:
     """Best tag sequence and its score; ties go to the lower tag id."""
-    return viterbi_batch(model, [enc])[0]
+    return viterbi_batch(model, _one(enc))[0]
 
 
-def _decode_paths(model: CrfModel, encoded: list[EncodedSentence]) -> list[list[int]]:
+def _decode_paths(model: CrfModel, encoded: EncodedCorpus) -> list[list[int]]:
     """The best tag-id path of every sentence, DECODE_CHUNK sentences per
     packed call so working memory does not grow with the dataset."""
     return [path for lo in range(0, len(encoded), DECODE_CHUNK)
             for path, _ in viterbi_batch(model, encoded[lo:lo + DECODE_CHUNK])]
 
 
-def decode(model: CrfModel, dataset: Dataset, encoded: list[EncodedSentence]) -> Dataset:
+def decode(model: CrfModel, dataset: Dataset, encoded: EncodedCorpus) -> Dataset:
     """Viterbi-tag every sentence: _decode_paths wrapped into sentences."""
     if len(encoded) != len(dataset):
         raise ValueError("encoded sentences do not match the dataset")
@@ -272,7 +301,7 @@ class TrainHistory:
     best_epoch: int
 
 
-def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
+def train(encoded_train: EncodedCorpus, dev: Dataset, cfg: TrainConfig,
           index: FeatureIndex) -> tuple[CrfModel, TrainHistory]:
     """Fit a CRF by mini-batch AdaGrad with early stopping on dev entity F1.
 
@@ -313,7 +342,7 @@ def train(encoded_train: list[EncodedSentence], dev: Dataset, cfg: TrainConfig,
         rng.shuffle(order)
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
-            batch = [encoded_train[i] for i in order[lo:lo + cfg.batch_size]]
+            batch = encoded_train[order[lo:lo + cfg.batch_size]]
             with np.errstate(all="ignore"):
                 loss, grad = nll_and_gradient(model, batch, cfg.l2)
                 if not math.isfinite(loss):
@@ -356,15 +385,19 @@ def save_model(model: CrfModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _take_section(lines: list[str], pos: int, name: str) -> tuple[list[str], int]:
-    if pos >= len(lines) or lines[pos] != f"[{name}]":
-        raise ValueError(f"truncated or malformed model file: expected [{name}]")
-    pos += 1
-    items = []
-    while pos < len(lines) and not lines[pos].startswith("["):
-        items.append(lines[pos])
-        pos += 1
-    return items, pos
+# The characters str.splitlines ends a line at: a "[" after one starts a line.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _blocks(text: str) -> list[list[str]]:
+    """text.splitlines(), cut before every line after the first that starts
+    with "[".  The cuts are found with str.find, not by a loop over lines."""
+    cuts, at = [0], text.find("[", 1)
+    while at >= 0:
+        if text[at - 1] in _LINE_BREAKS:
+            cuts.append(at)
+        at = text.find("[", at + 1)
+    return [text[a:b].splitlines() for a, b in zip(cuts, cuts[1:] + [len(text)])]
 
 
 def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
@@ -392,15 +425,19 @@ def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
 
 def load_model(path: str | Path) -> CrfModel:
     """Inverse of save_model; weights round trip bit for bit."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != MODEL_HEADER:
+    head, *blocks = _blocks(Path(path).read_text(encoding="utf-8"))
+    if not head or head[0] != MODEL_HEADER:
         raise ValueError(f"unsupported version: expected {MODEL_HEADER!r} header")
-    pos = 1
+    if len(head) > 1:  # lines between the header and the first "[" line
+        blocks.insert(0, head[1:])
+    # A section runs from its header to the next line that starts with "[".
     sections = {}
-    for name in _SECTIONS:
-        sections[name], pos = _take_section(lines, pos, name)
-    if pos < len(lines):
-        raise ValueError(f"malformed model file: unexpected {lines[pos]!r} "
+    for i, name in enumerate(_SECTIONS):
+        if i >= len(blocks) or blocks[i][0] != f"[{name}]":
+            raise ValueError(f"truncated or malformed model file: expected [{name}]")
+        sections[name] = blocks[i][1:]
+    if len(blocks) > len(_SECTIONS):
+        raise ValueError(f"malformed model file: unexpected {blocks[len(_SECTIONS)][0]!r} "
                          "after the [emissions] rows")
     index = FeatureIndex(sections["attributes"], TagSet(tuple(sections["tags"])))
     model = CrfModel.zeros(index)

@@ -9,7 +9,9 @@ from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import Dataset, TagSet
 
@@ -54,23 +56,102 @@ class FeatureIndex:
         return list(self.attribute_to_id)
 
 
-@dataclass(frozen=True)
-class EncodedSentence:
-    """A sentence reduced to attribute ids per position plus gold tag ids."""
+class EncodedSentence(NamedTuple):
+    """One sentence as attribute ids per position plus gold tag ids: a
+    read-only view of an EncodedCorpus sentence, with no checks of its own."""
 
     attr_ids: tuple[tuple[int, ...], ...]
     tag_ids: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "attr_ids",
-                           tuple(tuple(ids) for ids in self.attr_ids))
-        object.__setattr__(self, "tag_ids", tuple(self.tag_ids))
-        if len(self.attr_ids) != len(self.tag_ids) or not self.tag_ids:
-            raise ValueError("attr_ids and tag_ids must be non-empty and aligned")
-
     @property
     def length(self) -> int:
         return len(self.tag_ids)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive runs of the given sizes: 0, then the running sum."""
+    out = np.zeros(len(counts) + 1, np.intp)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs starts[i] .. starts[i] + counts[i] - 1 concatenated into one
+    index array, and the CSR offsets of the runs in it."""
+    offsets = _offsets(counts)
+    return np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts), offsets
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedCorpus:
+    """Sentences reduced to attribute and tag ids, in flat CSR-style buffers
+    like CRFsuite's: sentence s holds tokens offsets[s]:offsets[s + 1], and
+    token t has gold tag tags[t] and attributes attrs[attr_offsets[t]:
+    attr_offsets[t + 1]], in listed order.  Indexing with an int gives that
+    sentence's EncodedSentence view; a slice or an array of sentence indices
+    gives a new corpus of those sentences, in that order.  The arrays are
+    read-only; ids are checked against a model where the corpus meets one."""
+
+    attrs: np.ndarray
+    attr_offsets: np.ndarray
+    tags: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        for name in ("attrs", "attr_offsets", "tags", "offsets"):
+            arr = np.asarray(getattr(self, name), np.intp).view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        off, attr_off, n = self.offsets, self.attr_offsets, len(self.tags)
+        if not (off.ndim == self.tags.ndim == self.attrs.ndim == 1 and off.size
+                and attr_off.shape == (n + 1,) and off[0] == attr_off[0] == 0
+                and off[-1] == n and attr_off[-1] == len(self.attrs)
+                and (np.diff(off) > 0).all() and (np.diff(attr_off) >= 0).all()):
+            raise ValueError("malformed encoded corpus: offsets do not bound "
+                             "non-empty sentences and their attributes")
+
+    @classmethod
+    def from_sentences(cls, sentences: Iterable[EncodedSentence]) -> "EncodedCorpus":
+        """Pack sentences given as per-position tuples."""
+        sentences = list(sentences)
+        for si, (attr_ids, tag_ids) in enumerate(sentences):
+            if len(attr_ids) != len(tag_ids) or not tag_ids:
+                raise ValueError(f"sentence {si}: attr_ids and tag_ids must be "
+                                 "non-empty and aligned")
+        positions = [ids for s in sentences for ids in s.attr_ids]
+        return cls(np.fromiter(chain.from_iterable(positions), np.intp),
+                   _offsets(np.fromiter(map(len, positions), np.intp, len(positions))),
+                   np.fromiter(chain.from_iterable(s.tag_ids for s in sentences), np.intp),
+                   _offsets(np.fromiter((len(s.tag_ids) for s in sentences), np.intp,
+                                        len(sentences))))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def locate(self, token: int) -> tuple[int, int]:
+        """The sentence of a token index and the token's position in it."""
+        si = int(np.searchsorted(self.offsets, token, "right")) - 1
+        return si, token - int(self.offsets[si])
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return next(iter(self[[key]]))
+        sel = np.arange(len(self))[key]
+        tokens, offsets = _ranges(self.offsets[sel], self.lengths[sel])
+        starts = self.attr_offsets[tokens]
+        attrs, attr_offsets = _ranges(starts, self.attr_offsets[tokens + 1] - starts)
+        return EncodedCorpus(self.attrs[attrs], attr_offsets, self.tags[tokens], offsets)
+
+    def __iter__(self) -> Iterator[EncodedSentence]:
+        attrs, bounds = self.attrs.tolist(), self.attr_offsets.tolist()
+        tags, offsets = self.tags.tolist(), self.offsets.tolist()
+        for lo, hi in zip(offsets, offsets[1:]):
+            yield EncodedSentence(tuple(tuple(attrs[bounds[t]:bounds[t + 1]])
+                                        for t in range(lo, hi)), tuple(tags[lo:hi]))
 
 
 def build_index(train: Dataset, tagset: TagSet, min_count: int = 1) -> FeatureIndex:
@@ -87,17 +168,34 @@ def build_index(train: Dataset, tagset: TagSet, min_count: int = 1) -> FeatureIn
     return FeatureIndex([a for a, n in counts.items() if n >= min_count], tagset)
 
 
-def encode_dataset(ds: Dataset, index: FeatureIndex) -> list[EncodedSentence]:
-    """Map every sentence to attribute ids, silently dropping unknown attributes."""
-    attr_id, tag_to_id = index.attribute_to_id.get, index.tag_to_id
-    encoded = []
-    for si, s in enumerate(ds.sentences):
-        tag_ids = tuple(map(tag_to_id.get, s.tags))
-        if None in tag_ids:
-            i = tag_ids.index(None)
-            raise ValueError(f"sentence {si}, position {i}: "
-                             f"tag {s.tags[i]!r} is not in the tag set")
-        attr_ids = tuple(tuple([a for a in map(attr_id, attrs) if a is not None])
-                         for attrs in extract_attributes(s.surfaces))
-        encoded.append(EncodedSentence(attr_ids, tag_ids))
-    return encoded
+def encode_dataset(ds: Dataset, index: FeatureIndex) -> EncodedCorpus:
+    """Map every sentence to attribute ids, silently dropping unknown attributes.
+
+    Each distinct surface is one type, looked up once per template slot;
+    <BOS> and <EOS> are two reserved types (a surface spelled the same way
+    shares one, as it shares the attribute strings).  The (tokens, 4) id
+    matrix of the template comes from array gathers over the types, and a
+    mask drops the unknown ids, keeping the listed order b, w0, w-1, w+1.
+    """
+    sentences = ds.sentences
+    offsets = _offsets(np.fromiter(map(len, sentences), np.intp, len(sentences)))
+    surfaces = list(chain.from_iterable(s.surfaces for s in sentences))
+    type_of = {w: i for i, w in enumerate(dict.fromkeys(chain((BOS, EOS), surfaces)))}
+    lookup = index.attribute_to_id.get
+    by_type = np.array([[lookup(f"w0={w}", -1), lookup(f"w-1={w}", -1),
+                         lookup(f"w+1={w}", -1)] for w in type_of], np.intp)
+    cur = np.fromiter(map(type_of.__getitem__, surfaces), np.intp, len(surfaces))
+    prev, nxt = np.roll(cur, 1), np.roll(cur, -1)
+    prev[offsets[:-1]] = type_of[BOS]
+    nxt[offsets[1:] - 1] = type_of[EOS]
+    ids = np.column_stack((np.full(len(cur), lookup("b", -1), np.intp), by_type[cur, 0],
+                           by_type[prev, 1], by_type[nxt, 2]))
+    known = ids >= 0
+    tags = np.fromiter(map(index.tag_to_id.get, chain.from_iterable(s.tags for s in sentences),
+                           repeat(-1)), np.intp, len(cur))
+    corpus = EncodedCorpus(ids[known], _offsets(known.sum(axis=1)), tags, offsets)
+    if (tags < 0).any():
+        si, i = corpus.locate(int(np.argmax(tags < 0)))
+        raise ValueError(f"sentence {si}, position {i}: "
+                         f"tag {sentences[si].tags[i]!r} is not in the tag set")
+    return corpus

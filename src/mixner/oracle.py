@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import TagSet
 from .crf import CrfModel, nll_and_gradient
-from .features import EncodedSentence, FeatureIndex
+from .features import EncodedCorpus, EncodedSentence, FeatureIndex
 
 MAX_SEQUENCES = 4096
 
@@ -93,7 +93,7 @@ def enumerate_marginals(inst: TinyInstance) -> tuple[np.ndarray, np.ndarray]:
     return node, edge
 
 
-def fd_gradient(model: CrfModel, batch: list[EncodedSentence], l2: float = 0.0,
+def fd_gradient(model: CrfModel, batch: EncodedCorpus, l2: float = 0.0,
                 h: float = 1e-5) -> np.ndarray:
     """Central finite differences of the regularized NLL, one coordinate of
     the weight vector at a time: (f(w + h) - f(w - h)) / (2h)."""
@@ -211,8 +211,9 @@ def run_verification(trials: int, seed: int, tol: float = 1e-9,
                f"trial {trial}: marginal differs by {diff:.3e}")
 
         l2 = l2_cycle[trial % len(l2_cycle)]
-        analytic = nll_and_gradient(model, [enc], l2)[1]
-        err = gradient_error(analytic, fd_gradient(model, [enc], l2, h))
+        batch = EncodedCorpus.from_sentences([enc])
+        analytic = nll_and_gradient(model, batch, l2)[1]
+        err = gradient_error(analytic, fd_gradient(model, batch, l2, h))
         record("gradient", err <= grad_tol, inst,
                f"trial {trial}: gradient relative error {err:.3e} (l2={l2})")
 

@@ -24,7 +24,7 @@ from mixner.corpus import (Dataset, Sentence, induce_tagset,
 from mixner.crf import (TrainConfig, log_partition, marginals,
                         nll_and_gradient, save_model, train, viterbi)
 from mixner.eval import score_entities
-from mixner.features import build_index, encode_dataset
+from mixner.features import EncodedCorpus, build_index, encode_dataset
 from mixner.oracle import (enumerate_best, enumerate_logZ,
                            enumerate_marginals, fd_gradient, gradient_error,
                            random_instance)
@@ -79,8 +79,9 @@ def test_gradient_agreement_bulk():
     for i in range(21):
         l2 = (0.0, 1e-4, 1e-2)[i % 3]
         inst = random_instance(rng)
-        analytic = nll_and_gradient(inst.model, [inst.sentence], l2)[1]
-        numeric = fd_gradient(inst.model, [inst.sentence], l2, h=1e-5)
+        batch = EncodedCorpus.from_sentences([inst.sentence])
+        analytic = nll_and_gradient(inst.model, batch, l2)[1]
+        numeric = fd_gradient(inst.model, batch, l2, h=1e-5)
         assert gradient_error(analytic, numeric) <= 1e-4
 
 

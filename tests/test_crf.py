@@ -18,7 +18,8 @@ from mixner.crf import (MIN_DELTA, CrfModel, TrainConfig, decode, load_model,
                         log_partition, marginals, nll_and_gradient, save_model,
                         sequence_score, train, viterbi, viterbi_batch)
 from mixner.eval import score_entities
-from mixner.features import EncodedSentence, FeatureIndex, build_index, encode_dataset
+from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
+                             encode_dataset)
 from mixner.oracle import (TinyInstance, enumerate_logZ, naive_sequence_score,
                            random_instance)
 
@@ -36,6 +37,10 @@ def views(model, vector):
 
 def enc(attr_ids, tag_ids):
     return EncodedSentence(tuple(tuple(ids) for ids in attr_ids), tuple(tag_ids))
+
+
+def pack(*sentences):
+    return EncodedCorpus.from_sentences(sentences)
 
 
 class TestWeightVector:
@@ -60,7 +65,7 @@ class TestWeightVector:
 
     def test_gradient_has_the_weight_layout(self):
         m = tiny_model(["O", "B-X"], 2)
-        _, grad = nll_and_gradient(m, [enc([(0,), (1,)], [0, 1])])
+        _, grad = nll_and_gradient(m, pack(enc([(0,), (1,)], [0, 1])))
         assert grad.shape == m.weights.shape
         emissions, transitions, start, end = views(m, grad)
         # Zero weights: every tag has probability 1/2 at both positions.
@@ -147,12 +152,12 @@ class TestMarginals:
 class TestNll:
     def test_zero_weight_loss_is_t_log_k(self):
         m = tiny_model(["O", "B-X", "B-Y", "I-X"], 1)
-        loss, _ = nll_and_gradient(m, [enc([(0,), (0,)], [0, 1])], l2=0.0)
+        loss, _ = nll_and_gradient(m, pack(enc([(0,), (0,)], [0, 1])), l2=0.0)
         assert loss == pytest.approx(2 * math.log(4), abs=1e-12)
 
     def test_l2_inert_at_zero_weights(self):
         m = tiny_model(["O", "B-X"], 2)
-        batch = [enc([(0,), (1,)], [0, 1])]
+        batch = pack(enc([(0,), (1,)], [0, 1]))
         loss0, g0 = nll_and_gradient(m, batch, l2=0.0)
         loss1, g1 = nll_and_gradient(m, batch, l2=0.5)
         assert loss0 == loss1
@@ -160,7 +165,7 @@ class TestNll:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            nll_and_gradient(tiny_model(["O"], 1), [], 0.0)
+            nll_and_gradient(tiny_model(["O"], 1), pack(), 0.0)
 
 
 class TestViterbi:
@@ -187,6 +192,73 @@ class TestViterbi:
             inst = random_instance(rng)
             path, score = viterbi(inst.model, inst.sentence)
             assert score == sequence_score(inst.model, inst.sentence, path)
+
+
+class TestIdRange:
+    """Ids outside the model are rejected where the corpus meets it, with
+    the sentence named, instead of -1 reading as the last attribute or tag."""
+
+    def model(self):
+        m = tiny_model(["O", "B-X", "I-X"], 2)
+        m.weights[...] = np.random.default_rng(0).uniform(-1, 1, m.weights.size)
+        return m
+
+    @pytest.mark.parametrize("attr", [-1, 2])
+    def test_attribute_out_of_range(self, attr):
+        m, e = self.model(), enc([(0,), (1, attr)], [0, 1])
+        message = f"sentence 0, position 1: attribute id {attr} is out of range for 2 attributes"
+        for call in (lambda: viterbi(m, e), lambda: log_partition(m, e),
+                     lambda: marginals(m, e), lambda: sequence_score(m, e, [0, 1]),
+                     lambda: nll_and_gradient(m, pack(e))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    @pytest.mark.parametrize("tag", [-1, 3])
+    def test_gold_tag_out_of_range(self, tag):
+        m = self.model()
+        batch = pack(enc([(0,)], [0]), enc([(0,), (1,), ()], [0, 2, tag]))
+        message = f"sentence 1, position 2: tag id {tag} is out of range for 3 tags"
+        for call in (lambda: nll_and_gradient(m, batch), lambda: viterbi_batch(m, batch)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    @pytest.mark.parametrize("tag", [-1, 3])
+    def test_scored_tag_out_of_range(self, tag):
+        m = self.model()
+        with pytest.raises(ValueError, match=re.escape(
+                f"position 1: tag id {tag} is out of range for 3 tags")):
+            sequence_score(m, enc([(0,), (1,)], [0, 1]), [0, tag])
+
+
+def test_encoded_views_read_by_benchmark(monkeypatch):
+    """The benchmark's tracer and tag-eval check read enc.attr_ids, enc.length
+    and enc.tag_ids off every element of encode_dataset's result and of the
+    batches train passes to nll_and_gradient, and call
+    sequence_score(model, pe, pe.tag_ids) on such an element."""
+    train_ds = make_separable_corpus(40, 1)
+    index = build_index(train_ds, induce_tagset(train_ds))
+    encoded = encode_dataset(train_ds, index)
+    listed = list(encoded)
+    assert len(listed) == len(encoded) == len(train_ds)
+    for s, e in zip(train_ds.sentences, listed):
+        assert isinstance(e, EncodedSentence)
+        assert e.length == len(e.tag_ids) == len(e.attr_ids) == len(s)
+        assert e.tag_ids == tuple(index.tag_to_id[t] for t in s.tags)
+        assert all(len(ids) == 4 for ids in e.attr_ids)
+    assert encoded[3] == listed[3] and encoded[-1] == listed[-1]
+
+    tokens, real = [], crf_module.nll_and_gradient
+
+    def counting(model, batch, *args):
+        tokens.append(sum(e.length for e in batch))
+        return real(model, batch, *args)
+
+    monkeypatch.setattr(crf_module, "nll_and_gradient", counting)
+    model, history = train(encoded, train_ds, TrainConfig(epochs=2, batch_size=16), index)
+    assert sum(tokens) == 2 * sum(map(len, train_ds.sentences))
+    for e in encoded:
+        assert sequence_score(model, e, e.tag_ids) == pytest.approx(
+            naive_sequence_score(model, e, e.tag_ids), abs=1e-9)
 
 
 class TestPersistence:
@@ -279,6 +351,17 @@ class TestPersistence:
         lines[row] = edit(lines[row])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"{message} in \\[{section}\\]"):
+            load_model(path)
+
+    @pytest.mark.parametrize("section", ["attributes", "start", "end", "transitions",
+                                         "emissions"])
+    def test_missing_section_header_named(self, tmp_path, section):
+        path = tmp_path / "model.txt"
+        save_model(self.trained_like_model(), path)
+        lines = path.read_text().splitlines()
+        lines.remove(f"[{section}]")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"expected [{section}]")):
             load_model(path)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -435,7 +518,7 @@ def test_logz_bounds_gold_score_property(seed):
 
 @st.composite
 def ragged_batches(draw):
-    """A random model and a batch of 1..8 sentences of length 1..6, with
+    """A random model and a corpus of 1..8 sentences of length 1..6, with
     positions that may have no attributes and some sentences repeated."""
     k = draw(st.integers(1, 4))
     num_attrs = draw(st.integers(1, 5))
@@ -448,7 +531,7 @@ def ragged_batches(draw):
                               min_size=1, max_size=8))
     batch = [enc([a for a, _ in s], [t for _, t in s]) for s in sentences]
     repeats = draw(st.lists(st.integers(0, len(batch) - 1), max_size=3))
-    return model, batch + [batch[i] for i in repeats]
+    return model, EncodedCorpus.from_sentences(batch + [batch[i] for i in repeats])
 
 
 def close(a, b, rel=1e-9):
@@ -456,31 +539,41 @@ def close(a, b, rel=1e-9):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ragged_batches())
-def test_packed_nll_matches_single_sentence_sum(case):
-    model, batch = case
-    loss, grad = nll_and_gradient(model, batch)
-    singles = [nll_and_gradient(model, [e]) for e in batch]
+@given(ragged_batches(), st.data())
+def test_packed_nll_matches_single_sentence_sum(case, data):
+    """A ragged batch equals the sum of its B=1 sub-corpora, and of any two
+    slices that split it."""
+    model, corpus = case
+    loss, grad = nll_and_gradient(model, corpus)
+    singles = [nll_and_gradient(model, corpus[[i]]) for i in range(len(corpus))]
     assert close(loss, sum(l for l, _ in singles))
     for j, block in enumerate(views(model, grad)):
         assert close(block, sum(views(model, g)[j] for _, g in singles))
+    cut = data.draw(st.integers(1, len(corpus)))
+    parts = [nll_and_gradient(model, part) for part in (corpus[:cut], corpus[cut:])
+             if len(part)]
+    assert close(loss, sum(l for l, _ in parts))
+    assert close(grad, sum(g for _, g in parts))
     oracle = sum(enumerate_logZ(TinyInstance(model, e))
-                 - naive_sequence_score(model, e, e.tag_ids) for e in batch)
+                 - naive_sequence_score(model, e, e.tag_ids) for e in corpus)
     assert close(loss, oracle)
 
 
 @settings(max_examples=60, deadline=None)
 @given(ragged_batches(), st.integers(1, 4))
 def test_packed_viterbi_and_decode_match_single_sentence(case, chunk):
-    model, batch = case
-    singles = [viterbi(model, e) for e in batch]
-    assert viterbi_batch(model, batch) == singles
-    for e, (path, score) in zip(batch, singles):
+    """Batched Viterbi equals one call per sentence view, and decode in any
+    chunk size gives those paths."""
+    model, corpus = case
+    singles = [viterbi(model, e) for e in corpus]
+    assert viterbi_batch(model, corpus) == singles
+    assert [viterbi_batch(model, corpus[i:i + 1])[0] for i in range(len(corpus))] == singles
+    for e, (path, score) in zip(corpus, singles):
         assert score == sequence_score(model, e, path)
-    ds = Dataset(tuple(Sentence(tuple(f"w{i}" for i in range(e.length)), ("O",) * e.length)
-                       for e in batch))
+    ds = Dataset(tuple(Sentence(tuple(f"w{i}" for i in range(n)), ("O",) * n)
+                       for n in corpus.lengths.tolist()))
     with patch.object(crf_module, "DECODE_CHUNK", chunk):
-        tagged = decode(model, ds, batch)
+        tagged = decode(model, ds, corpus)
     assert [s.tags for s in tagged] == [tuple(model.tagset.tags[k] for k in path)
                                         for path, _ in singles]
     assert [s.surfaces for s in tagged] == [s.surfaces for s in ds]
@@ -489,15 +582,57 @@ def test_packed_viterbi_and_decode_match_single_sentence(case, chunk):
 @settings(max_examples=60, deadline=None)
 @given(ragged_batches(), st.data())
 def test_packed_results_independent_of_input_order(case, data):
-    model, batch = case
-    perm = data.draw(st.permutations(range(len(batch))))
-    shuffled = [batch[i] for i in perm]
-    decoded = viterbi_batch(model, batch)
+    """Reordering the corpus, or taking any subset of it by index, leaves
+    every sentence's decoded path and score as they were."""
+    model, corpus = case
+    perm = data.draw(st.permutations(range(len(corpus))))
+    shuffled = corpus[perm]
+    decoded = viterbi_batch(model, corpus)
     assert viterbi_batch(model, shuffled) == [decoded[i] for i in perm]
-    loss, grad = nll_and_gradient(model, batch, 1e-2)
+    subset = data.draw(st.lists(st.integers(-len(corpus), len(corpus) - 1), min_size=1))
+    assert viterbi_batch(model, corpus[np.array(subset)]) == [decoded[i] for i in subset]
+    loss, grad = nll_and_gradient(model, corpus, 1e-2)
     loss_s, grad_s = nll_and_gradient(model, shuffled, 1e-2)
     assert close(loss_s, loss)
     assert all(close(a, b) for a, b in zip(views(model, grad_s), views(model, grad)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches(), st.booleans())
+def test_scatter_and_gather_bit_equal_to_add_at_property(case, bare):
+    """The emission sums of a packed batch and the emission gradient are bit
+    for bit those of np.add.at, and float64, also when some tokens or the
+    whole batch have no attributes."""
+    model, corpus = case
+    if bare:
+        corpus = EncodedCorpus([], np.zeros(len(corpus.tags) + 1, np.intp),
+                               corpus.tags, corpus.offsets)
+    p = crf_module._Packed(model, corpus)
+    em = np.zeros((p.n, model.num_tags))
+    np.add.at(em, p.attr_rows, model.emissions[p.attrs])
+    assert p.em.dtype == np.float64 and p.em.tobytes() == em.tobytes()
+
+    node = crf_module._forward_backward(model, p)[0]
+    node[np.arange(p.n), p.tags] -= 1.0
+    expected = np.zeros_like(model.emissions)
+    np.add.at(expected, p.attrs, node[p.attr_rows])
+    grad = nll_and_gradient(model, corpus)[1]
+    assert grad.dtype == np.float64
+    assert views(model, grad)[0].tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["[", "[tags]", "x", "\n", "\r\n", "\r", "\x85", "\u2028", " "])
+                | st.text(max_size=3)).map("".join))
+def test_blocks_match_per_line_scan_property(text):
+    """The cuts found by str.find agree with a per-line startswith("[") scan
+    of text.splitlines(), whatever line breaks the text holds."""
+    expected = [[]]
+    for i, line in enumerate(text.splitlines()):
+        if i and line.startswith("["):
+            expected.append([])
+        expected[-1].append(line)
+    assert crf_module._blocks(text) == expected
 
 
 def saved_model_lines(seed):

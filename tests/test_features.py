@@ -1,10 +1,13 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset, parse_conll
-from mixner.features import (BOS, EOS, EncodedSentence, FeatureIndex, build_index,
-                             encode_dataset, extract_attributes)
+from mixner.features import (BOS, EOS, EncodedCorpus, EncodedSentence, FeatureIndex,
+                             build_index, encode_dataset, extract_attributes)
 
 
 def sent(words, tags=None):
@@ -116,5 +119,65 @@ class TestEncode:
             encode_dataset(alien, index)
 
     def test_encoded_sentence_alignment_enforced(self):
-        with pytest.raises(ValueError):
-            EncodedSentence(((0,),), (0, 1))
+        with pytest.raises(ValueError, match="sentence 0: .*aligned"):
+            EncodedCorpus.from_sentences([EncodedSentence(((0,),), (0, 1))])
+
+
+def naive_encode(ds, index):
+    """Per-position reference: the template of every position, unknown
+    attributes dropped, as per-position tuples."""
+    out = []
+    for si, s in enumerate(ds.sentences):
+        for i, tag in enumerate(s.tags):
+            if tag not in index.tag_to_id:
+                raise ValueError(f"sentence {si}, position {i}: tag {tag!r}")
+        attr_ids = tuple(tuple(index.attribute_to_id[a] for a in attrs
+                               if index.attribute_to_id.get(a) is not None)
+                         for attrs in extract_attributes(s.surfaces))
+        out.append(EncodedSentence(attr_ids, tuple(index.tag_to_id[t] for t in s.tags)))
+    return out
+
+
+# Literal "<BOS>"/"<EOS>" surfaces and "b" (not the bias) sit beside words
+# the training data may never see.
+WORDS = st.sampled_from([BOS, EOS, "b", "x", "y", "z", "unseen1", "unseen2"])
+TAGS = st.sampled_from(["O", "B-X", "I-X", "B-Y"])
+
+
+def datasets(words):
+    sentence = st.lists(st.tuples(words, TAGS), min_size=1, max_size=5).map(
+        lambda pairs: Sentence(tuple(w for w, _ in pairs), tuple(t for _, t in pairs)))
+    return st.lists(sentence, max_size=6).map(lambda ss: Dataset(tuple(ss)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(st.sampled_from([BOS, EOS, "b", "x", "y"])).filter(len), datasets(WORDS),
+       st.integers(1, 4))
+def test_encode_matches_per_position_reference_property(train, ds, min_count):
+    index = build_index(train, induce_tagset(train), min_count)
+    try:
+        expected = naive_encode(ds, index)
+    except ValueError as exc:  # a tag outside the training tag set
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            encode_dataset(ds, index)
+        return
+    corpus = encode_dataset(ds, index)
+    assert list(corpus) == expected
+    assert [corpus[i] for i in range(len(corpus))] == expected
+    assert corpus.attrs.dtype == corpus.tags.dtype == np.intp
+
+
+def test_all_unknown_words_keep_bias_and_boundaries():
+    train = Dataset((sent(["aa", "bb"]),))
+    index = build_index(train, induce_tagset(train))
+    corpus = encode_dataset(Dataset((sent(["zz"]), sent(["yy", "xx", "ww"]))), index)
+    b, bos, eos = (index.attribute_to_id[a] for a in ("b", "w-1=<BOS>", "w+1=<EOS>"))
+    assert list(corpus) == [(((b, bos, eos),), (0,)),
+                            (((b, bos), (b,), (b, eos)), (0, 0, 0))]
+
+
+def test_encoded_corpus_rejects_malformed_offsets():
+    with pytest.raises(ValueError, match="malformed encoded corpus"):
+        EncodedCorpus([0], [0, 1], [0, 0], [0, 2])  # attr offsets short of the tokens
+    with pytest.raises(ValueError, match="malformed encoded corpus"):
+        EncodedCorpus([], [0, 0, 0], [0, 0], [0, 0, 2])  # an empty sentence

@@ -8,7 +8,7 @@ import pytest
 from mixner.corpus import TagSet
 from mixner.crf import (CrfModel, log_partition, marginals, nll_and_gradient,
                         viterbi)
-from mixner.features import EncodedSentence, FeatureIndex
+from mixner.features import EncodedCorpus, EncodedSentence, FeatureIndex
 from mixner.oracle import (TinyInstance, enumerate_best, enumerate_logZ,
                            enumerate_marginals, fd_gradient, gradient_error,
                            naive_sequence_score, random_instance,
@@ -98,8 +98,9 @@ class TestGradient:
         rng = random.Random(int(l2 * 1e6) + 1)
         for _ in range(7):
             inst = random_instance(rng)
-            analytic = nll_and_gradient(inst.model, [inst.sentence], l2)[1]
-            numeric = fd_gradient(inst.model, [inst.sentence], l2)
+            batch = EncodedCorpus.from_sentences([inst.sentence])
+            analytic = nll_and_gradient(inst.model, batch, l2)[1]
+            numeric = fd_gradient(inst.model, batch, l2)
             assert gradient_error(analytic, numeric) <= 1e-4
 
     def test_emission_gradient_is_l2_only_without_features(self):
@@ -108,23 +109,22 @@ class TestGradient:
         featureless = EncodedSentence(
             tuple(() for _ in range(inst.sentence.length)), inst.sentence.tag_ids)
         l2 = 0.3
-        _, grad = nll_and_gradient(inst.model, [featureless], l2)
+        _, grad = nll_and_gradient(inst.model, EncodedCorpus.from_sentences([featureless]), l2)
         assert np.array_equal(CrfModel(grad, inst.model.index).emissions,
                               l2 * inst.model.emissions)
 
     def test_error_shrinks_quadratically_in_h(self):
         inst = random_instance(random.Random(1))  # T=5, K=2: non-degenerate
-        analytic = nll_and_gradient(inst.model, [inst.sentence], 1e-2)[1]
-        e_big = gradient_error(analytic,
-                               fd_gradient(inst.model, [inst.sentence], 1e-2, h=1e-3))
-        e_small = gradient_error(analytic,
-                                 fd_gradient(inst.model, [inst.sentence], 1e-2, h=5e-4))
+        batch = EncodedCorpus.from_sentences([inst.sentence])
+        analytic = nll_and_gradient(inst.model, batch, 1e-2)[1]
+        e_big = gradient_error(analytic, fd_gradient(inst.model, batch, 1e-2, h=1e-3))
+        e_small = gradient_error(analytic, fd_gradient(inst.model, batch, 1e-2, h=5e-4))
         assert e_big / e_small == pytest.approx(4.0, rel=0.3)
 
     def test_perturbation_leaves_weights_untouched(self):
         inst = random_instance(random.Random(2))
         before = inst.model.weights.copy()
-        fd_gradient(inst.model, [inst.sentence], 1e-4)
+        fd_gradient(inst.model, EncodedCorpus.from_sentences([inst.sentence]), 1e-4)
         assert np.array_equal(before, inst.model.weights)
 
 
