@@ -8,6 +8,6 @@ from .crf import (CrfModel, TrainConfig, TrainHistory, decode, load_model,
                   sequence_score, train, viterbi, viterbi_batch)
 from .eval import ConfusionMatrix, EvalReport, render_report, score_entities
 from .features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
-                       encode_dataset, extract_attributes)
+                       encode_dataset)
 
 __version__ = "0.1.0"

@@ -147,8 +147,8 @@ def parse_conll(text: str, source_label: str = "",
     the last the tag, and columns between them (such as "_ _" or a language
     id) are ignored.  Blank lines delimit sentences, "# id = ..." lines set
     sentence ids, and other metadata lines are ignored.  With
-    require_tags=False a missing or malformed tag field falls back to "O",
-    which lets the tagger accept raw token-only input.
+    require_tags=False every tag reads as "O", whatever the last column holds,
+    which lets the tagger accept raw token-only input and ignore any tags.
     """
     sentences: list[Sentence] = []
     surfaces: list[str] = []
@@ -176,13 +176,11 @@ def parse_conll(text: str, source_label: str = "",
                 pending_id = found
             continue
 
-        tag = cols[-1] if len(cols) > 1 else None
+        tag = (cols[-1] if len(cols) > 1 else None) if require_tags else "O"
         if tag not in valid_tags:  # so TAG_RE runs once per distinct tag
             if tag is None or not TAG_RE.match(tag):
-                if require_tags:
-                    raise ParseError(f"invalid IOB tag {tag!r}" if tag else
-                                     "fewer columns than required: no tag column", lineno)
-                tag = "O"
+                raise ParseError(f"invalid IOB tag {tag!r}" if tag else
+                                 "fewer columns than required: no tag column", lineno)
             valid_tags.add(tag)
         surfaces.append(cols[0])
         tags.append(tag)
@@ -266,12 +264,11 @@ def induce_tagset(*datasets: Dataset) -> TagSet:
 
 
 def mix_datasets(primary: Dataset, auxiliaries: Sequence[Dataset] = (),
-                 seed: int = 0, shuffle: bool = False,
-                 source_label: str = "mixed") -> Dataset:
+                 seed: int = 0, shuffle: bool = False) -> Dataset:
     """Concatenate datasets, optionally shuffling with a seeded permutation.
 
     No deduplication is performed; every input sentence appears exactly once
-    in the output, tagged with its origin dataset's source label.
+    in the "mixed" output, tagged with its origin dataset's source label.
     """
     sentences = []
     for ds in (primary, *auxiliaries):
@@ -281,4 +278,4 @@ def mix_datasets(primary: Dataset, auxiliaries: Sequence[Dataset] = (),
             sentences.append(s)
     if shuffle:
         random.Random(seed).shuffle(sentences)
-    return Dataset(tuple(sentences), source_label=source_label)
+    return Dataset(tuple(sentences), source_label="mixed")

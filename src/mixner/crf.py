@@ -316,17 +316,15 @@ def train(encoded_train: EncodedCorpus, dev: Dataset, cfg: TrainConfig,
     """
     if not encoded_train or not dev.sentences:
         raise ValueError("empty training or dev set")
-    for si, s in enumerate(dev.sentences):
-        for tag in s.tags:
-            if tag not in index.tag_to_id:
-                raise ValueError(f"dev sentence {si}: tag {tag!r} "
-                                 "is not in the training tag set")
+    try:
+        dev_encoded = encode_dataset(dev, index)
+    except ValueError as exc:  # a dev tag outside the training tag set
+        raise ValueError(f"dev {exc}") from None
 
     model = CrfModel.zeros(index)
     accum = np.zeros_like(model.weights)
     rng = random.Random(cfg.seed)
     order = list(range(len(encoded_train)))
-    dev_encoded = encode_dataset(dev, index)
     gold_spans = [extract_entities(s.tags) for s in dev.sentences]
     tags = index.tagset.tags
 

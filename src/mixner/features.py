@@ -2,10 +2,10 @@
 
 Every position gets a bias plus the current, previous, and next surface
 forms; tag context is handled entirely by the transition weights of the
-model, never by the attributes.
+model, never by the attributes.  One template feeds both build_index and
+encode_dataset, so the two cannot drift apart.
 """
 
-from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, repeat
 from types import MappingProxyType
@@ -13,17 +13,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, TagSet
+from .corpus import Dataset, Sentence, TagSet
 
 BOS = "<BOS>"
 EOS = "<EOS>"
-
-
-def extract_attributes(surfaces: Sequence[str]) -> list[tuple[str, str, str, str]]:
-    """The template for every position of a sentence: bias, w0, w-1 and w+1."""
-    return list(zip(repeat("b"), [f"w0={w}" for w in surfaces],
-                    [f"w-1={w}" for w in (BOS, *surfaces[:-1])],
-                    [f"w+1={w}" for w in (*surfaces[1:], EOS)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,48 +147,59 @@ class EncodedCorpus:
                                         for t in range(lo, hi)), tuple(tags[lo:hi]))
 
 
-def build_index(train: Dataset, tagset: TagSet, min_count: int = 1) -> FeatureIndex:
-    """Count attributes over the training data and keep those seen enough.
+def _template(sentences: Sequence[Sentence]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The template of every token, stated once for the index and the encoder.
 
-    Ids follow first occurrence order, so the index is a deterministic
-    function of the data.
+    Each distinct surface is one type; <BOS> and <EOS> are types 0 and 1, and
+    surfaces spelled the same share them.  Returns the names ("b", then one per
+    (slot, type)), the sentences' token offsets, and the (tokens, 4) matrix of
+    name codes in the listed order b, w0, w-1, w+1.
+    """
+    offsets = _offsets(np.fromiter(map(len, sentences), np.intp, len(sentences)))
+    surfaces = list(chain.from_iterable(s.surfaces for s in sentences))
+    type_of = {w: i for i, w in enumerate(dict.fromkeys(chain((BOS, EOS), surfaces)))}
+    codes = np.zeros((len(surfaces), 4), np.intp)  # types first, then name codes
+    codes[:, 1] = np.fromiter(map(type_of.__getitem__, surfaces), np.intp, len(surfaces))
+    codes[1:, 2], codes[:-1, 3] = codes[:-1, 1], codes[1:, 1]
+    codes[offsets[:-1], 2] = type_of[BOS]
+    codes[offsets[1:] - 1, 3] = type_of[EOS]
+    codes += (0, 1, 1 + len(type_of), 1 + 2 * len(type_of))
+    names = ["b", *(f"w0={w}" for w in type_of), *(f"w-1={w}" for w in type_of),
+             *(f"w+1={w}" for w in type_of)]
+    return names, offsets, codes
+
+
+def build_index(train: Dataset, tagset: TagSet, min_count: int = 1) -> FeatureIndex:
+    """Count attributes over the training data and keep those seen at least
+    max(min_count, 1) times.  Ids follow first occurrence order, so the index
+    is a deterministic function of the data.
     """
     if not train.sentences:
         raise ValueError("empty training set")
-    counts: Counter[str] = Counter()
-    for s in train.sentences:
-        counts.update(chain.from_iterable(extract_attributes(s.surfaces)))
-    return FeatureIndex([a for a, n in counts.items() if n >= min_count], tagset)
+    names, _, codes = _template(train.sentences)
+    flat = codes.ravel()
+    first = np.full(len(names), flat.size, np.intp)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    kept = np.flatnonzero(np.bincount(flat, minlength=len(names)) >= max(min_count, 1))
+    return FeatureIndex([names[c] for c in kept[np.argsort(first[kept])]], tagset)
 
 
 def encode_dataset(ds: Dataset, index: FeatureIndex) -> EncodedCorpus:
     """Map every sentence to attribute ids, silently dropping unknown attributes.
 
-    Each distinct surface is one type, looked up once per template slot;
-    <BOS> and <EOS> are two reserved types (a surface spelled the same way
-    shares one, as it shares the attribute strings).  The (tokens, 4) id
-    matrix of the template comes from array gathers over the types, and a
-    mask drops the unknown ids, keeping the listed order b, w0, w-1, w+1.
+    Each attribute name of the template is looked up once, and the
+    template's (tokens, 4) code matrix gathers the ids; a mask drops the
+    unknown ones, keeping the listed order b, w0, w-1, w+1.
     """
-    sentences = ds.sentences
-    offsets = _offsets(np.fromiter(map(len, sentences), np.intp, len(sentences)))
-    surfaces = list(chain.from_iterable(s.surfaces for s in sentences))
-    type_of = {w: i for i, w in enumerate(dict.fromkeys(chain((BOS, EOS), surfaces)))}
-    lookup = index.attribute_to_id.get
-    by_type = np.array([[lookup(f"w0={w}", -1), lookup(f"w-1={w}", -1),
-                         lookup(f"w+1={w}", -1)] for w in type_of], np.intp)
-    cur = np.fromiter(map(type_of.__getitem__, surfaces), np.intp, len(surfaces))
-    prev, nxt = np.roll(cur, 1), np.roll(cur, -1)
-    prev[offsets[:-1]] = type_of[BOS]
-    nxt[offsets[1:] - 1] = type_of[EOS]
-    ids = np.column_stack((np.full(len(cur), lookup("b", -1), np.intp), by_type[cur, 0],
-                           by_type[prev, 1], by_type[nxt, 2]))
+    names, offsets, ids = _template(ds.sentences)  # name codes, gathered into ids
+    ids = np.fromiter(map(index.attribute_to_id.get, names, repeat(-1)), np.intp,
+                      len(names))[ids]
     known = ids >= 0
-    tags = np.fromiter(map(index.tag_to_id.get, chain.from_iterable(s.tags for s in sentences),
-                           repeat(-1)), np.intp, len(cur))
+    tags = np.fromiter(map(index.tag_to_id.get, chain.from_iterable(s.tags for s in ds.sentences),
+                           repeat(-1)), np.intp, len(ids))
     corpus = EncodedCorpus(ids[known], _offsets(known.sum(axis=1)), tags, offsets)
     if (tags < 0).any():
         si, i = corpus.locate(int(np.argmax(tags < 0)))
         raise ValueError(f"sentence {si}, position {i}: "
-                         f"tag {sentences[si].tags[i]!r} is not in the tag set")
+                         f"tag {ds.sentences[si].tags[i]!r} is not in the tag set")
     return corpus

@@ -5,6 +5,7 @@ import random
 
 from mixner.corpus import Dataset, Sentence
 from mixner.eval import ClassScore, ConfusionMatrix, EvalReport
+from mixner.features import BOS, EOS
 
 CLASSES = ("LOC", "ORG", "PER")
 
@@ -34,6 +35,17 @@ def make_separable_corpus(n_sentences: int, seed: int, label: str = "") -> Datas
                 toks.append((rng.choice(context), "O"))
         sentences.append(Sentence(*zip(*toks)))
     return Dataset(tuple(sentences), source_label=label)
+
+
+def template_reference(surfaces) -> list[tuple[str, str, str, str]]:
+    """The feature template stated per position, as the reference for the
+    encoder: bias, w0, w-1 and w+1, in that order."""
+    out = []
+    for i, w in enumerate(surfaces):
+        prev = surfaces[i - 1] if i > 0 else BOS
+        nxt = surfaces[i + 1] if i + 1 < len(surfaces) else EOS
+        out.append(("b", f"w0={w}", f"w-1={prev}", f"w+1={nxt}"))
+    return out
 
 
 def stray_inside(tags: list[str]) -> list[int]:

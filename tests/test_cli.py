@@ -169,6 +169,25 @@ class TestTagAndEval:
                      "-o", str(pred_path)]) == 0
         assert [len(s) for s in parse_conll(pred_path.read_text())] == [2, 1]
 
+    def test_tag_ignores_tags_outside_the_model(self, tmp_path):
+        """The input's tag column is read as O, so tags the model never saw
+        tag exactly like the token-only form of the same file."""
+        train_path = tmp_path / "train.conll"
+        train_path.write_text("a\tB-X\nb\tO\n\nb\tO\na\tB-X\n")
+        model_path = tmp_path / "model.txt"
+        assert main(["train", "--train", str(train_path), "--dev", str(train_path),
+                     "--epochs", "1", "-o", str(model_path)]) == 0
+        tagged, raw = tmp_path / "tagged.conll", tmp_path / "raw.conll"
+        tagged.write_text("a\tB-NEW\nb\tI-OTHER\n\nb\tX-BAD\n")
+        raw.write_text("a\nb\n\nb\n")
+        outs = []
+        for path in (tagged, raw):
+            out = tmp_path / f"{path.stem}.pred.conll"
+            assert main(["tag", "--model", str(model_path), "--input", str(path),
+                         "-o", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_eval_perfect_prediction(self, corpus_files, capsys):
         code = main(["eval", "--gold", str(corpus_files["cm_dev"]),
                      "--pred", str(corpus_files["cm_dev"])])

@@ -477,7 +477,8 @@ class TestTrain:
         index = build_index(ds, tagset)
         encoded = encode_dataset(ds, index)
         alien = Dataset((Sentence(("x",), ("B-UNSEEN",)),))
-        with pytest.raises(ValueError, match="B-UNSEEN"):
+        with pytest.raises(ValueError,
+                           match="^dev sentence 0, position 0: tag 'B-UNSEEN' "):
             train(encoded, alien, TrainConfig(epochs=1), index)
 
     def test_empty_dev_rejected(self):

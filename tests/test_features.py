@@ -1,51 +1,60 @@
 import re
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import template_reference
 from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset, parse_conll
 from mixner.features import (BOS, EOS, EncodedCorpus, EncodedSentence, FeatureIndex,
-                             build_index, encode_dataset, extract_attributes)
+                             build_index, encode_dataset)
 
 
 def sent(words, tags=None):
     return Sentence(words, tags or ["O"] * len(words))
 
 
+def position_names(ds):
+    """The attribute names encode_dataset gives each position of each sentence,
+    against the index built from the same sentences (so none is unknown)."""
+    index = build_index(ds, induce_tagset(ds))
+    names = index.attributes()
+    return [[tuple(names[a] for a in ids) for ids in s.attr_ids]
+            for s in encode_dataset(ds, index)]
+
+
 class TestExtract:
     def test_interior_position(self, table1_text):
-        s = parse_conll(table1_text).sentences[0]
-        assert set(extract_attributes(s.surfaces)[1]) == {"b", "w0=this", "w-1=hameM",
-                                                          "w+1=magic"}
+        assert set(position_names(parse_conll(table1_text))[0][1]) == {
+            "b", "w0=this", "w-1=hameM", "w+1=magic"}
 
     def test_single_token_sentence(self):
-        assert extract_attributes(("x",)) == [("b", "w0=x", "w-1=<BOS>", "w+1=<EOS>")]
+        assert position_names(Dataset((sent(["x"]),))) == [
+            [("b", "w0=x", "w-1=<BOS>", "w+1=<EOS>")]]
 
     def test_table2_dig(self, table2_text):
-        s = parse_conll(table2_text).sentences[1]
-        assert set(extract_attributes(s.surfaces)[3]) == {"b", "w0=dig", "w-1=is",
-                                                          "w+1=me"}
+        assert set(position_names(parse_conll(table2_text))[1][3]) == {
+            "b", "w0=dig", "w-1=is", "w+1=me"}
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
     def test_exactly_four_attributes(self, table1_text, i):
-        s = parse_conll(table1_text).sentences[0]
-        assert len(extract_attributes(s.surfaces)) == len(s)
-        assert len(extract_attributes(s.surfaces)[i]) == 4
+        ds = parse_conll(table1_text)
+        names = position_names(ds)[0]
+        assert len(names) == len(ds.sentences[0])
+        assert len(names[i]) == 4
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=8))
-def test_template_matches_per_position_reference(words):
-    """The whole-sentence template equals, position by position and in
-    order, the bias, w0, w-1 and w+1 of a per-position loop."""
-    def reference(i):
-        prev = words[i - 1] if i > 0 else BOS
-        nxt = words[i + 1] if i + 1 < len(words) else EOS
-        return ("b", f"w0={words[i]}", f"w-1={prev}", f"w+1={nxt}")
-
-    assert extract_attributes(words) == [reference(i) for i in range(len(words))]
+@given(st.lists(st.lists(st.text(min_size=1, max_size=3).filter(
+    lambda w: not re.search(r"\s", w)), min_size=1, max_size=8), min_size=1, max_size=4))
+def test_template_matches_per_position_reference(sentences):
+    """Across sentence boundaries, every position gets, in order, the bias,
+    w0, w-1 and w+1 of the per-position reference."""
+    ds = Dataset(tuple(sent(words) for words in sentences))
+    assert position_names(ds) == [template_reference(words) for words in sentences]
 
 
 class TestBuildIndex:
@@ -133,7 +142,7 @@ def naive_encode(ds, index):
                 raise ValueError(f"sentence {si}, position {i}: tag {tag!r}")
         attr_ids = tuple(tuple(index.attribute_to_id[a] for a in attrs
                                if index.attribute_to_id.get(a) is not None)
-                         for attrs in extract_attributes(s.surfaces))
+                         for attrs in template_reference(s.surfaces))
         out.append(EncodedSentence(attr_ids, tuple(index.tag_to_id[t] for t in s.tags)))
     return out
 
@@ -152,9 +161,13 @@ def datasets(words):
 
 @settings(max_examples=200, deadline=None)
 @given(datasets(st.sampled_from([BOS, EOS, "b", "x", "y"])).filter(len), datasets(WORDS),
-       st.integers(1, 4))
+       st.integers(-1, 4))
 def test_encode_matches_per_position_reference_property(train, ds, min_count):
     index = build_index(train, induce_tagset(train), min_count)
+    # The index keeps what a count over the reference keeps, in first-seen order.
+    counts = Counter(chain.from_iterable(chain.from_iterable(
+        template_reference(s.surfaces) for s in train)))
+    assert index.attributes() == [a for a, n in counts.items() if n >= min_count]
     try:
         expected = naive_encode(ds, index)
     except ValueError as exc:  # a tag outside the training tag set
