@@ -20,7 +20,7 @@ DEFAULT_SEED = 42
 
 def _read_dataset(path: str, require_tags: bool = True) -> Dataset:
     text = Path(path).read_text(encoding="utf-8")
-    return parse_conll(text, source_label=Path(path).stem, require_tags=require_tags)
+    return parse_conll(text, require_tags=require_tags)
 
 
 def cmd_mix(args) -> int:
@@ -29,8 +29,8 @@ def cmd_mix(args) -> int:
     auxiliaries = [_read_dataset(p) for p in args.aux]
     mixed = mix_datasets(primary, auxiliaries, seed=args.seed, shuffle=args.shuffle)
     Path(args.out).write_text(write_conll(mixed), encoding="utf-8")
-    for ds in (primary, *auxiliaries):
-        print(f"{ds.source_label}: {len(ds)} sentences")
+    for path, ds in zip((args.primary, *args.aux), (primary, *auxiliaries)):
+        print(f"{Path(path).stem}: {len(ds)} sentences")
     print(f"total: {len(mixed)} sentences")
     return 0
 
@@ -120,13 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a CRF tagger")
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--patience", type=int, default=4)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=1e-4)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--l2", type=float, default=TrainConfig.l2)
     p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("-o", "--out", required=True, help="model output path")
     p.set_defaults(func=cmd_train)
 

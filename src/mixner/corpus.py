@@ -36,12 +36,11 @@ class Token(NamedTuple):
 @dataclass(frozen=True)
 class Sentence:
     """A non-empty sentence as two aligned columns, surface forms and IOB2
-    tags, with an optional id and origin."""
+    tags, with an optional id: exactly what one CoNLL block holds."""
 
     surfaces: tuple[str, ...]
     tags: tuple[str, ...]
     id: str | None = None
-    source: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
@@ -73,10 +72,9 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered collection of sentences from one source (or a mix)."""
+    """An ordered collection of sentences: exactly what a CoNLL file holds."""
 
     sentences: tuple[Sentence, ...] = ()
-    source_label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "sentences", tuple(self.sentences))
@@ -139,8 +137,7 @@ def _metadata_id(line: str) -> str | None:
     return None
 
 
-def parse_conll(text: str, source_label: str = "",
-                require_tags: bool = True) -> Dataset:
+def parse_conll(text: str, require_tags: bool = True) -> Dataset:
     """Parse a CoNLL-style document into a Dataset.
 
     Token lines are split on whitespace: the first column is the token and
@@ -159,8 +156,7 @@ def parse_conll(text: str, source_label: str = "",
     def flush():
         nonlocal pending_id
         if surfaces:
-            sentences.append(Sentence(tuple(surfaces), tuple(tags), pending_id,
-                                      source_label or None))
+            sentences.append(Sentence(tuple(surfaces), tuple(tags), pending_id))
             surfaces.clear()
             tags.clear()
             pending_id = None
@@ -186,7 +182,7 @@ def parse_conll(text: str, source_label: str = "",
         tags.append(tag)
 
     flush()
-    return Dataset(tuple(sentences), source_label=source_label)
+    return Dataset(tuple(sentences))
 
 
 def write_conll(ds: Dataset) -> str:
@@ -246,17 +242,14 @@ def validate_iob(ds: Dataset) -> Dataset:
     for s in ds.sentences:
         tags = tuple(spans_to_tags(extract_entities(s.tags), len(s)))
         fixed.append(s if tags == s.tags else replace(s, tags=tags))
-    return Dataset(tuple(fixed), source_label=ds.source_label)
+    return Dataset(tuple(fixed))
 
 
-def induce_tagset(*datasets: Dataset) -> TagSet:
+def induce_tagset(ds: Dataset) -> TagSet:
     """Collect every observed tag, close under B-X for each I-X, add "O"."""
-    if not datasets:
-        raise ValueError("at least one dataset is required")
     observed = {"O"}
-    for ds in datasets:
-        for s in ds.sentences:
-            observed.update(s.tags)
+    for s in ds.sentences:
+        observed.update(s.tags)
     for tag in list(observed):
         if tag.startswith("I-"):
             observed.add("B-" + tag[2:])
@@ -268,14 +261,9 @@ def mix_datasets(primary: Dataset, auxiliaries: Sequence[Dataset] = (),
     """Concatenate datasets, optionally shuffling with a seeded permutation.
 
     No deduplication is performed; every input sentence appears exactly once
-    in the "mixed" output, tagged with its origin dataset's source label.
+    in the output.
     """
-    sentences = []
-    for ds in (primary, *auxiliaries):
-        for s in ds.sentences:
-            if s.source is None and ds.source_label:
-                s = replace(s, source=ds.source_label)
-            sentences.append(s)
+    sentences = [s for ds in (primary, *auxiliaries) for s in ds.sentences]
     if shuffle:
         random.Random(seed).shuffle(sentences)
-    return Dataset(tuple(sentences), source_label="mixed")
+    return Dataset(tuple(sentences))

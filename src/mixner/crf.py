@@ -263,7 +263,7 @@ def decode(model: CrfModel, dataset: Dataset, encoded: EncodedCorpus) -> Dataset
         raise ValueError("encoded sentences do not match the dataset")
     tags = model.tagset.tags
     return Dataset(tuple(
-        Sentence(s.surfaces, tuple(map(tags.__getitem__, path)), s.id, s.source)
+        Sentence(s.surfaces, tuple(map(tags.__getitem__, path)), s.id)
         for s, path in zip(dataset.sentences, _decode_paths(model, encoded))))
 
 

@@ -171,16 +171,18 @@ def _template(sentences: Sequence[Sentence]) -> tuple[list[str], np.ndarray, np.
 
 def build_index(train: Dataset, tagset: TagSet, min_count: int = 1) -> FeatureIndex:
     """Count attributes over the training data and keep those seen at least
-    max(min_count, 1) times.  Ids follow first occurrence order, so the index
+    min_count (>= 1) times.  Ids follow first occurrence order, so the index
     is a deterministic function of the data.
     """
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
     if not train.sentences:
         raise ValueError("empty training set")
     names, _, codes = _template(train.sentences)
     flat = codes.ravel()
     first = np.full(len(names), flat.size, np.intp)
     np.minimum.at(first, flat, np.arange(flat.size))
-    kept = np.flatnonzero(np.bincount(flat, minlength=len(names)) >= max(min_count, 1))
+    kept = np.flatnonzero(np.bincount(flat, minlength=len(names)) >= min_count)
     return FeatureIndex([names[c] for c in kept[np.argsort(first[kept])]], tagset)
 
 

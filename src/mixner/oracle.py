@@ -19,6 +19,11 @@ from .crf import CrfModel, nll_and_gradient
 from .features import EncodedCorpus, EncodedSentence, FeatureIndex
 
 MAX_SEQUENCES = 4096
+# The verification gates: agreement with enumeration (logZ, Viterbi score,
+# marginals), agreement with finite differences, and the difference step.
+TOL = 1e-9
+GRAD_TOL = 1e-4
+FD_STEP = 1e-5
 
 # Valid tag inventories for 1..4 tags ("O" first, rest sorted, I- closed).
 _TINY_TAGS = ("O", "B-X", "B-Y", "I-X")
@@ -94,7 +99,7 @@ def enumerate_marginals(inst: TinyInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fd_gradient(model: CrfModel, batch: EncodedCorpus, l2: float = 0.0,
-                h: float = 1e-5) -> np.ndarray:
+                h: float = FD_STEP) -> np.ndarray:
     """Central finite differences of the regularized NLL, one coordinate of
     the weight vector at a time: (f(w + h) - f(w - h)) / (2h)."""
     w = model.weights
@@ -163,8 +168,7 @@ class CheckResult:
         return self.failed == 0
 
 
-def run_verification(trials: int, seed: int, tol: float = 1e-9,
-                     grad_tol: float = 1e-4, h: float = 1e-5) -> list[CheckResult]:
+def run_verification(trials: int, seed: int) -> list[CheckResult]:
     """Compare the fast implementations against the oracles on random tiny
     instances; returns one result per check (logZ, viterbi, marginals,
     gradient), keeping the first failing instance for reproduction."""
@@ -191,15 +195,15 @@ def run_verification(trials: int, seed: int, tol: float = 1e-9,
         model, enc = inst.model, inst.sentence
 
         diff = abs(crf.log_partition(model, enc) - enumerate_logZ(inst))
-        record("logZ", diff <= tol, inst, f"trial {trial}: logZ differs by {diff:.3e}")
+        record("logZ", diff <= TOL, inst, f"trial {trial}: logZ differs by {diff:.3e}")
 
         path, score = crf.viterbi(model, enc)
         ref_path, ref_score = enumerate_best(inst)
-        # Another path passes only if it rescores to within tol of the best:
+        # Another path passes only if it rescores to within TOL of the best:
         # then two optima tie to within rounding, and summation order picks one.
         same = (path == ref_path
-                or abs(naive_sequence_score(model, enc, path) - ref_score) <= tol)
-        ok = abs(score - ref_score) <= tol and same
+                or abs(naive_sequence_score(model, enc, path) - ref_score) <= TOL)
+        ok = abs(score - ref_score) <= TOL and same
         record("viterbi", ok, inst,
                f"trial {trial}: viterbi {path} ({score!r}) vs {ref_path} ({ref_score!r})")
 
@@ -207,14 +211,14 @@ def run_verification(trials: int, seed: int, tol: float = 1e-9,
         ref_node, ref_edge = enumerate_marginals(inst)
         diff = max(float(np.max(np.abs(node - ref_node))),
                    float(np.max(np.abs(edge - ref_edge))) if edge.size else 0.0)
-        record("marginals", diff <= tol, inst,
+        record("marginals", diff <= TOL, inst,
                f"trial {trial}: marginal differs by {diff:.3e}")
 
         l2 = l2_cycle[trial % len(l2_cycle)]
         batch = EncodedCorpus.from_sentences([enc])
         analytic = nll_and_gradient(model, batch, l2)[1]
-        err = gradient_error(analytic, fd_gradient(model, batch, l2, h))
-        record("gradient", err <= grad_tol, inst,
+        err = gradient_error(analytic, fd_gradient(model, batch, l2))
+        record("gradient", err <= GRAD_TOL, inst,
                f"trial {trial}: gradient relative error {err:.3e} (l2={l2})")
 
     return list(results.values())

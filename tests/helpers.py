@@ -1,4 +1,4 @@
-"""Shared test utilities: synthetic corpora and content comparison."""
+"""Shared test utilities: synthetic corpora and reference statements."""
 
 import json
 import random
@@ -10,7 +10,7 @@ from mixner.features import BOS, EOS
 CLASSES = ("LOC", "ORG", "PER")
 
 
-def make_separable_corpus(n_sentences: int, seed: int, label: str = "") -> Dataset:
+def make_separable_corpus(n_sentences: int, seed: int) -> Dataset:
     """A corpus where the surface form alone determines the tag.
 
     Begin, inside, and context tokens are drawn from three disjoint
@@ -34,7 +34,7 @@ def make_separable_corpus(n_sentences: int, seed: int, label: str = "") -> Datas
             else:
                 toks.append((rng.choice(context), "O"))
         sentences.append(Sentence(*zip(*toks)))
-    return Dataset(tuple(sentences), source_label=label)
+    return Dataset(tuple(sentences))
 
 
 def template_reference(surfaces) -> list[tuple[str, str, str, str]]:
@@ -52,11 +52,6 @@ def stray_inside(tags: list[str]) -> list[int]:
     """Positions of I-X tags that do not continue an X span."""
     return [i for i, tag in enumerate(tags) if tag.startswith("I-") and (
         i == 0 or tags[i - 1] not in ("B-" + tag[2:], tag))]
-
-
-def content(ds: Dataset) -> list:
-    """The identity-relevant part of a dataset: ids, surfaces, and tags."""
-    return [(s.id, s.surfaces, s.tags) for s in ds.sentences]
 
 
 def report_from_json(text: str) -> EvalReport:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import content, make_separable_corpus, stray_inside
+from helpers import make_separable_corpus, stray_inside
 from mixner.cli import main
 from mixner.corpus import (Dataset, Sentence, induce_tagset,
                            mix_datasets, parse_conll, validate_iob,
@@ -108,9 +108,9 @@ def test_synthetic_end_to_end(tmp_path):
 
 @gate("dataset mixing is additive, seeded, and identity without extras")
 def test_mixing_mechanics():
-    primary = make_separable_corpus(40, 1, "primary")
-    extra_a = make_separable_corpus(25, 2, "extra-a")
-    extra_b = make_separable_corpus(15, 3, "extra-b")
+    primary = make_separable_corpus(40, 1)
+    extra_a = make_separable_corpus(25, 2)
+    extra_b = make_separable_corpus(15, 3)
 
     mixed = mix_datasets(primary, (extra_a, extra_b))
     assert len(mixed) == len(primary) + len(extra_a) + len(extra_b)
@@ -129,14 +129,14 @@ def test_corpus_round_trip(table1_text, table2_text, multiconer_text):
         first = parse_conll(text)
         canon = write_conll(first)
         second = parse_conll(canon)
-        assert content(second) == content(first)
+        assert second == first
         assert write_conll(second) == canon
 
     broken = parse_conll("a\tI-X\nb\tI-X\n\nc\tO\nd\tI-Y\n")
     repaired = validate_iob(broken)
     assert [s.tags for s in repaired] == [("B-X", "I-X"), ("O", "B-Y")]
     assert all(stray_inside(s.tags) == [] for s in repaired)
-    assert content(validate_iob(repaired)) == content(repaired)
+    assert validate_iob(repaired) == repaired
 
 
 @gate("metrics hit their hand-computed values exactly")
@@ -184,7 +184,7 @@ def test_two_sequence_experiment_grid(tmp_path, capsys):
     for name, n, seed in [("cm_train", 60, 31), ("cm_dev", 20, 32),
                           ("ml_train", 30, 33)]:
         p = tmp_path / f"{name}.conll"
-        p.write_text(write_conll(make_separable_corpus(n, seed, name)),
+        p.write_text(write_conll(make_separable_corpus(n, seed)),
                      encoding="utf-8")
         files[name] = p
     without = run_sequence(tmp_path, "without", files["cm_train"],

@@ -1,11 +1,12 @@
+import dataclasses
 import re
 
 import pytest
 
-from helpers import content, make_separable_corpus
-from mixner.cli import main
+from helpers import make_separable_corpus
+from mixner.cli import build_parser, main
 from mixner.corpus import Sentence, induce_tagset, parse_conll, write_conll
-from mixner.crf import CrfModel, save_model
+from mixner.crf import CrfModel, TrainConfig, save_model
 from mixner.features import build_index
 
 
@@ -14,7 +15,7 @@ def corpus_files(tmp_path):
     paths = {}
     for name, n, seed in [("cm_train", 80, 11), ("cm_dev", 30, 12),
                           ("ml_train", 40, 13)]:
-        ds = make_separable_corpus(n, seed, name.replace("_", "-"))
+        ds = make_separable_corpus(n, seed)
         p = tmp_path / f"{name}.conll"
         p.write_text(write_conll(ds), encoding="utf-8")
         paths[name] = p
@@ -39,7 +40,7 @@ class TestMix:
         assert main(["mix", "--primary", str(corpus_files["cm_train"]),
                      "-o", str(out)]) == 0
         original = parse_conll(corpus_files["cm_train"].read_text())
-        assert content(parse_conll(out.read_text())) == content(original)
+        assert parse_conll(out.read_text()) == original
 
     def test_same_seed_byte_identical(self, corpus_files, tmp_path):
         outs = []
@@ -116,6 +117,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert name in err and value in err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_min_count_below_one_exits_2(self, corpus_files, tmp_path, capsys, value):
+        code, model_path = self.run_train(corpus_files, tmp_path, "--min-count", value)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: min_count must be >= 1, got {value}\n"
+        assert not model_path.exists()
+
+    def test_setting_flags_default_to_train_config(self):
+        args = build_parser().parse_args(["train", "--train", "t", "--dev", "d", "-o", "m"])
+        flag_of = {"epochs": "epochs", "batch_size": "batch", "patience": "patience",
+                   "learning_rate": "lr", "l2": "l2", "seed": "seed"}
+        assert ({field: getattr(args, flag) for field, flag in flag_of.items()}
+                == dataclasses.asdict(TrainConfig()))
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_loss_exits_2(self, corpus_files, tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import content, stray_inside
+from helpers import stray_inside
 from mixner.corpus import (Dataset, ParseError, Sentence, TagSet, Token,
                            extract_entities, induce_tagset, mix_datasets,
                            parse_conll, validate_iob, write_conll)
@@ -90,12 +90,12 @@ class TestParse:
 class TestWrite:
     def test_round_trip_table1(self, table1_text):
         ds = parse_conll(table1_text)
-        assert content(parse_conll(write_conll(ds))) == content(ds)
+        assert parse_conll(write_conll(ds)) == ds
 
     def test_round_trip_multiconer(self, multiconer_text):
         ds = parse_conll(multiconer_text)
         again = parse_conll(write_conll(ds))
-        assert content(again) == content(ds)
+        assert again == ds
 
     def test_empty_dataset(self):
         assert write_conll(Dataset()) == ""
@@ -136,7 +136,7 @@ class TestIob:
     def test_repair_idempotent(self):
         ds = Dataset((sent([("a", "I-X"), ("b", "O"), ("c", "I-Y")]),))
         once = validate_iob(ds)
-        assert content(validate_iob(once)) == content(once)
+        assert validate_iob(once) == once
         assert stray_inside(once.sentences[0].tags) == []
 
 
@@ -166,40 +166,35 @@ class TestTagset:
 
 
 class TestMix:
-    def make(self, n, prefix, label):
-        return Dataset(tuple(sent([(f"{prefix}{i}", "O")]) for i in range(n)),
-                       source_label=label)
+    def make(self, n, prefix):
+        return Dataset(tuple(sent([(f"{prefix}{i}", "O")]) for i in range(n)))
 
     def test_size_additivity(self):
-        mixed = mix_datasets(self.make(3, "a", "cm"),
-                             [self.make(2, "b", "ml"), self.make(1, "c", "xx")])
+        mixed = mix_datasets(self.make(3, "a"),
+                             [self.make(2, "b"), self.make(1, "c")])
         assert len(mixed) == 6
 
     def test_identity_without_shuffle(self):
-        ds = self.make(4, "a", "cm")
+        ds = self.make(4, "a")
         mixed = mix_datasets(ds)
         assert [s.surfaces for s in mixed] == [s.surfaces for s in ds]
 
-    def test_source_preserved(self):
-        mixed = mix_datasets(self.make(1, "a", "cm"), [self.make(1, "b", "ml")])
-        assert [s.source for s in mixed] == ["cm", "ml"]
-
     def test_shuffle_is_permutation(self):
-        mixed = mix_datasets(self.make(5, "a", "cm"), [self.make(5, "b", "ml")],
+        mixed = mix_datasets(self.make(5, "a"), [self.make(5, "b")],
                              seed=3, shuffle=True)
         assert sorted(s.surfaces[0] for s in mixed) == sorted(
             f"{p}{i}" for p in "ab" for i in range(5))
 
     def test_same_seed_same_bytes(self):
-        a = self.make(6, "a", "cm")
-        b = self.make(6, "b", "ml")
+        a = self.make(6, "a")
+        b = self.make(6, "b")
         one = write_conll(mix_datasets(a, [b], seed=13, shuffle=True))
         two = write_conll(mix_datasets(a, [b], seed=13, shuffle=True))
         assert one == two
 
     def test_different_seed_usually_differs(self):
-        a = self.make(8, "a", "cm")
-        b = self.make(8, "b", "ml")
+        a = self.make(8, "a")
+        b = self.make(8, "b")
         one = write_conll(mix_datasets(a, [b], seed=1, shuffle=True))
         two = write_conll(mix_datasets(a, [b], seed=2, shuffle=True))
         assert one != two
@@ -238,7 +233,7 @@ datasets = st.builds(lambda ss: Dataset(tuple(ss)),
 @settings(max_examples=60, deadline=None)
 @given(datasets)
 def test_round_trip_property(ds):
-    assert content(parse_conll(write_conll(ds))) == content(ds)
+    assert parse_conll(write_conll(ds)) == ds
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,7 +243,7 @@ def test_repair_idempotent_property(tags):
     ds = Dataset((sent([(f"w{i}", t) for i, t in enumerate(tags)]),))
     once = validate_iob(ds)
     assert stray_inside(once.sentences[0].tags) == []
-    assert content(validate_iob(once)) == content(once)
+    assert validate_iob(once) == once
     assert extract_entities(once.sentences[0].tags) == extract_entities(tags)
 
 
@@ -267,6 +262,14 @@ any_datasets = st.builds(lambda ss: Dataset(tuple(ss)), st.lists(any_sentences, 
 @given(any_datasets)
 def test_parse_write_is_identity_property(ds):
     assert parse_conll(write_conll(ds)) == ds
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_datasets, any_datasets, st.integers(0, 2**32), st.booleans())
+def test_mixed_dataset_round_trips_property(a, b, seed, shuffle):
+    # A mixed dataset is a dataset like any other: its file holds all of it.
+    mixed = mix_datasets(a, [b], seed=seed, shuffle=shuffle)
+    assert parse_conll(write_conll(mixed)) == mixed
 
 
 # The Sentence contract: two aligned, non-empty columns, checked once on
