@@ -1,8 +1,7 @@
 """Code-mixed NER toolkit: corpus handling, CRF tagging, evaluation."""
 
-from .corpus import (Dataset, EntitySpan, ParseError, Sentence, TagSet, Token,
-                     extract_entities, induce_tagset, mix_datasets, parse_conll,
-                     spans_to_tags, validate_iob, write_conll)
+from .corpus import (Dataset, ParseError, Sentence, TagSet, Token, induce_tagset,
+                     mix_datasets, parse_conll, validate_iob, write_conll)
 from .crf import (CrfModel, TrainConfig, TrainHistory, decode, load_model,
                   log_partition, marginals, nll_and_gradient, save_model,
                   sequence_score, train, viterbi, viterbi_batch)

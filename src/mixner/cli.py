@@ -19,7 +19,7 @@ DEFAULT_SEED = 42
 
 
 def _read_dataset(path: str, require_tags: bool = True) -> Dataset:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # drops a byte-order mark
     return parse_conll(text, require_tags=require_tags)
 
 

@@ -5,12 +5,18 @@ first whitespace-separated column and the tag in the last, a blank line
 between sentences, and lines starting with "# " treated as metadata.  Datasets
 are plain immutable value objects so they can be shared freely between
 pipeline stages.
+
+The IOB2 span rule is stated once, in _spans, over flat tag-id arrays;
+validate_iob, eval and train's dev scoring all read spans through it.
 """
 
 import random
 import re
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 TAG_RE = re.compile(r"(?:O|[BI]-\S+)\Z")
 _WS_RE = re.compile(r"\s")
@@ -109,15 +115,6 @@ class TagSet:
         return len(self.tags)
 
 
-@dataclass(frozen=True)
-class EntitySpan:
-    """One entity occurrence: class label plus inclusive token positions."""
-
-    label: str
-    start: int
-    end: int
-
-
 def _is_metadata(line: str) -> bool:
     # Only "#" alone or "# ..." with a literal space is metadata.  Surfaces
     # such as "#hashtag" or a bare "#" token must stay data lines: the writer
@@ -197,52 +194,60 @@ def write_conll(ds: Dataset) -> str:
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
-def extract_entities(tags: Sequence[str]) -> list[EntitySpan]:
-    """Read entity spans off an IOB2 tag sequence.
-
-    B-X opens a span, and so does a stray I-X (one that does not continue an
-    X span); I-X continues the open X span.  Raises ValueError on tags that
-    are not O, B-X or I-X.
-    """
-    spans: list[EntitySpan] = []
-    open_label: str | None = None
-    open_start = 0
-    for i, tag in enumerate(tags):
-        if tag != "O" and tag[:2] not in ("B-", "I-"):
-            raise ValueError(f"invalid tag {tag!r} at position {i}")
-        if tag[:2] == "I-" and tag[2:] == open_label:
-            continue
-        if open_label is not None:
-            spans.append(EntitySpan(open_label, open_start, i - 1))
-        open_label, open_start = (None if tag == "O" else tag[2:]), i
-    if open_label is not None:
-        spans.append(EntitySpan(open_label, open_start, len(tags) - 1))
-    return spans
+def _offsets(counts) -> np.ndarray:
+    """CSR offsets of consecutive runs of the given sizes: 0, then the running sum."""
+    out = np.zeros(len(counts) + 1, np.intp)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
-def spans_to_tags(spans: Sequence[EntitySpan], length: int) -> list[str]:
-    """Inverse of extract_entities for non-overlapping, in-bounds spans."""
-    tags = ["O"] * length
-    last_end = -1
-    for sp in sorted(spans, key=lambda s: s.start):
-        if sp.start <= last_end or not 0 <= sp.start <= sp.end < length:
-            raise ValueError(f"span {sp} overlaps or is out of bounds")
-        tags[sp.start] = "B-" + sp.label
-        for i in range(sp.start + 1, sp.end + 1):
-            tags[i] = "I-" + sp.label
-        last_end = sp.end
-    return tags
+def _tag_ids(*datasets: Dataset) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+    """The sorted tag names the datasets hold, the first one's sentence
+    offsets, and each one's tags as one flat array of ids into the names."""
+    flat = [list(chain.from_iterable(s.tags for s in ds.sentences)) for ds in datasets]
+    names = sorted(set().union(*flat))
+    pos = {t: k for k, t in enumerate(names)}
+    ids = [np.fromiter(map(pos.__getitem__, f), np.intp, len(f)) for f in flat]
+    return names, _offsets(np.fromiter(map(len, datasets[0]), np.intp, len(datasets[0]))), ids
+
+
+def _tag_classes(names: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The sorted classes of IOB2 tag names, and per tag id its class id (-1
+    for O) and whether it is a B- tag."""
+    classes = sorted({t[2:] for t in names if t != "O"})
+    cls = np.array([classes.index(t[2:]) if t != "O" else -1 for t in names], np.intp)
+    return classes, cls, np.array([t[:2] == "B-" for t in names], bool)
+
+
+def _spans(ids: np.ndarray, offsets: np.ndarray, cls: np.ndarray,
+           is_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The IOB2 span rule over flat tag ids, sentence s being ids[offsets[s]:
+    offsets[s + 1]]: a token continues the span before it when it is I-X, is
+    not first in its sentence and follows a token of class X; every other
+    non-O token starts a span.  Returns the spans' first and last positions
+    and class ids."""
+    c = cls[ids]
+    cont = np.zeros(len(ids) + 1, bool)  # a last False ends the final span
+    cont[1:-1] = (c[1:] >= 0) & ~is_b[ids[1:]] & (c[1:] == c[:-1])
+    cont[offsets[:-1]] = False
+    starts = np.flatnonzero((c >= 0) & ~cont[:-1])
+    return starts, np.flatnonzero((c >= 0) & ~cont[1:]), c[starts]
 
 
 def validate_iob(ds: Dataset) -> Dataset:
     """Rewrite every stray I-X to B-X, so the tags spell out the spans that
-    extract_entities reads.  Idempotent; never changes a span's class, and
-    sentences that need no change are kept as they are."""
-    fixed = []
-    for s in ds.sentences:
-        tags = tuple(spans_to_tags(extract_entities(s.tags), len(s)))
-        fixed.append(s if tags == s.tags else replace(s, tags=tags))
-    return Dataset(tuple(fixed))
+    _spans reads.  Idempotent; never changes a span's class.  Only sentences
+    that change are rebuilt; the others are kept as the same objects."""
+    names, offsets, (ids,) = _tag_ids(ds)
+    _, cls, is_b = _tag_classes(names)
+    starts = _spans(ids, offsets, cls, is_b)[0]
+    fix = np.zeros(len(ids), bool)
+    fix[starts] = ~is_b[ids[starts]]
+    sentences = list(ds.sentences)
+    for si in np.unique(np.searchsorted(offsets, np.flatnonzero(fix), "right") - 1).tolist():
+        s, f = sentences[si], fix[offsets[si]:offsets[si + 1]].tolist()
+        sentences[si] = replace(s, tags=tuple("B" + t[1:] if b else t for t, b in zip(s.tags, f)))
+    return Dataset(tuple(sentences))
 
 
 def induce_tagset(ds: Dataset) -> TagSet:

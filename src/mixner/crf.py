@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, Sentence, TagSet, extract_entities
+from .corpus import Dataset, Sentence, TagSet
 from .eval import _class_scores, _span_counts
 from .features import EncodedCorpus, EncodedSentence, FeatureIndex, encode_dataset
 
@@ -222,9 +222,9 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     return loss, grad
 
 
-def viterbi_batch(model: CrfModel, batch: EncodedCorpus) -> list[tuple[list[int], float]]:
-    """Best tag sequence and its score for every sentence, in input order; ties
-    go to the lower tag id at each backtracking step (argmax takes the first)."""
+def _best_paths(model: CrfModel, batch: EncodedCorpus) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's tag on its sentence's best path, aligned with batch.tags,
+    and each sentence's best score; ties go to the lower tag id (argmax)."""
     back = []  # per step: best previous tag for each active sentence and tag
 
     def best(cand, axis):  # the max is read at the argmax, one pass over cand
@@ -235,14 +235,20 @@ def viterbi_batch(model: CrfModel, batch: EncodedCorpus) -> list[tuple[list[int]
     p = _Packed(model, batch)
     final = _forward(model, p, best)[p.last] + model.end
     cur = np.argmax(final, axis=1)
-    scores = final[np.arange(p.b), cur].tolist()
+    scores = final[np.arange(p.b), cur][p.rank]
     tags = np.empty(p.n, np.intp)
     for (lo, size, _), ptr in zip(reversed(p.steps), reversed(back)):
         tags[lo:lo + size] = cur[:size]
         cur[:size] = ptr[np.arange(size), cur[:size]]
     tags[:p.b] = cur
-    paths = np.split(tags[p.rows], np.cumsum(p.lengths)[:-1])
-    return [(path.tolist(), scores[r]) for path, r in zip(paths, p.rank)]
+    return tags[p.rows], scores
+
+
+def viterbi_batch(model: CrfModel, batch: EncodedCorpus) -> list[tuple[list[int], float]]:
+    """Best tag sequence and its score for every sentence, in input order."""
+    tags, scores = _best_paths(model, batch)
+    return list(zip((path.tolist() for path in np.split(tags, batch.offsets[1:-1])),
+                    scores.tolist()))
 
 
 def viterbi(model: CrfModel, enc: EncodedSentence) -> tuple[list[int], float]:
@@ -250,21 +256,27 @@ def viterbi(model: CrfModel, enc: EncodedSentence) -> tuple[list[int], float]:
     return viterbi_batch(model, _one(enc))[0]
 
 
-def _decode_paths(model: CrfModel, encoded: EncodedCorpus) -> list[list[int]]:
-    """The best tag-id path of every sentence, DECODE_CHUNK sentences per
-    packed call so working memory does not grow with the dataset."""
-    return [path for lo in range(0, len(encoded), DECODE_CHUNK)
-            for path, _ in viterbi_batch(model, encoded[lo:lo + DECODE_CHUNK])]
+def _decode_paths(model: CrfModel, encoded: EncodedCorpus) -> np.ndarray:
+    """The best tag id of every token, aligned with encoded.tags; decoding
+    DECODE_CHUNK sentences per packed call keeps working memory flat."""
+    return np.concatenate([np.empty(0, np.intp)] + [
+        _best_paths(model, encoded[lo:lo + DECODE_CHUNK])[0]
+        for lo in range(0, len(encoded), DECODE_CHUNK)])
 
 
 def decode(model: CrfModel, dataset: Dataset, encoded: EncodedCorpus) -> Dataset:
-    """Viterbi-tag every sentence: _decode_paths wrapped into sentences."""
+    """Viterbi-tag every sentence: _decode_paths cut at the sentence offsets."""
     if len(encoded) != len(dataset):
         raise ValueError("encoded sentences do not match the dataset")
-    tags = model.tagset.tags
-    return Dataset(tuple(
-        Sentence(s.surfaces, tuple(map(tags.__getitem__, path)), s.id)
-        for s, path in zip(dataset.sentences, _decode_paths(model, encoded))))
+    differ = encoded.lengths != np.fromiter(map(len, dataset.sentences), np.intp, len(dataset))
+    if differ.any():
+        si = int(np.argmax(differ))
+        raise ValueError(f"sentence {si}: {encoded.lengths[si]} encoded tokens, "
+                         f"{len(dataset.sentences[si])} in the dataset")
+    tags = list(map(model.tagset.tags.__getitem__, _decode_paths(model, encoded).tolist()))
+    bounds = encoded.offsets.tolist()
+    return Dataset(tuple(Sentence(s.surfaces, tuple(tags[lo:hi]), s.id)
+                         for s, lo, hi in zip(dataset.sentences, bounds, bounds[1:])))
 
 
 @dataclass(frozen=True)
@@ -305,14 +317,14 @@ def train(encoded_train: EncodedCorpus, dev: Dataset, cfg: TrainConfig,
           index: FeatureIndex) -> tuple[CrfModel, TrainHistory]:
     """Fit a CRF by mini-batch AdaGrad with early stopping on dev entity F1.
 
-    Weights start at zero.  After every epoch the dev set is decoded to tag
-    ids and scored against its gold spans, read once; when weighted F1 fails
-    to improve by more than MIN_DELTA for more than `patience` consecutive
-    epochs, training stops.  The returned model carries the weights of the
-    best epoch (first occurrence on ties), and the whole procedure is
-    reproducible bit for bit from the seed.  A batch loss that is not finite
-    stops training with a ValueError naming the epoch and batch, and numpy's
-    floating-point warnings are muted as it reports them.
+    Weights start at zero.  After every epoch the dev set is decoded to flat
+    tag ids and scored against its gold ids, with no tag strings built; when
+    weighted F1 fails to improve by more than MIN_DELTA for more than
+    `patience` consecutive epochs, training stops.  The returned model
+    carries the weights of the best epoch (first occurrence on ties), and the
+    whole procedure is reproducible bit for bit from the seed.  A batch loss
+    that is not finite stops training with a ValueError naming the epoch and
+    batch, and numpy's floating-point warnings are muted as it reports them.
     """
     if not encoded_train or not dev.sentences:
         raise ValueError("empty training or dev set")
@@ -325,8 +337,6 @@ def train(encoded_train: EncodedCorpus, dev: Dataset, cfg: TrainConfig,
     accum = np.zeros_like(model.weights)
     rng = random.Random(cfg.seed)
     order = list(range(len(encoded_train)))
-    gold_spans = [extract_entities(s.tags) for s in dev.sentences]
-    tags = index.tagset.tags
 
     records: list[EpochRecord] = []
     best_f1 = -1.0
@@ -350,9 +360,8 @@ def train(encoded_train: EncodedCorpus, dev: Dataset, cfg: TrainConfig,
                 grad *= 1.0 / len(batch)
                 accum += grad * grad
                 model.weights -= cfg.learning_rate * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
-        pred_spans = (extract_entities([tags[k] for k in path])
-                      for path in _decode_paths(model, dev_encoded))
-        f1 = _class_scores(*_span_counts(gold_spans, pred_spans))[1]
+        f1 = _class_scores(*_span_counts(dev_encoded.tags, _decode_paths(model, dev_encoded),
+                                         dev_encoded.offsets, index.tagset.tags))[1]
         records.append(EpochRecord(epoch, epoch_loss, f1, time.monotonic() - started))
         if f1 > best_f1:
             best_f1 = f1

@@ -3,9 +3,11 @@
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
-from .corpus import Dataset, EntitySpan, extract_entities
+import numpy as np
+
+from .corpus import Dataset, _spans, _tag_classes, _tag_ids
 
 
 @dataclass(frozen=True)
@@ -58,33 +60,19 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return p, r, f1
 
 
-def _confusion(gold: Dataset, pred: Dataset) -> ConfusionMatrix:
-    def collapse(tag: str) -> str:
-        return "O" if tag == "O" else tag[2:]
-
-    pairs = Counter()  # (gold tag, predicted tag) -> tokens
-    for g, p in zip(gold.sentences, pred.sentences):
-        pairs.update(zip(g.tags, p.tags))
-    classes = {collapse(t) for pair in pairs for t in pair}
-    labels = ["O"] + sorted(classes - {"O"})
-    pos = {c: i for i, c in enumerate(labels)}
-    counts = [[0] * len(labels) for _ in labels]
-    for (gt, pt), n in pairs.items():
-        counts[pos[collapse(gt)]][pos[collapse(pt)]] += n
-    return ConfusionMatrix(tuple(labels), tuple(tuple(row) for row in counts))
-
-
-def _span_counts(gold_spans: Iterable[list[EntitySpan]],
-                 pred_spans: Iterable[list[EntitySpan]]) -> tuple[Counter, Counter, Counter]:
+def _span_counts(gold: np.ndarray, pred: np.ndarray, offsets: np.ndarray,
+                 names: Sequence[str]) -> tuple[Counter, Counter, Counter]:
     """True positives, false positives and false negatives per class, from
-    the gold and predicted span lists of aligned sentences."""
-    tp, fp, fn = Counter(), Counter(), Counter()
-    for gspans, pspans in zip(gold_spans, pred_spans):
-        gset, pset = set(gspans), set(pspans)
-        for sp in pspans:
-            (tp if sp in gset else fp)[sp.label] += 1
-        fn.update(sp.label for sp in gspans if sp not in pset)
-    return tp, fp, fn
+    gold and predicted flat arrays of ids into names over the same offsets; a
+    predicted span is a true positive when a gold span has its start, end and class."""
+    classes, cls, is_b = _tag_classes(names)
+    (gs, ge, gc), (ps, pe, pc) = (_spans(ids, offsets, cls, is_b) for ids in (gold, pred))
+    gold_at = np.full(len(gold), -1, np.intp)  # gold spans never overlap: one per start
+    gold_at[gs] = ge * len(classes) + gc
+    tp = np.bincount(pc[gold_at[ps] == pe * len(classes) + pc], minlength=len(classes))
+    counts = (tp, np.bincount(pc, minlength=len(classes)) - tp,
+              np.bincount(gc, minlength=len(classes)) - tp)
+    return tuple(Counter({c: n for c, n in zip(classes, col.tolist()) if n}) for col in counts)
 
 
 def _class_scores(tp: Counter, fp: Counter, fn: Counter) -> tuple[dict[str, ClassScore], float]:
@@ -104,17 +92,21 @@ def score_entities(gold: Dataset, pred: Dataset) -> EvalReport:
     """Exact-match entity scoring: a predicted span counts only when its
     class and both boundaries agree with a gold span.
 
-    Spans are read with extract_entities, where a stray I-X opens a span, so
-    raw decoder output can be scored directly.
+    Spans are read off flat tag ids by corpus._spans, where a stray I-X
+    opens a span, so raw decoder output can be scored directly.
     """
     _check_aligned(gold, pred)
-    tp, fp, fn = _span_counts((extract_entities(s.tags) for s in gold.sentences),
-                              (extract_entities(s.tags) for s in pred.sentences))
+    names, offsets, (g, p) = _tag_ids(gold, pred)
+    tp, fp, fn = _span_counts(g, p, offsets, names)
     per_class, weighted = _class_scores(tp, fp, fn)
     supported = [cs.f1 for cs in per_class.values() if cs.support]
     macro = sum(supported) / len(supported) if supported else 0.0
     _, _, micro = _prf(sum(tp.values()), sum(fp.values()), sum(fn.values()))
-    return EvalReport(per_class, weighted, micro, macro, _confusion(gold, pred))
+    classes, cls, _ = _tag_classes(names)
+    k = len(classes) + 1  # O is label 0, class c is label c + 1
+    counts = np.bincount((cls[g] + 1) * k + cls[p] + 1, minlength=k * k).reshape(k, k)
+    confusion = ConfusionMatrix(("O", *classes), tuple(map(tuple, counts.tolist())))
+    return EvalReport(per_class, weighted, micro, macro, confusion)
 
 
 def render_report(report: EvalReport, fmt: str = "text") -> str:

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, Sentence, TagSet
+from .corpus import Dataset, Sentence, TagSet, _offsets
 
 BOS = "<BOS>"
 EOS = "<EOS>"
@@ -59,13 +59,6 @@ class EncodedSentence(NamedTuple):
     @property
     def length(self) -> int:
         return len(self.tag_ids)
-
-
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """CSR offsets of consecutive runs of the given sizes: 0, then the running sum."""
-    out = np.zeros(len(counts) + 1, np.intp)
-    np.cumsum(counts, out=out[1:])
-    return out
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,12 @@
 
 import json
 import random
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence
 
-from mixner.corpus import Dataset, Sentence
+from mixner.corpus import Dataset, Sentence, _spans, _tag_classes, _tag_ids
 from mixner.eval import ClassScore, ConfusionMatrix, EvalReport
 from mixner.features import BOS, EOS
 
@@ -46,6 +50,90 @@ def template_reference(surfaces) -> list[tuple[str, str, str, str]]:
         nxt = surfaces[i + 1] if i + 1 < len(surfaces) else EOS
         out.append(("b", f"w0={w}", f"w-1={prev}", f"w+1={nxt}"))
     return out
+
+
+@dataclass(frozen=True)
+class EntitySpan:
+    """One entity occurrence: class label plus inclusive token positions."""
+
+    label: str
+    start: int
+    end: int
+
+
+def extract_entities(tags: Sequence[str]) -> list[EntitySpan]:
+    """The span rule stated per sentence, as the reference for corpus._spans.
+
+    B-X opens a span, and so does a stray I-X (one that does not continue an
+    X span); I-X continues the open X span.  Raises ValueError on tags that
+    are not O, B-X or I-X.
+    """
+    spans: list[EntitySpan] = []
+    open_label: str | None = None
+    open_start = 0
+    for i, tag in enumerate(tags):
+        if tag != "O" and tag[:2] not in ("B-", "I-"):
+            raise ValueError(f"invalid tag {tag!r} at position {i}")
+        if tag[:2] == "I-" and tag[2:] == open_label:
+            continue
+        if open_label is not None:
+            spans.append(EntitySpan(open_label, open_start, i - 1))
+        open_label, open_start = (None if tag == "O" else tag[2:]), i
+    if open_label is not None:
+        spans.append(EntitySpan(open_label, open_start, len(tags) - 1))
+    return spans
+
+
+def spans_to_tags(spans: Sequence[EntitySpan], length: int) -> list[str]:
+    """Inverse of extract_entities for non-overlapping, in-bounds spans."""
+    tags = ["O"] * length
+    last_end = -1
+    for sp in sorted(spans, key=lambda s: s.start):
+        if sp.start <= last_end or not 0 <= sp.start <= sp.end < length:
+            raise ValueError(f"span {sp} overlaps or is out of bounds")
+        tags[sp.start] = "B-" + sp.label
+        for i in range(sp.start + 1, sp.end + 1):
+            tags[i] = "I-" + sp.label
+        last_end = sp.end
+    return tags
+
+
+def array_spans(ds: Dataset) -> list[list[EntitySpan]]:
+    """The spans corpus._spans reads off a whole dataset's flat tag ids, per
+    sentence and with positions within it, to compare with the reference."""
+    names, offsets, (ids,) = _tag_ids(ds)
+    classes, cls, is_b = _tag_classes(names)
+    out, bounds = [[] for _ in ds.sentences], offsets.tolist()
+    for start, end, c in zip(*(a.tolist() for a in _spans(ids, offsets, cls, is_b))):
+        si = bisect_right(bounds, start) - 1
+        out[si].append(EntitySpan(classes[c], start - bounds[si], end - bounds[si]))
+    return out
+
+
+def span_counts_reference(gold: Dataset, pred: Dataset) -> tuple[Counter, Counter, Counter]:
+    """True positives, false positives and false negatives per class, from
+    sets of (sentence, start, end, class) keys of the reference spans."""
+    def keys(ds):
+        return {(si, sp.start, sp.end, sp.label)
+                for si, s in enumerate(ds.sentences) for sp in extract_entities(s.tags)}
+
+    g, p = keys(gold), keys(pred)
+    return (Counter(k[3] for k in p & g), Counter(k[3] for k in p - g),
+            Counter(k[3] for k in g - p))
+
+
+def confusion_reference(gold: Dataset, pred: Dataset) -> ConfusionMatrix:
+    """The token confusion matrix counted pair by pair: rows are gold
+    classes, columns predicted ones, O first and then the sorted classes."""
+    def collapse(tag: str) -> str:
+        return "O" if tag == "O" else tag[2:]
+
+    pairs = Counter()  # (gold class, predicted class) -> tokens
+    for g, p in zip(gold.sentences, pred.sentences):
+        pairs.update(zip(map(collapse, g.tags), map(collapse, p.tags)))
+    labels = ["O"] + sorted({c for pair in pairs for c in pair} - {"O"})
+    return ConfusionMatrix(tuple(labels), tuple(tuple(pairs[gl, pl] for pl in labels)
+                                                for gl in labels))
 
 
 def stray_inside(tags: list[str]) -> list[int]:

@@ -235,6 +235,20 @@ class TestTagAndEval:
         assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 2
         assert "sentence 0" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        """A file that starts with a UTF-8 byte-order mark reads as the same
+        file without one, whether it opens with an id line or a token."""
+        for body in ("# id = s1\na\tB-CW\nb\tO\n", "a\tB-CW\nb\tO\n"):
+            plain, marked = tmp_path / "plain.conll", tmp_path / "marked.conll"
+            plain.write_text(body, encoding="utf-8")
+            marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+            out = tmp_path / "mixed.conll"
+            assert main(["mix", "--primary", str(marked), "-o", str(out)]) == 0
+            assert out.read_bytes() == plain.read_bytes()
+            capsys.readouterr()
+            assert main(["eval", "--gold", str(plain), "--pred", str(marked)]) == 0
+            assert "weighted_f1 1.0000" in capsys.readouterr().out
+
     def test_tag_rejects_non_finite_model(self, corpus_files, tmp_path, capsys):
         train_ds = parse_conll(corpus_files["cm_train"].read_text())
         model_path = tmp_path / "zero.txt"

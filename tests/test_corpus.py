@@ -1,13 +1,13 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import stray_inside
+from helpers import array_spans, extract_entities, spans_to_tags, stray_inside
 from mixner.corpus import (Dataset, ParseError, Sentence, TagSet, Token,
-                           extract_entities, induce_tagset, mix_datasets,
-                           parse_conll, validate_iob, write_conll)
+                           induce_tagset, mix_datasets, parse_conll, validate_iob,
+                           write_conll)
 
 
 def sent(pairs, id=None):
@@ -245,6 +245,29 @@ def test_repair_idempotent_property(tags):
     assert stray_inside(once.sentences[0].tags) == []
     assert validate_iob(once) == once
     assert extract_entities(once.sentences[0].tags) == extract_entities(tags)
+
+
+iob_sentences = st.lists(st.sampled_from(["O", "B-X", "I-X", "B-Y", "I-Y"]),
+                         min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(iob_sentences, min_size=1, max_size=5))
+@example([["O", "B-X"], ["I-X", "I-X"], ["B-Y", "I-X"]])
+@example([["B-X", "I-X"], ["I-X"], ["I-Y", "I-Y"]])
+def test_span_rule_matches_reference_property(tag_lists):
+    """The array rule, run over a whole dataset's flat tag ids, gives every
+    sentence the spans of the per-sentence reference, so a sentence that
+    opens with I-X after one that ends in X starts a new span; validate_iob
+    writes those spans out and keeps unchanged sentences as the same objects."""
+    ds = Dataset(tuple(sent([(f"w{i}", t) for i, t in enumerate(tags)]) for tags in tag_lists))
+    assert array_spans(ds) == [extract_entities(tags) for tags in tag_lists]
+    fixed = validate_iob(ds)
+    assert len(fixed) == len(ds)
+    for s, f in zip(ds.sentences, fixed.sentences):
+        expected = tuple(spans_to_tags(extract_entities(s.tags), len(s)))
+        assert f.tags == expected and f.surfaces == s.surfaces
+        assert (f is s) == (expected == s.tags)
 
 
 # Any token, tag and id the data model admits, not only IOB-valid ones.

@@ -193,6 +193,19 @@ class TestViterbi:
             path, score = viterbi(inst.model, inst.sentence)
             assert score == sequence_score(inst.model, inst.sentence, path)
 
+    def test_decode_names_the_first_misaligned_sentence(self):
+        """An encoded corpus with the dataset's sentence count but other
+        sentence lengths is rejected with the first differing sentence named."""
+        ds = Dataset((Sentence(("a",), ("O",)), Sentence(("a", "b"), ("O", "O")),
+                      Sentence(("b",), ("O",))))
+        index = build_index(ds, TagSet(("O",)))
+        other = Dataset((ds.sentences[0], Sentence(("a",), ("O",)),
+                         Sentence(("a", "b"), ("O", "O"))))
+        with pytest.raises(ValueError, match=r"^sentence 1: 1 encoded tokens, 2 in the dataset$"):
+            decode(CrfModel.zeros(index), ds, encode_dataset(other, index))
+        with pytest.raises(ValueError, match="do not match"):
+            decode(CrfModel.zeros(index), ds, encode_dataset(Dataset(ds.sentences[:2]), index))
+
 
 class TestIdRange:
     """Ids outside the model are rejected where the corpus meets it, with

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import report_from_json, stray_inside
-from mixner.corpus import (Dataset, EntitySpan, Sentence, extract_entities,
-                           parse_conll, spans_to_tags, validate_iob)
+from helpers import (EntitySpan, array_spans, confusion_reference, extract_entities,
+                     report_from_json, span_counts_reference, spans_to_tags, stray_inside)
+from mixner.corpus import Dataset, Sentence, _tag_ids, parse_conll, validate_iob
 from mixner.eval import _class_scores, _span_counts, render_report, score_entities
 
 
@@ -18,29 +18,41 @@ def tagged(*tag_lists):
                          for tags in tag_lists))
 
 
+def spans(tags):
+    """The spans of one tag sequence by the reference, checked against the
+    array rule of corpus._spans."""
+    ref = extract_entities(tags)
+    assert array_spans(tagged(tags)) == [ref]
+    return ref
+
+
 class TestExtract:
     def test_table1_span(self):
-        assert extract_entities(["O", "B-CW", "I-CW", "I-CW"]) == [
-            EntitySpan("CW", 1, 3)]
+        assert spans(["O", "B-CW", "I-CW", "I-CW"]) == [EntitySpan("CW", 1, 3)]
 
     def test_table2_prod_span(self, table2_text):
         s = parse_conll(table2_text).sentences[0]
-        assert extract_entities(s.tags) == [EntitySpan("PROD", 3, 6)]
+        assert spans(s.tags) == [EntitySpan("PROD", 3, 6)]
 
     def test_all_o(self):
-        assert extract_entities(["O", "O"]) == []
+        assert spans(["O", "O"]) == []
 
     def test_adjacent_spans(self):
-        spans = extract_entities(["B-CW", "B-CW", "I-CW"])
-        assert spans == [EntitySpan("CW", 0, 0), EntitySpan("CW", 1, 2)]
+        assert spans(["B-CW", "B-CW", "I-CW"]) == [EntitySpan("CW", 0, 0),
+                                                   EntitySpan("CW", 1, 2)]
 
     def test_span_at_sentence_end(self):
-        assert extract_entities(["O", "B-GRP"]) == [EntitySpan("GRP", 1, 1)]
+        assert spans(["O", "B-GRP"]) == [EntitySpan("GRP", 1, 1)]
 
     def test_stray_inside_opens_span(self):
-        assert extract_entities(["O", "I-CW", "I-CW"]) == [EntitySpan("CW", 1, 2)]
-        assert extract_entities(["B-PROD", "I-CW", "I-PROD"]) == [
+        assert spans(["O", "I-CW", "I-CW"]) == [EntitySpan("CW", 1, 2)]
+        assert spans(["B-PROD", "I-CW", "I-PROD"]) == [
             EntitySpan("PROD", 0, 0), EntitySpan("CW", 1, 1), EntitySpan("PROD", 2, 2)]
+
+    def test_span_does_not_cross_sentences(self):
+        ds = tagged(["O", "B-CW"], ["I-CW", "I-CW"], ["B-CW"], ["I-PROD"])
+        assert array_spans(ds) == [[EntitySpan("CW", 1, 1)], [EntitySpan("CW", 0, 1)],
+                                   [EntitySpan("CW", 0, 0)], [EntitySpan("PROD", 0, 0)]]
 
     def test_non_iob_tag_rejected(self):
         with pytest.raises(ValueError, match="position 1"):
@@ -198,13 +210,20 @@ def test_raw_and_repaired_reports_equal_property(gold_tags, data):
 @given(st.lists(st.lists(iob_tag, min_size=1, max_size=7), min_size=1, max_size=4),
        st.data())
 def test_span_helpers_match_score_entities_property(gold_tags, data):
-    """Weighted F1 from the span-list helpers, which train uses on decoded
-    tag ids, is exactly score_entities' weighted F1, stray I-X included."""
+    """The span counts that train takes from tag ids, and the scores and
+    confusion matrix of score_entities, equal a naive count over the
+    reference spans and tag pairs, stray I-X included."""
     pred_tags = [data.draw(st.lists(iob_tag, min_size=len(tags), max_size=len(tags)))
                  for tags in gold_tags]
-    counts = _span_counts(map(extract_entities, gold_tags), map(extract_entities, pred_tags))
-    report = score_entities(tagged(*gold_tags), tagged(*pred_tags))
-    assert _class_scores(*counts) == (report.per_class, report.weighted_f1)
+    gold, pred = tagged(*gold_tags), tagged(*pred_tags)
+    expected = span_counts_reference(gold, pred)
+    names, offsets, (g, p) = _tag_ids(gold, pred)
+    assert _span_counts(g, p, offsets, names) == expected
+    # train passes its whole tag set, which may hold tags no sentence has.
+    assert _span_counts(g, p, offsets, names + ["B-Z", "I-Z"]) == expected
+    report = score_entities(gold, pred)
+    assert _class_scores(*expected) == (report.per_class, report.weighted_f1)
+    assert report.confusion == confusion_reference(gold, pred)
 
 
 @settings(max_examples=50, deadline=None)
