@@ -8,10 +8,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import (Dataset, ParseError, induce_tagset, mix_datasets,
-                     parse_conll, validate_iob, write_conll)
+from .corpus import (Dataset, ParseError, mix_datasets, parse_conll,
+                     validate_iob, write_conll)
 from .crf import TrainConfig, decode, load_model, save_model, train
-from .features import build_index, encode_dataset
+from .features import build_index
 from .eval import render_report, score_entities
 from .oracle import run_verification
 
@@ -48,8 +48,8 @@ def cmd_train(args) -> int:
         raise ValueError(f"empty training file: {args.train}")
     if not dev_ds.sentences:
         raise ValueError(f"empty dev file: {args.dev}")
-    index = build_index(train_ds, induce_tagset(train_ds), min_count=args.min_count)
-    model, history = train(encode_dataset(train_ds, index), dev_ds, cfg, index)
+    index = build_index(train_ds, min_count=args.min_count)
+    model, history = train(train_ds, dev_ds, cfg, index)
     save_model(model, args.out)
     history_path = Path(args.out).with_name(Path(args.out).name + ".history.tsv")
     rows = ["epoch\ttrain_nll\tdev_weighted_f1\tseconds"]
@@ -65,7 +65,7 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     model = load_model(args.model)
     ds = _read_dataset(args.input, require_tags=False)
-    tagged = decode(model, ds, encode_dataset(ds, model.index))
+    tagged = decode(model, ds)
     Path(args.out).write_text(write_conll(tagged), encoding="utf-8")
     print(f"tagged {len(tagged)} sentences")
     return 0

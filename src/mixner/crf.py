@@ -244,16 +244,11 @@ def _best_paths(model: CrfModel, batch: EncodedCorpus) -> tuple[np.ndarray, np.n
     return tags[p.rows], scores
 
 
-def viterbi_batch(model: CrfModel, batch: EncodedCorpus) -> list[tuple[list[int], float]]:
-    """Best tag sequence and its score for every sentence, in input order."""
-    tags, scores = _best_paths(model, batch)
-    return list(zip((path.tolist() for path in np.split(tags, batch.offsets[1:-1])),
-                    scores.tolist()))
-
-
 def viterbi(model: CrfModel, enc: EncodedSentence) -> tuple[list[int], float]:
-    """Best tag sequence and its score; ties go to the lower tag id."""
-    return viterbi_batch(model, _one(enc))[0]
+    """Best tag sequence and its score, from _best_paths on the one-sentence
+    corpus; ties go to the lower tag id."""
+    tags, scores = _best_paths(model, _one(enc))
+    return tags.tolist(), scores.item()
 
 
 def _decode_paths(model: CrfModel, encoded: EncodedCorpus) -> np.ndarray:
@@ -264,15 +259,10 @@ def _decode_paths(model: CrfModel, encoded: EncodedCorpus) -> np.ndarray:
         for lo in range(0, len(encoded), DECODE_CHUNK)])
 
 
-def decode(model: CrfModel, dataset: Dataset, encoded: EncodedCorpus) -> Dataset:
-    """Viterbi-tag every sentence: _decode_paths cut at the sentence offsets."""
-    if len(encoded) != len(dataset):
-        raise ValueError("encoded sentences do not match the dataset")
-    differ = encoded.lengths != np.fromiter(map(len, dataset.sentences), np.intp, len(dataset))
-    if differ.any():
-        si = int(np.argmax(differ))
-        raise ValueError(f"sentence {si}: {encoded.lengths[si]} encoded tokens, "
-                         f"{len(dataset.sentences[si])} in the dataset")
+def decode(model: CrfModel, dataset: Dataset) -> Dataset:
+    """Viterbi-tag every sentence: the dataset is encoded under model.index
+    and _decode_paths is cut at the corpus's sentence offsets."""
+    encoded = encode_dataset(dataset, model.index)
     tags = list(map(model.tagset.tags.__getitem__, _decode_paths(model, encoded).tolist()))
     bounds = encoded.offsets.tolist()
     return Dataset(tuple(Sentence(s.surfaces, tuple(tags[lo:hi]), s.id)
@@ -313,11 +303,12 @@ class TrainHistory:
     best_epoch: int
 
 
-def train(encoded_train: EncodedCorpus, dev: Dataset, cfg: TrainConfig,
+def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
           index: FeatureIndex) -> tuple[CrfModel, TrainHistory]:
     """Fit a CRF by mini-batch AdaGrad with early stopping on dev entity F1.
 
-    Weights start at zero.  After every epoch the dev set is decoded to flat
+    Both datasets are encoded under index, the training set first.  Weights
+    start at zero.  After every epoch the dev set is decoded to flat
     tag ids and scored against its gold ids, with no tag strings built; when
     weighted F1 fails to improve by more than MIN_DELTA for more than
     `patience` consecutive epochs, training stops.  The returned model
@@ -326,8 +317,9 @@ def train(encoded_train: EncodedCorpus, dev: Dataset, cfg: TrainConfig,
     that is not finite stops training with a ValueError naming the epoch and
     batch, and numpy's floating-point warnings are muted as it reports them.
     """
-    if not encoded_train or not dev.sentences:
+    if not train_set.sentences or not dev.sentences:
         raise ValueError("empty training or dev set")
+    encoded_train = encode_dataset(train_set, index)
     try:
         dev_encoded = encode_dataset(dev, index)
     except ValueError as exc:  # a dev tag outside the training tag set
@@ -431,8 +423,9 @@ def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
 
 
 def load_model(path: str | Path) -> CrfModel:
-    """Inverse of save_model; weights round trip bit for bit."""
-    head, *blocks = _blocks(Path(path).read_text(encoding="utf-8"))
+    """Inverse of save_model; weights round trip bit for bit.  A leading
+    byte-order mark is dropped, as it is from corpus files."""
+    head, *blocks = _blocks(Path(path).read_text(encoding="utf-8-sig"))
     if not head or head[0] != MODEL_HEADER:
         raise ValueError(f"unsupported version: expected {MODEL_HEADER!r} header")
     if len(head) > 1:  # lines between the header and the first "[" line

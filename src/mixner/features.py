@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, Sentence, TagSet, _offsets
+from .corpus import Dataset, Sentence, TagSet, _offsets, induce_tagset
 
 BOS = "<BOS>"
 EOS = "<EOS>"
@@ -162,10 +162,11 @@ def _template(sentences: Sequence[Sentence]) -> tuple[list[str], np.ndarray, np.
     return names, offsets, codes
 
 
-def build_index(train: Dataset, tagset: TagSet, min_count: int = 1) -> FeatureIndex:
+def build_index(train: Dataset, min_count: int = 1) -> FeatureIndex:
     """Count attributes over the training data and keep those seen at least
-    min_count (>= 1) times.  Ids follow first occurrence order, so the index
-    is a deterministic function of the data.
+    min_count (>= 1) times; the tag set is induce_tagset(train).  Ids follow
+    first occurrence order, so the index is a deterministic function of the
+    data.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
@@ -176,7 +177,8 @@ def build_index(train: Dataset, tagset: TagSet, min_count: int = 1) -> FeatureIn
     first = np.full(len(names), flat.size, np.intp)
     np.minimum.at(first, flat, np.arange(flat.size))
     kept = np.flatnonzero(np.bincount(flat, minlength=len(names)) >= min_count)
-    return FeatureIndex([names[c] for c in kept[np.argsort(first[kept])]], tagset)
+    return FeatureIndex([names[c] for c in kept[np.argsort(first[kept])]],
+                        induce_tagset(train))
 
 
 def encode_dataset(ds: Dataset, index: FeatureIndex) -> EncodedCorpus:

@@ -115,15 +115,16 @@ def fd_gradient(model: CrfModel, batch: EncodedCorpus, l2: float = 0.0,
     return out
 
 
-def random_instance(rng: random.Random, max_len: int = 6, max_tags: int = 4,
-                    max_vocab: int = 5, weight_range: float = 2.0) -> TinyInstance:
-    """A seeded tiny instance: short sentence, few tags, uniform weights."""
+def random_instance(rng: random.Random, max_tags: int = 4) -> TinyInstance:
+    """A seeded tiny instance: 1 to max_tags tags, a sentence of 1 to 6
+    positions over 1 to 5 attributes (up to 3 per position), and weights
+    uniform in [-2, 2]."""
     k = rng.randint(1, max_tags)
-    t_len = rng.randint(1, max_len)
-    vocab = rng.randint(1, max_vocab)
+    t_len = rng.randint(1, 6)
+    vocab = rng.randint(1, 5)
     index = FeatureIndex([f"a{j}" for j in range(vocab)], TagSet(_TINY_TAGS[:k]))
     # Drawn in weight-vector order: emissions, transitions, start, end.
-    model = CrfModel(np.array([rng.uniform(-weight_range, weight_range)
+    model = CrfModel(np.array([rng.uniform(-2.0, 2.0)
                                for _ in range((vocab + k + 2) * k)]), index)
     attr_ids = tuple(tuple(rng.sample(range(vocab), rng.randint(0, min(3, vocab))))
                      for _ in range(t_len))

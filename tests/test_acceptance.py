@@ -18,13 +18,12 @@ import pytest
 
 from helpers import make_separable_corpus, stray_inside
 from mixner.cli import main
-from mixner.corpus import (Dataset, Sentence, induce_tagset,
-                           mix_datasets, parse_conll, validate_iob,
-                           write_conll)
+from mixner.corpus import (Dataset, Sentence, mix_datasets, parse_conll,
+                           validate_iob, write_conll)
 from mixner.crf import (TrainConfig, log_partition, marginals,
                         nll_and_gradient, save_model, train, viterbi)
 from mixner.eval import score_entities
-from mixner.features import EncodedCorpus, build_index, encode_dataset
+from mixner.features import EncodedCorpus, build_index
 from mixner.oracle import (enumerate_best, enumerate_logZ,
                            enumerate_marginals, fd_gradient, gradient_error,
                            random_instance)
@@ -89,18 +88,16 @@ def test_gradient_agreement_bulk():
 def test_synthetic_end_to_end(tmp_path):
     train_ds = make_separable_corpus(1000, 21)
     dev_ds = make_separable_corpus(200, 22)
-    tagset = induce_tagset(train_ds)
-    index = build_index(train_ds, tagset)
-    encoded = encode_dataset(train_ds, index)
+    index = build_index(train_ds)
     cfg = TrainConfig()
 
     started = time.monotonic()
-    model_a, hist_a = train(encoded, dev_ds, cfg, index)
+    model_a, hist_a = train(train_ds, dev_ds, cfg, index)
     elapsed = time.monotonic() - started
     assert hist_a.records[hist_a.best_epoch - 1].dev_f1 >= 0.95
     assert elapsed <= 60.0
 
-    model_b, hist_b = train(encoded, dev_ds, cfg, index)
+    model_b, hist_b = train(train_ds, dev_ds, cfg, index)
     save_model(model_a, tmp_path / "a.txt")
     save_model(model_b, tmp_path / "b.txt")
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()

@@ -1,12 +1,16 @@
 import dataclasses
 import re
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from helpers import make_separable_corpus
+import mixner.cli as cli_module
+import mixner.crf as crf_module
 from mixner.cli import build_parser, main
-from mixner.corpus import Sentence, induce_tagset, parse_conll, write_conll
-from mixner.crf import CrfModel, TrainConfig, save_model
+from mixner.corpus import Sentence, parse_conll, write_conll
+from mixner.crf import CrfModel, TrainConfig, load_model, save_model
 from mixner.features import build_index
 
 
@@ -162,7 +166,7 @@ class TestTagAndEval:
 
     def test_zero_weight_model_tags_all_o(self, corpus_files, tmp_path):
         train_ds = parse_conll(corpus_files["cm_train"].read_text())
-        model = CrfModel.zeros(build_index(train_ds, induce_tagset(train_ds)))
+        model = CrfModel.zeros(build_index(train_ds))
         model_path = tmp_path / "zero.txt"
         save_model(model, model_path)
         pred_path = tmp_path / "pred.conll"
@@ -249,10 +253,28 @@ class TestTagAndEval:
             assert main(["eval", "--gold", str(plain), "--pred", str(marked)]) == 0
             assert "weighted_f1 1.0000" in capsys.readouterr().out
 
+    def test_model_byte_order_mark_is_dropped(self, corpus_files, tmp_path):
+        """A model file that starts with a UTF-8 byte-order mark loads to the
+        same weights as the file without one, and tags the same bytes."""
+        train_ds = parse_conll(corpus_files["cm_train"].read_text())
+        model = CrfModel.zeros(build_index(train_ds))
+        model.weights[...] = np.random.default_rng(3).uniform(-2, 2, model.weights.size)
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        save_model(model, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_model(marked).weights.tobytes() == load_model(plain).weights.tobytes()
+        outs = []
+        for path in (plain, marked):
+            out = tmp_path / f"{path.stem}.pred.conll"
+            assert main(["tag", "--model", str(path), "--input", str(corpus_files["cm_dev"]),
+                         "-o", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_tag_rejects_non_finite_model(self, corpus_files, tmp_path, capsys):
         train_ds = parse_conll(corpus_files["cm_train"].read_text())
         model_path = tmp_path / "zero.txt"
-        save_model(CrfModel.zeros(build_index(train_ds, induce_tagset(train_ds))), model_path)
+        save_model(CrfModel.zeros(build_index(train_ds)), model_path)
         lines = model_path.read_text().splitlines()
         row = lines.index("[emissions]") + 1
         lines[row] = " ".join(["nan"] + lines[row].split()[1:])
@@ -333,3 +355,36 @@ def test_pipeline_reads_no_token_view(corpus_files, tmp_path, monkeypatch):
 
     monkeypatch.setattr(Sentence, "tokens", property(no_tokens))
     assert run_pipeline(corpus_files, tmp_path / "columnar") == expected
+
+
+def test_encode_and_index_are_called_by_module_name(corpus_files, tmp_path, monkeypatch):
+    """crf looks encode_dataset up in its own namespace and cli looks
+    build_index up in its own, so wrapping mixner.crf.encode_dataset and
+    mixner.cli.build_index sees every call: train builds the index once and
+    encodes the training set, then dev; tag encodes its input once."""
+    calls = Counter()
+    encoded = []
+
+    def wrap(module, name, record=None):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            if record is not None:
+                record.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    wrap(crf_module, "encode_dataset", encoded)
+    wrap(cli_module, "build_index")
+    model = tmp_path / "model.txt"
+    assert main(["train", "--train", str(corpus_files["cm_train"]),
+                 "--dev", str(corpus_files["cm_dev"]), "--epochs", "1",
+                 "-o", str(model)]) == 0
+    assert calls == {"encode_dataset": 2, "build_index": 1}
+    assert encoded == [80, 30]
+    calls.clear()
+    assert main(["tag", "--model", str(model), "--input", str(corpus_files["cm_dev"]),
+                 "-o", str(tmp_path / "pred.conll")]) == 0
+    assert calls == {"encode_dataset": 1}

@@ -16,7 +16,7 @@ import mixner.crf as crf_module
 import mixner.eval as eval_module
 from mixner.crf import (MIN_DELTA, CrfModel, TrainConfig, decode, load_model,
                         log_partition, marginals, nll_and_gradient, save_model,
-                        sequence_score, train, viterbi, viterbi_batch)
+                        sequence_score, train, viterbi)
 from mixner.eval import score_entities
 from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset)
@@ -41,6 +41,13 @@ def enc(attr_ids, tag_ids):
 
 def pack(*sentences):
     return EncodedCorpus.from_sentences(sentences)
+
+
+def best_paths(model, corpus):
+    """crf._best_paths cut into one (path, score) pair per sentence."""
+    tags, scores = crf_module._best_paths(model, corpus)
+    return list(zip((p.tolist() for p in np.split(tags, corpus.offsets[1:-1])),
+                    scores.tolist()))
 
 
 class TestWeightVector:
@@ -176,10 +183,9 @@ class TestViterbi:
 
     def test_tie_breaks_toward_lower_id(self):
         # Only "dig" as B-CW scores; the second position ties and takes O.
-        sentence = Sentence(("dig", "me"), ("O", "O"))
-        ds = Dataset((sentence,))
-        tagset = TagSet(("O", "B-CW"))
-        index = build_index(ds, tagset)
+        ds = Dataset((Sentence(("dig", "me"), ("B-CW", "O")),))
+        index = build_index(ds)
+        assert index.tagset == TagSet(("O", "B-CW"))
         m = CrfModel.zeros(index)
         m.emissions[index.attribute_to_id["w0=dig"], index.tag_to_id["B-CW"]] = 2.0
         path, score = viterbi(m, encode_dataset(ds, index)[0])
@@ -192,19 +198,6 @@ class TestViterbi:
             inst = random_instance(rng)
             path, score = viterbi(inst.model, inst.sentence)
             assert score == sequence_score(inst.model, inst.sentence, path)
-
-    def test_decode_names_the_first_misaligned_sentence(self):
-        """An encoded corpus with the dataset's sentence count but other
-        sentence lengths is rejected with the first differing sentence named."""
-        ds = Dataset((Sentence(("a",), ("O",)), Sentence(("a", "b"), ("O", "O")),
-                      Sentence(("b",), ("O",))))
-        index = build_index(ds, TagSet(("O",)))
-        other = Dataset((ds.sentences[0], Sentence(("a",), ("O",)),
-                         Sentence(("a", "b"), ("O", "O"))))
-        with pytest.raises(ValueError, match=r"^sentence 1: 1 encoded tokens, 2 in the dataset$"):
-            decode(CrfModel.zeros(index), ds, encode_dataset(other, index))
-        with pytest.raises(ValueError, match="do not match"):
-            decode(CrfModel.zeros(index), ds, encode_dataset(Dataset(ds.sentences[:2]), index))
 
 
 class TestIdRange:
@@ -231,7 +224,9 @@ class TestIdRange:
         m = self.model()
         batch = pack(enc([(0,)], [0]), enc([(0,), (1,), ()], [0, 2, tag]))
         message = f"sentence 1, position 2: tag id {tag} is out of range for 3 tags"
-        for call in (lambda: nll_and_gradient(m, batch), lambda: viterbi_batch(m, batch)):
+        for call in (lambda: nll_and_gradient(m, batch),
+                     lambda: crf_module._best_paths(m, batch),
+                     lambda: crf_module._decode_paths(m, batch)):
             with pytest.raises(ValueError, match=re.escape(message)):
                 call()
 
@@ -249,7 +244,7 @@ def test_encoded_views_read_by_benchmark(monkeypatch):
     batches train passes to nll_and_gradient, and call
     sequence_score(model, pe, pe.tag_ids) on such an element."""
     train_ds = make_separable_corpus(40, 1)
-    index = build_index(train_ds, induce_tagset(train_ds))
+    index = build_index(train_ds)
     encoded = encode_dataset(train_ds, index)
     listed = list(encoded)
     assert len(listed) == len(encoded) == len(train_ds)
@@ -267,7 +262,7 @@ def test_encoded_views_read_by_benchmark(monkeypatch):
         return real(model, batch, *args)
 
     monkeypatch.setattr(crf_module, "nll_and_gradient", counting)
-    model, history = train(encoded, train_ds, TrainConfig(epochs=2, batch_size=16), index)
+    model, history = train(train_ds, train_ds, TrainConfig(epochs=2, batch_size=16), index)
     assert sum(tokens) == 2 * sum(map(len, train_ds.sentences))
     for e in encoded:
         assert sequence_score(model, e, e.tag_ids) == pytest.approx(
@@ -411,11 +406,9 @@ class TestTrain:
         dev_ds = make_separable_corpus(n_dev, dev_seed)
         if stray:
             dev_ds = with_stray_inside(dev_ds)
-        tagset = induce_tagset(train_ds)
-        index = build_index(train_ds, tagset)
-        encoded = encode_dataset(train_ds, index)
-        model, history = train(encoded, dev_ds, cfg, index)
-        return model, history, dev_ds, index, tagset
+        index = build_index(train_ds)
+        model, history = train(train_ds, dev_ds, cfg, index)
+        return model, history, dev_ds, index, index.tagset
 
     def test_learns_separable_data(self):
         cfg = TrainConfig(epochs=12, batch_size=16, seed=1)
@@ -479,26 +472,20 @@ class TestTrain:
 
     def test_empty_train_rejected(self):
         ds = make_separable_corpus(5, 1)
-        tagset = induce_tagset(ds)
-        index = build_index(ds, tagset)
         with pytest.raises(ValueError, match="empty"):
-            train([], ds, TrainConfig(epochs=1), index)
+            train(Dataset(), ds, TrainConfig(epochs=1), build_index(ds))
 
     def test_dev_outside_tagset_rejected(self):
         ds = make_separable_corpus(5, 1)
-        tagset = induce_tagset(ds)
-        index = build_index(ds, tagset)
-        encoded = encode_dataset(ds, index)
         alien = Dataset((Sentence(("x",), ("B-UNSEEN",)),))
         with pytest.raises(ValueError,
                            match="^dev sentence 0, position 0: tag 'B-UNSEEN' "):
-            train(encoded, alien, TrainConfig(epochs=1), index)
+            train(ds, alien, TrainConfig(epochs=1), build_index(ds))
 
     def test_empty_dev_rejected(self):
         ds = make_separable_corpus(5, 1)
-        index = build_index(ds, induce_tagset(ds))
         with pytest.raises(ValueError, match="empty"):
-            train(encode_dataset(ds, index), Dataset(), TrainConfig(epochs=1), index)
+            train(ds, Dataset(), TrainConfig(epochs=1), build_index(ds))
 
     def test_non_finite_loss_stops_training(self):
         # A finite but absurd step size overflows the scores in epoch 1.
@@ -576,21 +563,18 @@ def test_packed_nll_matches_single_sentence_sum(case, data):
 @settings(max_examples=60, deadline=None)
 @given(ragged_batches(), st.integers(1, 4))
 def test_packed_viterbi_and_decode_match_single_sentence(case, chunk):
-    """Batched Viterbi equals one call per sentence view, and decode in any
-    chunk size gives those paths."""
+    """Packed Viterbi equals one call per sentence view, and _decode_paths in
+    any chunk size gives those paths."""
     model, corpus = case
     singles = [viterbi(model, e) for e in corpus]
-    assert viterbi_batch(model, corpus) == singles
-    assert [viterbi_batch(model, corpus[i:i + 1])[0] for i in range(len(corpus))] == singles
+    assert best_paths(model, corpus) == singles
+    assert [best_paths(model, corpus[i:i + 1])[0] for i in range(len(corpus))] == singles
     for e, (path, score) in zip(corpus, singles):
         assert score == sequence_score(model, e, path)
-    ds = Dataset(tuple(Sentence(tuple(f"w{i}" for i in range(n)), ("O",) * n)
-                       for n in corpus.lengths.tolist()))
     with patch.object(crf_module, "DECODE_CHUNK", chunk):
-        tagged = decode(model, ds, corpus)
-    assert [s.tags for s in tagged] == [tuple(model.tagset.tags[k] for k in path)
-                                        for path, _ in singles]
-    assert [s.surfaces for s in tagged] == [s.surfaces for s in ds]
+        paths = crf_module._decode_paths(model, corpus)
+    assert [p.tolist() for p in np.split(paths, corpus.offsets[1:-1])] == \
+           [path for path, _ in singles]
 
 
 @settings(max_examples=60, deadline=None)
@@ -601,14 +585,42 @@ def test_packed_results_independent_of_input_order(case, data):
     model, corpus = case
     perm = data.draw(st.permutations(range(len(corpus))))
     shuffled = corpus[perm]
-    decoded = viterbi_batch(model, corpus)
-    assert viterbi_batch(model, shuffled) == [decoded[i] for i in perm]
+    decoded = best_paths(model, corpus)
+    assert best_paths(model, shuffled) == [decoded[i] for i in perm]
     subset = data.draw(st.lists(st.integers(-len(corpus), len(corpus) - 1), min_size=1))
-    assert viterbi_batch(model, corpus[np.array(subset)]) == [decoded[i] for i in subset]
+    assert best_paths(model, corpus[np.array(subset)]) == [decoded[i] for i in subset]
     loss, grad = nll_and_gradient(model, corpus, 1e-2)
     loss_s, grad_s = nll_and_gradient(model, shuffled, 1e-2)
     assert close(loss_s, loss)
     assert all(close(a, b) for a, b in zip(views(model, grad_s), views(model, grad)))
+
+
+@st.composite
+def small_datasets(draw):
+    """1..6 sentences of 1..6 tokens over five surfaces, tagged from four
+    tags, some of them with ids."""
+    token = st.tuples(st.sampled_from("abcde"), st.sampled_from(["O", "B-X", "I-X", "B-Y"]))
+    sentence = st.builds(lambda pairs, sid: Sentence(*zip(*pairs), sid),
+                         st.lists(token, min_size=1, max_size=6),
+                         st.none() | st.sampled_from(["s1", "s2"]))
+    return Dataset(tuple(draw(st.lists(sentence, min_size=1, max_size=6))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_datasets(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_decode_matches_per_sentence_viterbi_property(ds, seed, chunk):
+    """Under random weights over build_index(ds), decode tags every sentence
+    with its own Viterbi path over encode_dataset(ds, model.index), in any
+    chunk size, and keeps its surfaces and id."""
+    index = build_index(ds)
+    assert index.tagset == induce_tagset(ds)
+    model = CrfModel.zeros(index)
+    model.weights[...] = np.random.default_rng(seed).uniform(-2, 2, model.weights.size)
+    with patch.object(crf_module, "DECODE_CHUNK", chunk):
+        tagged = decode(model, ds)
+    assert [s.tags for s in tagged] == [tuple(model.tagset.tags[k] for k in viterbi(model, e)[0])
+                                        for e in encode_dataset(ds, model.index)]
+    assert [(s.surfaces, s.id) for s in tagged] == [(s.surfaces, s.id) for s in ds]
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import template_reference
-from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset, parse_conll
+from mixner.corpus import Dataset, Sentence, TagSet, parse_conll
 from mixner.features import (BOS, EOS, EncodedCorpus, EncodedSentence, FeatureIndex,
                              build_index, encode_dataset)
 
@@ -20,7 +20,7 @@ def sent(words, tags=None):
 def position_names(ds):
     """The attribute names encode_dataset gives each position of each sentence,
     against the index built from the same sentences (so none is unknown)."""
-    index = build_index(ds, induce_tagset(ds))
+    index = build_index(ds)
     names = index.attributes()
     return [[tuple(names[a] for a in ids) for ids in s.attr_ids]
             for s in encode_dataset(ds, index)]
@@ -60,33 +60,32 @@ def test_template_matches_per_position_reference(sentences):
 class TestBuildIndex:
     def test_table1_attribute_count(self, table1_text):
         ds = parse_conll(table1_text)
-        index = build_index(ds, induce_tagset(ds))
+        index = build_index(ds)
         # 1 bias + 4 w0 + 4 w-1 + 4 w+1 over four positions
         assert index.num_attributes == 13
 
     def test_tag_ids_follow_tagset_order(self, table1_text):
         ds = parse_conll(table1_text)
-        index = build_index(ds, induce_tagset(ds))
+        index = build_index(ds)
         assert index.tag_to_id == {"O": 0, "B-CW": 1, "I-CW": 2}
 
     def test_min_count_filters(self):
         ds = Dataset((sent(["alpha", "beta", "gamma"]), sent(["delta", "epsilon"])))
-        index = build_index(ds, induce_tagset(ds), min_count=2)
+        index = build_index(ds, min_count=2)
         # Only the bias and the boundary attributes recur across sentences.
         assert set(index.attribute_to_id) == {"b", "w-1=<BOS>", "w+1=<EOS>"}
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            build_index(Dataset(), induce_tagset(Dataset((sent(["x"]),))))
+            build_index(Dataset())
 
     def test_deterministic(self, table2_text):
         ds = parse_conll(table2_text)
-        ts = induce_tagset(ds)
-        assert build_index(ds, ts).attribute_to_id == build_index(ds, ts).attribute_to_id
+        assert build_index(ds).attribute_to_id == build_index(ds).attribute_to_id
 
     def test_index_is_immutable(self, table1_text):
         ds = parse_conll(table1_text)
-        index = build_index(ds, induce_tagset(ds))
+        index = build_index(ds)
         with pytest.raises(TypeError):
             index.attribute_to_id["w0=new"] = 13
         with pytest.raises(AttributeError):
@@ -107,7 +106,7 @@ class TestBuildIndex:
 class TestEncode:
     def test_self_encoding_covers_every_position(self, table1_text):
         ds = parse_conll(table1_text)
-        index = build_index(ds, induce_tagset(ds))
+        index = build_index(ds)
         enc = encode_dataset(ds, index)[0]
         assert enc.length == 4
         assert all(len(ids) == 4 for ids in enc.attr_ids)
@@ -115,14 +114,14 @@ class TestEncode:
 
     def test_unknown_attributes_dropped(self):
         train = Dataset((sent(["aa", "bb"]),))
-        index = build_index(train, induce_tagset(train))
+        index = build_index(train)
         enc = encode_dataset(Dataset((sent(["zz", "bb"]),)), index)[0]
         # position 0 keeps bias, w-1=<BOS>, and w+1=bb; w0=zz is unseen
         assert len(enc.attr_ids[0]) == 3
 
     def test_unknown_tag_is_an_error(self, table1_text):
         ds = parse_conll(table1_text)
-        index = build_index(ds, induce_tagset(ds))
+        index = build_index(ds)
         alien = Dataset((sent(["x", "y"], ["O", "B-LOC"]),))
         with pytest.raises(ValueError, match="sentence 0, position 1"):
             encode_dataset(alien, index)
@@ -163,7 +162,7 @@ def datasets(words):
 @given(datasets(st.sampled_from([BOS, EOS, "b", "x", "y"])).filter(len), datasets(WORDS),
        st.integers(1, 4))
 def test_encode_matches_per_position_reference_property(train, ds, min_count):
-    index = build_index(train, induce_tagset(train), min_count)
+    index = build_index(train, min_count)
     # The index keeps what a count over the reference keeps, in first-seen order.
     counts = Counter(chain.from_iterable(chain.from_iterable(
         template_reference(s.surfaces) for s in train)))
@@ -182,7 +181,7 @@ def test_encode_matches_per_position_reference_property(train, ds, min_count):
 
 def test_all_unknown_words_keep_bias_and_boundaries():
     train = Dataset((sent(["aa", "bb"]),))
-    index = build_index(train, induce_tagset(train))
+    index = build_index(train)
     corpus = encode_dataset(Dataset((sent(["zz"]), sent(["yy", "xx", "ww"]))), index)
     b, bos, eos = (index.attribute_to_id[a] for a in ("b", "w-1=<BOS>", "w+1=<EOS>"))
     assert list(corpus) == [(((b, bos, eos),), (0,)),
