@@ -1,18 +1,24 @@
 import hashlib
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mixner.corpus import TagSet
-from mixner.crf import (CrfModel, log_partition, marginals, nll_and_gradient,
-                        viterbi)
-from mixner.features import EncodedCorpus, EncodedSentence, FeatureIndex
-from mixner.oracle import (TinyInstance, enumerate_best, enumerate_logZ,
+from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset
+import mixner.crf as crf_module
+from mixner.crf import (CrfModel, TrainConfig, log_partition, marginals,
+                        nll_and_gradient, train, viterbi)
+from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
+                             encode_dataset)
+import mixner.oracle as oracle_module
+from mixner.oracle import (TOL, TinyInstance, enumerate_best, enumerate_logZ,
                            enumerate_marginals, fd_gradient, gradient_error,
-                           naive_sequence_score, random_instance,
-                           run_verification, serialize_instance)
+                           naive_nll_and_gradient, naive_sequence_score, naive_train,
+                           random_instance, run_verification, serialize_instance)
 
 
 def zero_instance(tags, t_len, num_attrs=1):
@@ -156,3 +162,93 @@ class TestDriver:
         results = run_verification(trials=20, seed=1000115)
         check = next(r for r in results if r.name == "viterbi")
         assert check.failed > 0 and "instance" in check.detail
+
+
+@st.composite
+def tiny_training_runs(draw):
+    """A training set of 1..6 sentences of 1..5 tokens over 2..4 tags, a dev
+    set of 1..4 such sentences (with one word unseen in training), and a
+    short configuration whose patience can run out, and a MIN_DELTA: F1 on
+    so few spans moves in steps far above the default 1e-4."""
+    def sentences(tags, words, most):
+        token = st.tuples(st.sampled_from(words), st.sampled_from(tags))
+        rows = draw(st.lists(st.lists(token, min_size=1, max_size=5), min_size=1, max_size=most))
+        return Dataset(tuple(Sentence(*zip(*row)) for row in rows))
+
+    train_ds = sentences(("O", "B-X", "I-X", "B-Y")[:draw(st.integers(2, 4))], "abcd", 6)
+    tags = induce_tagset(train_ds).tags
+    assume(len(tags) >= 2)
+    cfg = TrainConfig(epochs=draw(st.integers(1, 4)), batch_size=draw(st.integers(1, 6)),
+                      patience=draw(st.integers(0, 1)),
+                      learning_rate=draw(st.sampled_from([0.1, 0.5])),
+                      l2=draw(st.sampled_from([0.0, 1e-4, 1e-2])), seed=draw(st.integers(0, 999)))
+    return train_ds, sentences(tags, "abcde", 4), cfg, draw(st.sampled_from([1e-4, 0.3, 0.6]))
+
+
+def near_tied(weights, index, dev) -> bool:
+    """Whether some dev sentence has two tag paths whose scores under the
+    weights lie within the oracle gate of each other."""
+    model = CrfModel(weights, index)
+    for enc in encode_dataset(dev, index):
+        scores = sorted(naive_sequence_score(model, enc, y) for y in
+                        itertools.product(range(model.num_tags), repeat=enc.length))
+        if len(scores) > 1 and scores[-1] - scores[-2] <= TOL * max(1.0, abs(scores[-1])):
+            return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_training_runs())
+def test_train_matches_naive_reference(run):
+    """crf.train against the reference trainer, both fed the enumerated
+    batch gradient: every epoch's loss and the kept weights within the gate,
+    relative to max(1, |value|), and the same dev F1 and best epoch.  Dev F1
+    may differ only at an epoch where a dev sentence has near-tied paths,
+    which verify also accepts; the weights do not depend on dev F1, so they
+    are still compared.
+
+    Both take the same gradient because AdaGrad's step g / (sqrt(accum) +
+    1e-8) has slope up to 1e8 in g: on a weight whose exact gradient is 0,
+    rounding noise of 1e-16 becomes a step of 1e-9, and later steps amplify
+    it, so two exact gradient codes give weights that differ far beyond any
+    rounding gate.  The batch gradient itself is checked against enumeration
+    and finite differences elsewhere."""
+    train_ds, dev_ds, cfg, min_delta = run
+    index = build_index(train_ds)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_module, "MIN_DELTA", min_delta)
+        patch.setattr(crf_module, "MIN_DELTA", min_delta)
+        ref = naive_train(train_ds, dev_ds, cfg, index)
+        patch.setattr(crf_module, "nll_and_gradient", naive_nll_and_gradient)
+        model, history = train(train_ds, dev_ds, cfg, index)
+
+    for r, nll in zip(history.records, ref.train_nll):
+        assert abs(r.train_nll - nll) <= TOL * max(1.0, abs(nll))
+    f1 = [r.dev_f1 for r in history.records]
+    split = next((e for e, pair in enumerate(zip(f1, ref.dev_f1)) if pair[0] != pair[1]), None)
+    if split is None:
+        assert f1 == ref.dev_f1
+        assert history.best_epoch == ref.best_epoch
+    else:
+        assert near_tied(ref.epoch_weights[split], index, dev_ds)
+    if history.best_epoch <= len(ref.epoch_weights):
+        expected = ref.epoch_weights[history.best_epoch - 1]
+        assert np.all(np.abs(model.weights - expected) <= TOL * np.maximum(1.0, np.abs(expected)))
+
+
+def test_naive_gradient_matches_packed_batch():
+    """The reference trainer's batch gradient agrees with crf's on ragged
+    batches within the gate."""
+    rng = random.Random(41)
+    for _ in range(20):
+        insts = [random_instance(rng, max_tags=3) for _ in range(3)]
+        model = insts[0].model
+        sentences = [EncodedSentence(tuple(tuple(a for a in ids if a < model.index.num_attributes)
+                                           for ids in i.sentence.attr_ids),
+                                     tuple(t % model.num_tags for t in i.sentence.tag_ids))
+                     for i in insts]
+        batch = EncodedCorpus.from_sentences(sentences)
+        loss, grad = nll_and_gradient(model, batch, 1e-2)
+        ref_loss, ref_grad = naive_nll_and_gradient(model, batch, 1e-2)
+        assert abs(loss - ref_loss) <= TOL * max(1.0, abs(ref_loss))
+        assert gradient_error(grad, ref_grad) <= TOL
