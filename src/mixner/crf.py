@@ -5,12 +5,18 @@ The score of a tag sequence y for a sentence with attributes attrs(i) is
     start[y_1] + sum_i sum_{a in attrs(i)} W_e[a, y_i]
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
-All inference runs in log space with max-subtraction log-sum-exp, which
-cannot overflow while path scores are finite.  Marginals exponentiate
-alpha + beta - log Z, which is <= 0 only up to a rounding error that grows
-with the scores, so runaway weights (say 1e300) overflow there and train
-stops on the non-finite loss.  Training is maximum likelihood with an L2
-penalty, optimized by mini-batch AdaGrad, deterministic given the seed.
+All inference runs in log space with one maximum subtracted per row, which
+cannot overflow while path scores are finite.  Viterbi takes a max.  The
+forward-backward takes one of two exact steps, chosen per batch: while the
+transitions' spread is at most _MATMUL_SPREAD, the scaled recursion of
+Rabiner (1989), one matmul with E = exp(T - max T) per step, and one more
+matmul sums the expected transition counts; otherwise a log-sum-exp over a
+(rows, K, K) array.  Marginals exponentiate alpha + beta - log Z, which is
+<= 0 only up to a rounding error that grows with the scores.  Runaway
+weights (say 1e300) spread the transitions far beyond the bound, so they
+take the log-sum-exp step, overflow in the marginals and stop train on the
+non-finite loss.  Training is maximum likelihood with an L2 penalty,
+optimized by mini-batch AdaGrad, deterministic given the seed.
 """
 
 import math
@@ -77,14 +83,13 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
 
 
-def _scatter(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """A (size, K) float64 array whose row i sums the rows[j] with index[j] == i.
-    np.bincount adds its weights in order of occurrence, as np.add.at does, so
-    each sum is bit for bit the listed-order sum.  With no rows at all
-    bincount returns integers, hence the cast."""
-    k = rows.shape[1]
-    flat = (index[:, None] * k + np.arange(k)).ravel()
-    sums = np.bincount(flat, rows.ravel(), size * k).reshape(size, k)
+def _scatter(index: np.ndarray, source: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """A (size, K) float64 array whose row i sums source[rows[j]] over the j
+    with index[j] == i.  np.bincount adds its weights in order of occurrence,
+    as np.add.at does, so each sum is bit for bit the listed-order sum; one
+    column at a time, no (len(index), K) array is gathered.  With no rows at
+    all bincount returns integers, hence the cast."""
+    sums = np.stack([np.bincount(index, column[rows], size) for column in source.T], axis=1)
     return sums.astype(np.float64, copy=False)
 
 
@@ -134,12 +139,12 @@ class _Packed:
         self.tags[self.rows] = batch.tags
         self.attrs = batch.attrs
         self.attr_rows = np.repeat(self.rows, np.diff(batch.attr_offsets))
-        self.em = _scatter(self.attr_rows, model.emissions[self.attrs], n)
+        self.em = _scatter(self.attr_rows, model.emissions, self.attrs, n)
 
 
 def _forward(model: CrfModel, p: _Packed, reduce) -> np.ndarray:
     """alpha[row] = reduce over the previous tag of (alpha[prev] + W_t), plus
-    em[row]: the forward pass with _logsumexp, Viterbi's delta with a max."""
+    em[row]: Viterbi's delta with a max, sequence_score with the given tags."""
     alpha = np.empty_like(p.em)
     alpha[:p.b] = model.start + p.em[:p.b]
     for lo, size, plo in p.steps:
@@ -148,21 +153,73 @@ def _forward(model: CrfModel, p: _Packed, reduce) -> np.ndarray:
     return alpha
 
 
+# The matmul recursion of _steps is exact for transitions T whose spread
+# ptp(T) is at most this.  Proof: every entry of E = exp(T - max T) is at least
+# exp(-ptp T), a normal float while ptp T <= 1022 ln 2, so each matmul step's
+# largest term keeps full precision.  A row's edge scale exp(c + d + max T -
+# log Z) is at most exp(ptp T), because log Z >= c + d + min T for the row
+# maxima c of alpha and d of em + beta; so the edge sum over fewer than 2**63
+# rows stays below 2**63 * exp(ptp T), which is finite while ptp T <= 961 ln 2.
+_MATMUL_SPREAD = 961 * math.log(2)
+
+
+def _steps(trans: np.ndarray):
+    """The sum-product steps over transitions trans, chosen per batch: forward
+    a -> log sum_j exp(a[:, j, None] + trans), backward b -> log sum_k
+    exp(trans + b[:, None, k]), and E.  While ptp(trans) <= _MATMUL_SPREAD
+    each step is one matmul through E = exp(trans - max trans) with one
+    maximum per row; otherwise (non-finite or extreme transitions) it is a
+    log-sum-exp and E is None."""
+    top = trans.max()
+    if not top - trans.min() <= _MATMUL_SPREAD:  # also taken for nan and inf
+        return (lambda a: _logsumexp(a[:, :, None] + trans, 1),
+                lambda b: _logsumexp(trans + b[:, None], 2), None)
+    e = np.exp(trans - top)
+
+    def step(x, f):
+        c = x.max(axis=1, keepdims=True)
+        return np.log(np.exp(x - c) @ f) + (c + top)
+    return lambda a: step(a, e), lambda b: step(b, e.T), e
+
+
+def _alpha(model: CrfModel, p: _Packed):
+    """The forward pass: alpha per row, log Z per rank, and the _steps it took."""
+    steps = _steps(model.transitions)
+    alpha = np.empty_like(p.em)
+    alpha[:p.b] = model.start + p.em[:p.b]
+    for lo, size, plo in p.steps:
+        alpha[lo:lo + size] = steps[0](alpha[plo:plo + size]) + p.em[lo:lo + size]
+    return alpha, _logsumexp(alpha[p.last] + model.end, 1), steps
+
+
+def _edges(model: CrfModel, p: _Packed, alpha, beta, log_z) -> np.ndarray:
+    """Edge marginals from each row's predecessor into rows b..n-1, an
+    (n - b, K, K) array built in place."""
+    edge = alpha[p.prev, :, None] + model.transitions
+    edge += (p.em + beta)[p.b:, None] - log_z[p.rank_of_row[p.b:], None, None]
+    return np.exp(edge, out=edge)
+
+
 def _forward_backward(model: CrfModel, p: _Packed):
-    """Node marginals per row, edge marginals from each row's predecessor
-    into rows b..n-1, and log Z per rank."""
-    em, trans = p.em, model.transitions
-    alpha, beta = _forward(model, p, _logsumexp), np.empty_like(em)
+    """Node marginals per row, the edge marginals summed over the batch (the
+    (K, K) expected transition counts), log Z per rank, and alpha and beta.
+    On the matmul path the sum is ((A * s)^T @ B) * E, with A = exp(alpha[prev]
+    - c) and B = exp(em + beta - d) for row maxima c and d, and the row scale
+    s = exp(c + d + max T - log Z), so no per-row edge array is built."""
+    alpha, log_z, (_, backward, e) = _alpha(model, p)
+    em, beta = p.em, np.empty_like(p.em)
     beta[p.last] = model.end
     for lo, size, plo in reversed(p.steps):
-        nxt = em[lo:lo + size] + beta[lo:lo + size]
-        beta[plo:plo + size] = _logsumexp(trans + nxt[:, None], 2)
-    log_z = _logsumexp(alpha[p.last] + model.end, 1)
+        beta[plo:plo + size] = backward(em[lo:lo + size] + beta[lo:lo + size])
     node = np.exp(alpha + beta - log_z[p.rank_of_row, None])
-    edge = alpha[p.prev, :, None] + trans  # built in place: (n - b, K, K) is the largest array
-    edge += (em + beta)[p.b:, None] - log_z[p.rank_of_row[p.b:], None, None]
-    np.exp(edge, out=edge)
-    return node, edge, log_z
+    if e is None:
+        counts = _edges(model, p, alpha, beta, log_z).sum(axis=0)
+    else:
+        a, b = alpha[p.prev], (em + beta)[p.b:]
+        c, d = a.max(axis=1, keepdims=True), b.max(axis=1, keepdims=True)
+        scale = np.exp(c + d + model.transitions.max() - log_z[p.rank_of_row[p.b:], None])
+        counts = ((np.exp(a - c) * scale).T @ np.exp(b - d)) * e
+    return node, counts, log_z, alpha, beta
 
 
 def _one(enc: EncodedSentence) -> EncodedCorpus:
@@ -183,14 +240,17 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
 
 
 def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
-    """log Z by the forward recursion."""
-    return float(_forward_backward(model, _Packed(model, _one(enc)))[2][0])
+    """log Z by the forward pass alone."""
+    return float(_alpha(model, _Packed(model, _one(enc)))[1][0])
 
 
 def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.ndarray]:
     """Posterior tag distributions (node, edge): node[t, k] = P(y_t = k) with
-    shape (T, K), and edge[t, j, k] = P(y_t = j, y_{t+1} = k), shape (T-1, K, K)."""
-    return _forward_backward(model, _Packed(model, _one(enc)))[:2]
+    shape (T, K), and edge[t, j, k] = P(y_t = j, y_{t+1} = k), shape (T-1, K, K),
+    built from alpha and beta of the forward-backward."""
+    p = _Packed(model, _one(enc))
+    node, _, log_z, alpha, beta = _forward_backward(model, p)
+    return node, _edges(model, p, alpha, beta, log_z)
 
 
 def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
@@ -203,7 +263,7 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     packed batch.
     """
     p = _Packed(model, batch)
-    node, edge, log_z = _forward_backward(model, p)
+    node, edges, log_z, _, _ = _forward_backward(model, p)
     k, tags, prev = model.num_tags, p.tags, p.tags[p.prev]
     gold = (model.start[tags[:p.b]].sum() + p.em[np.arange(p.n), tags].sum()
             + model.transitions[prev, tags[p.b:]].sum() + model.end[tags[p.last]].sum())
@@ -212,8 +272,8 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     pairs = np.bincount(prev * k + tags[p.b:], minlength=k * k).reshape(k, k)
     grad = np.zeros_like(model.weights)
     emissions, transitions, start, end = _views(grad, k)
-    emissions[...] = _scatter(p.attrs, node[p.attr_rows], len(emissions))
-    transitions[...] = edge.sum(axis=0) - pairs
+    emissions[...] = _scatter(p.attrs, node, p.attr_rows, len(emissions))
+    transitions[...] = edges - pairs
     start[...] = node[:p.b].sum(axis=0)
     end[...] = node[p.last].sum(axis=0)
     if l2:

@@ -1,7 +1,11 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -11,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_separable_corpus, stray_inside
-from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset
+from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset, write_conll
 import mixner.crf as crf_module
 import mixner.eval as eval_module
 from mixner.crf import (MIN_DELTA, CrfModel, TrainConfig, decode, load_model,
@@ -20,8 +24,10 @@ from mixner.crf import (MIN_DELTA, CrfModel, TrainConfig, decode, load_model,
 from mixner.eval import score_entities
 from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset)
-from mixner.oracle import (TinyInstance, enumerate_logZ, naive_sequence_score,
-                           random_instance)
+from mixner.oracle import (TOL, TinyInstance, enumerate_logZ, enumerate_marginals,
+                           naive_nll_and_gradient, naive_sequence_score, random_instance)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def tiny_model(tags, num_attrs):
@@ -518,17 +524,18 @@ def test_logz_bounds_gold_score_property(seed):
 
 
 @st.composite
-def ragged_batches(draw):
-    """A random model and a corpus of 1..8 sentences of length 1..6, with
-    positions that may have no attributes and some sentences repeated."""
+def ragged_batches(draw, scale=2.0, max_len=6):
+    """A random model with weights uniform in [-scale, scale] and a corpus of
+    1..8 sentences of length 1..max_len, with positions that may have no
+    attributes and some sentences repeated."""
     k = draw(st.integers(1, 4))
     num_attrs = draw(st.integers(1, 5))
     model = tiny_model(["O", "B-X", "B-Y", "I-X"][:k], num_attrs)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    model.weights[...] = rng.uniform(-2, 2, model.weights.size)
+    model.weights[...] = rng.uniform(-scale, scale, model.weights.size)
     position = st.tuples(st.lists(st.integers(0, num_attrs - 1), max_size=3),
                          st.integers(0, k - 1))
-    sentences = draw(st.lists(st.lists(position, min_size=1, max_size=6),
+    sentences = draw(st.lists(st.lists(position, min_size=1, max_size=max_len),
                               min_size=1, max_size=8))
     batch = [enc([a for a, _ in s], [t for _, t in s]) for s in sentences]
     repeats = draw(st.lists(st.integers(0, len(batch) - 1), max_size=3))
@@ -593,6 +600,109 @@ def test_packed_results_independent_of_input_order(case, data):
     loss_s, grad_s = nll_and_gradient(model, shuffled, 1e-2)
     assert close(loss_s, loss)
     assert all(close(a, b) for a, b in zip(views(model, grad_s), views(model, grad)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches(scale=1e3, max_len=5), st.booleans(), st.data())
+def test_forward_backward_exact_on_both_sides_of_the_matmul_bound(case, over, data):
+    """With weights up to 1e3 and the transitions' spread drawn on either
+    side of _MATMUL_SPREAD, log Z, node marginals, the loss and the gradient
+    match enumeration to TOL * max(1, |log Z|); where the matmul path applies,
+    the log-sum-exp path agrees with it to 1e-9 relative."""
+    model, corpus = case
+    bound = crf_module._MATMUL_SPREAD
+    spread = data.draw(st.floats(bound + 1, 2e3) if over else st.floats(0, bound - 1))
+    t = model.transitions
+    if np.ptp(t) > 0:
+        t[...] = (t - t.min()) * (spread / np.ptp(t)) - spread / 2
+    assert (np.ptp(t) > bound) == (over and t.size > 1)
+    log_z = [enumerate_logZ(TinyInstance(model, e)) for e in corpus]
+    tol = TOL * max(1.0, *map(abs, log_z))
+    for e, ref in zip(corpus, log_z):
+        assert abs(log_partition(model, e) - ref) <= tol
+        node, edge = marginals(model, e)
+        ref_node, ref_edge = enumerate_marginals(TinyInstance(model, e))
+        assert np.max(np.abs(node - ref_node)) <= tol
+        assert edge.size == 0 or np.max(np.abs(edge - ref_edge)) <= tol
+    loss, grad = nll_and_gradient(model, corpus)
+    ref_loss, ref_grad = naive_nll_and_gradient(model, corpus)
+    assert abs(loss - ref_loss) <= TOL * max(1.0, abs(ref_loss))
+    assert np.max(np.abs(grad - ref_grad)) <= tol
+    if np.ptp(t) <= bound:
+        with patch.object(crf_module, "_MATMUL_SPREAD", -1.0):  # log-sum-exp only
+            lse_loss, lse_grad = nll_and_gradient(model, corpus)
+            lse_node, lse_edge = marginals(model, corpus[0])
+        assert close(lse_loss, loss) and close(lse_grad, grad)
+        node, edge = marginals(model, corpus[0])
+        assert close(lse_node, node) and close(lse_edge, edge)
+
+
+@pytest.mark.parametrize("trans, matmul", [
+    ([[0.0, 600.0], [-60.0, 1.0]], True), ([[0.0, 700.0], [-60.0, 1.0]], False),
+    ([[0.0, np.inf], [0.0, 0.0]], False), ([[0.0, np.nan], [0.0, 0.0]], False),
+    ([[1e300, -1e300], [0.0, 0.0]], False)])
+def test_matmul_path_only_within_the_bound(trans, matmul):
+    assert (crf_module._steps(np.array(trans))[2] is not None) == matmul
+
+
+@pytest.mark.parametrize("low", [-660.0, -900.0])
+def test_low_transition_column_outweighed_by_emissions(low):
+    """Every transition into tag 1 lies |low| below the rest, and an emission
+    of 1000 still makes the edge into tag 1 the likely one.  Within the bound
+    (660) the matmul path is exact; beyond it (900) exp(low) underflows, and
+    the log-sum-exp path keeps the result exact."""
+    m = tiny_model(["O", "B-X"], 1)
+    m.transitions[:, 1] = low
+    m.emissions[0, 1] = 1000.0
+    e = enc([(), (0,), ()], [0, 1, 0])
+    inst = TinyInstance(m, e)
+    assert abs(log_partition(m, e) - enumerate_logZ(inst)) <= TOL * 1e3
+    for got, ref in zip(marginals(m, e), enumerate_marginals(inst)):
+        assert np.max(np.abs(got - ref)) <= TOL * 1e3
+    grad, ref_grad = (f(m, pack(e))[1] for f in (nll_and_gradient, naive_nll_and_gradient))
+    assert np.max(np.abs(grad - ref_grad)) <= TOL * 1e3
+
+
+def test_gradient_builds_no_per_row_edge_array():
+    """The traced peak of one 256-sentence, 13-tag gradient stays below the
+    size of the (tokens - sentences, K, K) edge-marginal array."""
+    rng = np.random.default_rng(5)
+    tags = ["O"] + sorted(f"{p}-{c}" for c in "ABCDEF" for p in "BI")
+    model = tiny_model(tags, 4000)
+    model.weights[...] = rng.normal(0.0, 0.5, model.weights.size)
+    lengths = rng.integers(1, 25, 256)
+    corpus = pack(*(enc(rng.integers(0, 4000, (n, 4)), rng.integers(0, 13, n)) for n in lengths))
+    nll_and_gradient(model, corpus, 1e-4)
+    tracemalloc.start()
+    try:
+        nll_and_gradient(model, corpus, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (len(corpus.tags) - len(corpus)) * 13 * 13 * 8
+
+
+def test_same_model_under_one_and_two_blas_threads(tmp_path):
+    """mixner train writes byte-identical models with one and with two BLAS
+    threads.  With --batch 1024 the acceptance corpus is one batch, whose
+    transition-count product is 7 x 6,875 by 6,875 x 7: 336,875
+    multiply-adds, above the 4 x 65,536 at which OpenBLAS splits a product
+    across threads by default."""
+    for name, n, seed in [("train", 1000, 21), ("dev", 200, 22)]:
+        (tmp_path / f"{name}.conll").write_text(
+            write_conll(make_separable_corpus(n, seed)), encoding="utf-8")
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"model{threads}.txt"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "mixner.cli", "train",
+                        "--train", str(tmp_path / "train.conll"),
+                        "--dev", str(tmp_path / "dev.conll"), "--epochs", "3",
+                        "--batch", "1024", "-o", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        models.append(out.read_bytes())
+    assert models[0] == models[1]
 
 
 @st.composite
