@@ -163,23 +163,43 @@ def _forward(model: CrfModel, p: _Packed, reduce) -> np.ndarray:
 _MATMUL_SPREAD = 961 * math.log(2)
 
 
+def _edges(a: np.ndarray, trans: np.ndarray, b: np.ndarray, log_z: np.ndarray) -> np.ndarray:
+    """Edge marginals exp(a[r, j] + trans[j, k] + b[r, k] - log_z[r]), from
+    alpha at each row's predecessor and em + beta at the row: an (rows, K, K)
+    array built in place."""
+    edge = a[:, :, None] + trans
+    edge += b[:, None] - log_z[:, None, None]
+    return np.exp(edge, out=edge)
+
+
 def _steps(trans: np.ndarray):
-    """The sum-product steps over transitions trans, chosen per batch: forward
-    a -> log sum_j exp(a[:, j, None] + trans), backward b -> log sum_k
-    exp(trans + b[:, None, k]), and E.  While ptp(trans) <= _MATMUL_SPREAD
-    each step is one matmul through E = exp(trans - max trans) with one
-    maximum per row; otherwise (non-finite or extreme transitions) it is a
-    log-sum-exp and E is None."""
+    """The sum-product operations over transitions trans, chosen per batch:
+    the forward step a -> log sum_j exp(a[:, j, None] + trans), the backward
+    step b -> log sum_k exp(trans + b[:, None, k]), and the edge sum
+    (a, b, log_z) -> _edges(a, trans, b, log_z).sum(axis=0), the (K, K)
+    expected transition counts.  While ptp(trans) <= _MATMUL_SPREAD each is a
+    matmul through E = exp(trans - max trans): a step subtracts one maximum
+    per row, and the edge sum is ((A * s)^T @ B) * E for A = exp(a - c) and
+    B = exp(b - d) with row maxima c and d, and the row scale s = exp(c + d +
+    max trans - log_z), so no (rows, K, K) array is built.  Otherwise
+    (non-finite or extreme transitions) they are log-sum-exps and the sum of
+    _edges."""
     top = trans.max()
     if not top - trans.min() <= _MATMUL_SPREAD:  # also taken for nan and inf
         return (lambda a: _logsumexp(a[:, :, None] + trans, 1),
-                lambda b: _logsumexp(trans + b[:, None], 2), None)
+                lambda b: _logsumexp(trans + b[:, None], 2),
+                lambda a, b, log_z: _edges(a, trans, b, log_z).sum(axis=0))
     e = np.exp(trans - top)
 
     def step(x, f):
         c = x.max(axis=1, keepdims=True)
         return np.log(np.exp(x - c) @ f) + (c + top)
-    return lambda a: step(a, e), lambda b: step(b, e.T), e
+
+    def edge_sum(a, b, log_z):
+        c, d = a.max(axis=1, keepdims=True), b.max(axis=1, keepdims=True)
+        scale = np.exp(c + d + top - log_z[:, None])
+        return ((np.exp(a - c) * scale).T @ np.exp(b - d)) * e
+    return lambda a: step(a, e), lambda b: step(b, e.T), edge_sum
 
 
 def _alpha(model: CrfModel, p: _Packed):
@@ -192,33 +212,16 @@ def _alpha(model: CrfModel, p: _Packed):
     return alpha, _logsumexp(alpha[p.last] + model.end, 1), steps
 
 
-def _edges(model: CrfModel, p: _Packed, alpha, beta, log_z) -> np.ndarray:
-    """Edge marginals from each row's predecessor into rows b..n-1, an
-    (n - b, K, K) array built in place."""
-    edge = alpha[p.prev, :, None] + model.transitions
-    edge += (p.em + beta)[p.b:, None] - log_z[p.rank_of_row[p.b:], None, None]
-    return np.exp(edge, out=edge)
-
-
 def _forward_backward(model: CrfModel, p: _Packed):
-    """Node marginals per row, the edge marginals summed over the batch (the
-    (K, K) expected transition counts), log Z per rank, and alpha and beta.
-    On the matmul path the sum is ((A * s)^T @ B) * E, with A = exp(alpha[prev]
-    - c) and B = exp(em + beta - d) for row maxima c and d, and the row scale
-    s = exp(c + d + max T - log Z), so no per-row edge array is built."""
-    alpha, log_z, (_, backward, e) = _alpha(model, p)
+    """Node marginals per row, the expected transition counts summed over
+    the batch, log Z per rank, and alpha and beta per row."""
+    alpha, log_z, (_, backward, edge_sum) = _alpha(model, p)
     em, beta = p.em, np.empty_like(p.em)
     beta[p.last] = model.end
     for lo, size, plo in reversed(p.steps):
         beta[plo:plo + size] = backward(em[lo:lo + size] + beta[lo:lo + size])
     node = np.exp(alpha + beta - log_z[p.rank_of_row, None])
-    if e is None:
-        counts = _edges(model, p, alpha, beta, log_z).sum(axis=0)
-    else:
-        a, b = alpha[p.prev], (em + beta)[p.b:]
-        c, d = a.max(axis=1, keepdims=True), b.max(axis=1, keepdims=True)
-        scale = np.exp(c + d + model.transitions.max() - log_z[p.rank_of_row[p.b:], None])
-        counts = ((np.exp(a - c) * scale).T @ np.exp(b - d)) * e
+    counts = edge_sum(alpha[p.prev], (em + beta)[p.b:], log_z[p.rank_of_row[p.b:]])
     return node, counts, log_z, alpha, beta
 
 
@@ -250,7 +253,7 @@ def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.nda
     built from alpha and beta of the forward-backward."""
     p = _Packed(model, _one(enc))
     node, _, log_z, alpha, beta = _forward_backward(model, p)
-    return node, _edges(model, p, alpha, beta, log_z)
+    return node, _edges(alpha[p.prev], model.transitions, (p.em + beta)[p.b:], log_z)
 
 
 def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,

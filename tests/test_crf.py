@@ -642,7 +642,13 @@ def test_forward_backward_exact_on_both_sides_of_the_matmul_bound(case, over, da
     ([[0.0, np.inf], [0.0, 0.0]], False), ([[0.0, np.nan], [0.0, 0.0]], False),
     ([[1e300, -1e300], [0.0, 0.0]], False)])
 def test_matmul_path_only_within_the_bound(trans, matmul):
-    assert (crf_module._steps(np.array(trans))[2] is not None) == matmul
+    """The gradient sums a per-row edge array only off the matmul path."""
+    m = tiny_model(["O", "B-X"], 1)
+    m.transitions[...] = trans
+    with np.errstate(all="ignore"), patch.object(
+            crf_module, "_edges", wraps=crf_module._edges) as edges:
+        nll_and_gradient(m, pack(enc([(0,), (), (0,)], [0, 1, 1])))
+    assert edges.called != matmul
 
 
 @pytest.mark.parametrize("low", [-660.0, -900.0])

@@ -167,9 +167,9 @@ class TestDriver:
 @st.composite
 def tiny_training_runs(draw):
     """A training set of 1..6 sentences of 1..5 tokens over 2..4 tags, a dev
-    set of 1..4 such sentences (with one word unseen in training), and a
-    short configuration whose patience can run out, and a MIN_DELTA: F1 on
-    so few spans moves in steps far above the default 1e-4."""
+    set of 1..4 such sentences (with one word unseen in training), a short
+    configuration whose patience can run out, and a MIN_DELTA, drawn because
+    F1 on so few spans moves in steps far above the default 1e-4."""
     def sentences(tags, words, most):
         token = st.tuples(st.sampled_from(words), st.sampled_from(tags))
         rows = draw(st.lists(st.lists(token, min_size=1, max_size=5), min_size=1, max_size=most))
@@ -211,7 +211,7 @@ def test_train_matches_naive_reference(run):
     1e-8) has slope up to 1e8 in g: on a weight whose exact gradient is 0,
     rounding noise of 1e-16 becomes a step of 1e-9, and later steps amplify
     it, so two exact gradient codes give weights that differ far beyond any
-    rounding gate.  The batch gradient itself is checked against enumeration
+    rounding gate (up to 0.9 after four epochs on corpora like these).  The batch gradient itself is checked against enumeration
     and finite differences elsewhere."""
     train_ds, dev_ds, cfg, min_delta = run
     index = build_index(train_ds)
@@ -229,26 +229,11 @@ def test_train_matches_naive_reference(run):
     if split is None:
         assert f1 == ref.dev_f1
         assert history.best_epoch == ref.best_epoch
+        expected = ref.weights
     else:
         assert near_tied(ref.epoch_weights[split], index, dev_ds)
-    if history.best_epoch <= len(ref.epoch_weights):
+        if history.best_epoch > len(ref.epoch_weights):
+            return
         expected = ref.epoch_weights[history.best_epoch - 1]
-        assert np.all(np.abs(model.weights - expected) <= TOL * np.maximum(1.0, np.abs(expected)))
+    assert np.all(np.abs(model.weights - expected) <= TOL * np.maximum(1.0, np.abs(expected)))
 
-
-def test_naive_gradient_matches_packed_batch():
-    """The reference trainer's batch gradient agrees with crf's on ragged
-    batches within the gate."""
-    rng = random.Random(41)
-    for _ in range(20):
-        insts = [random_instance(rng, max_tags=3) for _ in range(3)]
-        model = insts[0].model
-        sentences = [EncodedSentence(tuple(tuple(a for a in ids if a < model.index.num_attributes)
-                                           for ids in i.sentence.attr_ids),
-                                     tuple(t % model.num_tags for t in i.sentence.tag_ids))
-                     for i in insts]
-        batch = EncodedCorpus.from_sentences(sentences)
-        loss, grad = nll_and_gradient(model, batch, 1e-2)
-        ref_loss, ref_grad = naive_nll_and_gradient(model, batch, 1e-2)
-        assert abs(loss - ref_loss) <= TOL * max(1.0, abs(ref_loss))
-        assert gradient_error(grad, ref_grad) <= TOL
