@@ -6,8 +6,9 @@ The score of a tag sequence y for a sentence with attributes attrs(i) is
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
 All inference runs in log space with one maximum subtracted per row, which
-cannot overflow while path scores are finite.  Viterbi takes a max.  The
-forward-backward takes one of two exact steps, chosen per batch: while the
+cannot overflow while path scores are finite.  One forward recursion takes
+a max for Viterbi, the given tags for sequence_score and, in the
+forward-backward, one of two exact steps, chosen per batch: while the
 transitions' spread is at most _MATMUL_SPREAD, the scaled recursion of
 Rabiner (1989), one matmul with E = exp(T - max T) per step, and one more
 matmul sums the expected transition counts; otherwise a log-sum-exp over a
@@ -142,14 +143,14 @@ class _Packed:
         self.em = _scatter(self.attr_rows, model.emissions, self.attrs, n)
 
 
-def _forward(model: CrfModel, p: _Packed, reduce) -> np.ndarray:
-    """alpha[row] = reduce over the previous tag of (alpha[prev] + W_t), plus
-    em[row]: Viterbi's delta with a max, sequence_score with the given tags."""
+def _forward(model: CrfModel, p: _Packed, step) -> np.ndarray:
+    """alpha[row] = step(alpha at the predecessor rows) + em[row]; step returns
+    the (rows, K) scores before emissions: _steps' sum-product step, Viterbi's
+    max over the previous tag, or sequence_score's row of the given tag."""
     alpha = np.empty_like(p.em)
     alpha[:p.b] = model.start + p.em[:p.b]
     for lo, size, plo in p.steps:
-        alpha[lo:lo + size] = (reduce(alpha[plo:plo + size, :, None] + model.transitions, 1)
-                               + p.em[lo:lo + size])
+        alpha[lo:lo + size] = step(alpha[plo:plo + size]) + p.em[lo:lo + size]
     return alpha
 
 
@@ -202,20 +203,12 @@ def _steps(trans: np.ndarray):
     return lambda a: step(a, e), lambda b: step(b, e.T), edge_sum
 
 
-def _alpha(model: CrfModel, p: _Packed):
-    """The forward pass: alpha per row, log Z per rank, and the _steps it took."""
-    steps = _steps(model.transitions)
-    alpha = np.empty_like(p.em)
-    alpha[:p.b] = model.start + p.em[:p.b]
-    for lo, size, plo in p.steps:
-        alpha[lo:lo + size] = steps[0](alpha[plo:plo + size]) + p.em[lo:lo + size]
-    return alpha, _logsumexp(alpha[p.last] + model.end, 1), steps
-
-
 def _forward_backward(model: CrfModel, p: _Packed):
     """Node marginals per row, the expected transition counts summed over
     the batch, log Z per rank, and alpha and beta per row."""
-    alpha, log_z, (_, backward, edge_sum) = _alpha(model, p)
+    forward, backward, edge_sum = _steps(model.transitions)
+    alpha = _forward(model, p, forward)
+    log_z = _logsumexp(alpha[p.last] + model.end, 1)
     em, beta = p.em, np.empty_like(p.em)
     beta[p.last] = model.end
     for lo, size, plo in reversed(p.steps):
@@ -231,20 +224,27 @@ def _one(enc: EncodedSentence) -> EncodedCorpus:
 
 def sequence_score(model: CrfModel, enc: EncodedSentence,
                    tags: tuple[int, ...] | list[int]) -> float:
-    """Unnormalized log score of one tag sequence.  It runs viterbi's recursion
-    with the given tags in place of the maximum, so the decoder's returned
-    score is bitwise equal to rescoring its path."""
+    """Unnormalized log score of one tag sequence.  It runs Viterbi's forward
+    recursion with the given previous tag in place of the maximum, so the
+    decoder's returned score is bitwise equal to rescoring its path."""
     if len(tags) != enc.length:
         raise ValueError("tag sequence length does not match the sentence")
     _check_range(np.asarray(tags, np.intp), model.num_tags, "tag", "position {}".format)
     previous = iter(tags)
-    alpha = _forward(model, _Packed(model, _one(enc)), lambda cand, _: cand[:, next(previous)])
+
+    def given(a):  # the given previous tag's row
+        j = next(previous)
+        return a[:, j, None] + model.transitions[j]
+
+    alpha = _forward(model, _Packed(model, _one(enc)), given)
     return float(alpha[-1, tags[-1]] + model.end[tags[-1]])
 
 
 def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
     """log Z by the forward pass alone."""
-    return float(_alpha(model, _Packed(model, _one(enc)))[1][0])
+    p = _Packed(model, _one(enc))
+    alpha = _forward(model, p, _steps(model.transitions)[0])
+    return float(_logsumexp(alpha[p.last] + model.end, 1)[0])
 
 
 def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.ndarray]:
@@ -290,10 +290,11 @@ def _best_paths(model: CrfModel, batch: EncodedCorpus) -> tuple[np.ndarray, np.n
     and each sentence's best score; ties go to the lower tag id (argmax)."""
     back = []  # per step: best previous tag for each active sentence and tag
 
-    def best(cand, axis):  # the max is read at the argmax, one pass over cand
-        idx = cand.argmax(axis)
+    def best(a):  # the max is read at the argmax, one pass over the candidates
+        cand = a[:, :, None] + model.transitions
+        idx = cand.argmax(1)
         back.append(idx)
-        return np.take_along_axis(cand, np.expand_dims(idx, axis), axis).squeeze(axis)
+        return np.take_along_axis(cand, idx[:, None], 1)[:, 0]
 
     p = _Packed(model, batch)
     final = _forward(model, p, best)[p.last] + model.end

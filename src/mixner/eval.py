@@ -25,9 +25,6 @@ class ConfusionMatrix:
     labels: tuple[str, ...]
     counts: tuple[tuple[int, ...], ...]
 
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
 
 @dataclass(frozen=True)
 class EvalReport:

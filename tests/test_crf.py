@@ -688,6 +688,31 @@ def test_gradient_builds_no_per_row_edge_array():
     assert peak < (len(corpus.tags) - len(corpus)) * 13 * 13 * 8
 
 
+def test_every_forward_pass_runs_the_one_forward_recursion(monkeypatch):
+    """The sum-product pass, Viterbi and sequence_score have no loop of their
+    own: wrapping mixner.crf._forward sees one call from each entry point."""
+    model = tiny_model(["O", "B-X", "I-X"], 4)
+    model.weights[...] = np.random.default_rng(3).normal(0.0, 1.0, model.weights.size)
+    sentence = enc([[0, 1], [2], [3, 0]], [1, 2, 0])
+    corpus = pack(sentence, enc([[1]], [0]), enc([[2], [3]], [0, 1]))
+    real, calls = crf_module._forward, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(crf_module, "_forward", counting)
+    for name, run in [("log_partition", lambda: log_partition(model, sentence)),
+                      ("marginals", lambda: marginals(model, sentence)),
+                      ("nll_and_gradient", lambda: nll_and_gradient(model, corpus, 1e-4)),
+                      ("viterbi", lambda: viterbi(model, sentence)),
+                      ("_decode_paths", lambda: crf_module._decode_paths(model, corpus)),
+                      ("sequence_score", lambda: sequence_score(model, sentence, [1, 2, 0]))]:
+        calls.clear()
+        run()
+        assert len(calls) == 1, name
+
+
 def test_same_model_under_one_and_two_blas_threads(tmp_path):
     """mixner train writes byte-identical models with one and with two BLAS
     threads.  With --batch 1024 the acceptance corpus is one batch, whose
