@@ -44,9 +44,9 @@ def cmd_train(args) -> int:
                       l2=args.l2, seed=args.seed)
     train_ds = validate_iob(_read_dataset(args.train))
     dev_ds = validate_iob(_read_dataset(args.dev))
-    if not train_ds.sentences:
+    if not len(train_ds):
         raise ValueError(f"empty training file: {args.train}")
-    if not dev_ds.sentences:
+    if not len(dev_ds):
         raise ValueError(f"empty dev file: {args.dev}")
     index = build_index(train_ds, min_count=args.min_count)
     model, history = train(train_ds, dev_ds, cfg, index)

@@ -3,8 +3,8 @@
 The on-disk format is the shared task's: one token per line, the token in the
 first whitespace-separated column and the tag in the last, a blank line
 between sentences, and lines starting with "# " treated as metadata.  Datasets
-are plain immutable value objects so they can be shared freely between
-pipeline stages.
+are plain immutable value objects, held as token and sentence columns, so they
+can be shared freely between pipeline stages.
 
 The IOB2 span rule is stated once, in _spans, over flat tag-id arrays;
 validate_iob, eval and train's dev scoring all read spans through it.
@@ -12,9 +12,9 @@ validate_iob, eval and train's dev scoring all read spans through it.
 
 import random
 import re
-from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from itertools import accumulate, chain, islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,17 +76,49 @@ class Sentence:
         return tuple(map(Token, self.surfaces, self.tags))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dataset:
-    """An ordered collection of sentences: exactly what a CoNLL file holds."""
+    """An ordered collection of sentences, exactly what a CoNLL file holds,
+    in four columns laid out like EncodedCorpus: sentence s is tokens
+    offsets[s]:offsets[s + 1] of surfaces and tags, with id ids[s].
 
-    sentences: tuple[Sentence, ...] = ()
+    Dataset(sentences) concatenates the columns of Sentences, each of which
+    checked itself; parse_conll, decode, validate_iob and mix_datasets fill
+    the columns directly.  Reading .sentences, or iterating, builds the
+    Sentences from the columns every time; none is kept."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
+    surfaces: tuple[str, ...]
+    tags: tuple[str, ...]
+    offsets: tuple[int, ...]
+    ids: tuple[str | None, ...]
+
+    def __init__(self, sentences: Iterable[Sentence] = ()):
+        sentences = tuple(sentences)
+        self._fill(chain.from_iterable(s.surfaces for s in sentences),
+                   chain.from_iterable(s.tags for s in sentences),
+                   (0, *accumulate(map(len, sentences))), (s.id for s in sentences))
+
+    @classmethod
+    def _from_columns(cls, surfaces, tags, offsets, ids) -> "Dataset":
+        """A dataset of columns whose tokens, tags and ids are already checked
+        and whose offsets bound non-empty sentences."""
+        ds = object.__new__(cls)
+        ds._fill(surfaces, tags, offsets, ids)
+        return ds
+
+    def _fill(self, surfaces, tags, offsets, ids) -> None:
+        for name, column in zip(("surfaces", "tags", "offsets", "ids"),
+                                (surfaces, tags, offsets, ids)):
+            object.__setattr__(self, name, tuple(column))
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.ids)
+
+    @property
+    def sentences(self) -> tuple[Sentence, ...]:
+        off = self.offsets
+        return tuple(Sentence(self.surfaces[lo:hi], self.tags[lo:hi], sid)
+                     for lo, hi, sid in zip(off, off[1:], self.ids))
 
     def __iter__(self) -> Iterator[Sentence]:
         return iter(self.sentences)
@@ -124,14 +156,18 @@ def _is_metadata(line: str) -> bool:
 
 
 def _metadata_id(line: str) -> str | None:
+    # Normalized as Sentence normalizes its id, so parsing builds no Sentence.
     body = line[1:].strip()
-    m = _ID_EQ_RE.match(body)
-    if m:
-        return m.group(1).strip() or None
-    m = _ID_BARE_RE.match(body)
-    if m:
-        return m.group(1)
-    return None
+    m = _ID_EQ_RE.match(body) or _ID_BARE_RE.match(body)
+    return " ".join(m.group(1).split()) or None if m else None
+
+
+def _data_line(text: str, token: int) -> int:
+    """The 1-based line number of the given token's line, counting tokens
+    as parse_conll does: every line that is neither blank nor metadata."""
+    lines = (n for n, line in enumerate(text.splitlines(), 1)
+             if line.split() and not _is_metadata(line))
+    return next(islice(lines, token, None))
 
 
 def parse_conll(text: str, require_tags: bool = True) -> Dataset:
@@ -144,54 +180,46 @@ def parse_conll(text: str, require_tags: bool = True) -> Dataset:
     require_tags=False every tag reads as "O", whatever the last column holds,
     which lets the tagger accept raw token-only input and ignore any tags.
     """
-    sentences: list[Sentence] = []
     surfaces: list[str] = []
-    tags: list[str] = []
-    valid_tags: set[str] = set()
+    tags: list[str | None] = []  # the last column, None where there is only one
+    offsets, ids = [0], []
     pending_id: str | None = None
-
-    def flush():
-        nonlocal pending_id
-        if surfaces:
-            sentences.append(Sentence(tuple(surfaces), tuple(tags), pending_id))
-            surfaces.clear()
-            tags.clear()
-            pending_id = None
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for line in chain(text.splitlines(), ("",)):  # a last blank line ends the last sentence
         cols = line.split()
         if not cols:
-            flush()
-            continue
-        if line[0] == "#" and _is_metadata(line):
+            if len(surfaces) > offsets[-1]:
+                offsets.append(len(surfaces))
+                ids.append(pending_id)
+                pending_id = None
+        elif line[0] == "#" and _is_metadata(line):
             found = _metadata_id(line)
             if found is not None:
                 pending_id = found
-            continue
+        else:
+            surfaces.append(cols[0])
+            tags.append(cols[-1] if len(cols) > 1 else None)
 
-        tag = (cols[-1] if len(cols) > 1 else None) if require_tags else "O"
-        if tag not in valid_tags:  # so TAG_RE runs once per distinct tag
-            if tag is None or not TAG_RE.match(tag):
-                raise ParseError(f"invalid IOB tag {tag!r}" if tag else
-                                 "fewer columns than required: no tag column", lineno)
-            valid_tags.add(tag)
-        surfaces.append(cols[0])
-        tags.append(tag)
-
-    flush()
-    return Dataset(tuple(sentences))
+    if not require_tags:
+        tags = ["O"] * len(surfaces)
+    bad = {t for t in set(tags) if t is None or not TAG_RE.match(t)}  # once per distinct tag
+    if bad:
+        token = next(i for i, t in enumerate(tags) if t in bad)
+        tag = tags[token]
+        raise ParseError(f"invalid IOB tag {tag!r}" if tag else
+                         "fewer columns than required: no tag column", _data_line(text, token))
+    return Dataset._from_columns(surfaces, tags, offsets, ids)
 
 
 def write_conll(ds: Dataset) -> str:
     """Serialize a Dataset in canonical two-column form (token<TAB>tag)."""
-    blocks = []
-    for s in ds.sentences:
-        lines = []
-        if s.id is not None:
-            lines.append(f"# id = {s.id}")
-        lines.extend(map("\t".join, zip(s.surfaces, s.tags)))
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n" if blocks else ""
+    tokens = list(map("\t".join, zip(ds.surfaces, ds.tags)))
+    lines = []
+    for lo, hi, sid in zip(ds.offsets, ds.offsets[1:], ds.ids):
+        if sid is not None:
+            lines.append(f"# id = {sid}")
+        lines.extend(tokens[lo:hi])
+        lines.append("")  # the blank line after every sentence, and the final newline
+    return "\n".join(lines)
 
 
 def _offsets(counts) -> np.ndarray:
@@ -204,11 +232,10 @@ def _offsets(counts) -> np.ndarray:
 def _tag_ids(*datasets: Dataset) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
     """The sorted tag names the datasets hold, the first one's sentence
     offsets, and each one's tags as one flat array of ids into the names."""
-    flat = [list(chain.from_iterable(s.tags for s in ds.sentences)) for ds in datasets]
-    names = sorted(set().union(*flat))
+    names = sorted(set().union(*(ds.tags for ds in datasets)))
     pos = {t: k for k, t in enumerate(names)}
-    ids = [np.fromiter(map(pos.__getitem__, f), np.intp, len(f)) for f in flat]
-    return names, _offsets(np.fromiter(map(len, datasets[0]), np.intp, len(datasets[0]))), ids
+    ids = [np.fromiter(map(pos.__getitem__, ds.tags), np.intp, len(ds.tags)) for ds in datasets]
+    return names, np.array(datasets[0].offsets, np.intp), ids
 
 
 def _tag_classes(names: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -236,25 +263,20 @@ def _spans(ids: np.ndarray, offsets: np.ndarray, cls: np.ndarray,
 
 def validate_iob(ds: Dataset) -> Dataset:
     """Rewrite every stray I-X to B-X, so the tags spell out the spans that
-    _spans reads.  Idempotent; never changes a span's class.  Only sentences
-    that change are rebuilt; the others are kept as the same objects."""
+    _spans reads.  Idempotent; never changes a span's class.  Only the fixed
+    positions of the tags column are rewritten."""
     names, offsets, (ids,) = _tag_ids(ds)
     _, cls, is_b = _tag_classes(names)
     starts = _spans(ids, offsets, cls, is_b)[0]
-    fix = np.zeros(len(ids), bool)
-    fix[starts] = ~is_b[ids[starts]]
-    sentences = list(ds.sentences)
-    for si in np.unique(np.searchsorted(offsets, np.flatnonzero(fix), "right") - 1).tolist():
-        s, f = sentences[si], fix[offsets[si]:offsets[si + 1]].tolist()
-        sentences[si] = replace(s, tags=tuple("B" + t[1:] if b else t for t, b in zip(s.tags, f)))
-    return Dataset(tuple(sentences))
+    tags = list(ds.tags)
+    for t in starts[~is_b[ids[starts]]].tolist():
+        tags[t] = "B" + tags[t][1:]
+    return Dataset._from_columns(ds.surfaces, tags, ds.offsets, ds.ids)
 
 
 def induce_tagset(ds: Dataset) -> TagSet:
     """Collect every observed tag, close under B-X for each I-X, add "O"."""
-    observed = {"O"}
-    for s in ds.sentences:
-        observed.update(s.tags)
+    observed = {"O", *ds.tags}
     for tag in list(observed):
         if tag.startswith("I-"):
             observed.add("B-" + tag[2:])
@@ -266,9 +288,15 @@ def mix_datasets(primary: Dataset, auxiliaries: Sequence[Dataset] = (),
     """Concatenate datasets, optionally shuffling with a seeded permutation.
 
     No deduplication is performed; every input sentence appears exactly once
-    in the output.
+    in the output.  Shuffling permutes the list of sentence spans as
+    random.Random(seed).shuffle permutes any list of that length, so the
+    order is the one shuffling a list of the sentences gives.
     """
-    sentences = [s for ds in (primary, *auxiliaries) for s in ds.sentences]
+    spans = [(ds, lo, hi, sid) for ds in (primary, *auxiliaries)
+             for lo, hi, sid in zip(ds.offsets, ds.offsets[1:], ds.ids)]
     if shuffle:
-        random.Random(seed).shuffle(sentences)
-    return Dataset(tuple(sentences))
+        random.Random(seed).shuffle(spans)
+    surfaces = chain.from_iterable(ds.surfaces[lo:hi] for ds, lo, hi, _ in spans)
+    tags = chain.from_iterable(ds.tags[lo:hi] for ds, lo, hi, _ in spans)
+    offsets = (0, *accumulate(hi - lo for _, lo, hi, _ in spans))
+    return Dataset._from_columns(surfaces, tags, offsets, (sid for *_, sid in spans))

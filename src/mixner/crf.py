@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, Sentence, TagSet
+from .corpus import Dataset, TagSet
 from .eval import _class_scores, _span_counts
 from .features import EncodedCorpus, EncodedSentence, FeatureIndex, encode_dataset
 
@@ -289,12 +289,13 @@ def _best_paths(model: CrfModel, batch: EncodedCorpus) -> tuple[np.ndarray, np.n
     """Each token's tag on its sentence's best path, aligned with batch.tags,
     and each sentence's best score; ties go to the lower tag id (argmax)."""
     back = []  # per step: best previous tag for each active sentence and tag
+    trans_t = np.ascontiguousarray(model.transitions.T)  # [current, previous]
 
     def best(a):  # the max is read at the argmax, one pass over the candidates
-        cand = a[:, :, None] + model.transitions
-        idx = cand.argmax(1)
+        cand = a[:, None, :] + trans_t  # (row, current, previous): argmax over contiguous memory
+        idx = cand.argmax(2)
         back.append(idx)
-        return np.take_along_axis(cand, idx[:, None], 1)[:, 0]
+        return np.take_along_axis(cand, idx[:, :, None], 2)[:, :, 0]
 
     p = _Packed(model, batch)
     final = _forward(model, p, best)[p.last] + model.end
@@ -324,13 +325,11 @@ def _decode_paths(model: CrfModel, encoded: EncodedCorpus) -> np.ndarray:
 
 
 def decode(model: CrfModel, dataset: Dataset) -> Dataset:
-    """Viterbi-tag every sentence: the dataset is encoded under model.index
-    and _decode_paths is cut at the corpus's sentence offsets."""
-    encoded = encode_dataset(dataset, model.index)
-    tags = list(map(model.tagset.tags.__getitem__, _decode_paths(model, encoded).tolist()))
-    bounds = encoded.offsets.tolist()
-    return Dataset(tuple(Sentence(s.surfaces, tuple(tags[lo:hi]), s.id)
-                         for s, lo, hi in zip(dataset.sentences, bounds, bounds[1:])))
+    """Viterbi-tag every sentence: the dataset is encoded under model.index,
+    and _decode_paths gives the tags column of the result."""
+    paths = _decode_paths(model, encode_dataset(dataset, model.index)).tolist()
+    return Dataset._from_columns(dataset.surfaces, map(model.tagset.tags.__getitem__, paths),
+                                 dataset.offsets, dataset.ids)
 
 
 @dataclass(frozen=True)
@@ -381,7 +380,7 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
     that is not finite stops training with a ValueError naming the epoch and
     batch, and numpy's floating-point warnings are muted as it reports them.
     """
-    if not train_set.sentences or not dev.sentences:
+    if not len(train_set) or not len(dev):
         raise ValueError("empty training or dev set")
     encoded_train = encode_dataset(train_set, index)
     try:

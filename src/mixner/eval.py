@@ -36,17 +36,22 @@ class EvalReport:
 
 
 def _check_aligned(gold: Dataset, pred: Dataset) -> None:
-    if len(gold.sentences) != len(pred.sentences):
-        raise ValueError(f"sentence count mismatch: gold has {len(gold.sentences)}, "
-                         f"predictions have {len(pred.sentences)}")
-    for si, (g, p) in enumerate(zip(gold.sentences, pred.sentences)):
+    """Raise ValueError naming the first sentence whose tokens differ."""
+    if gold.offsets == pred.offsets and gold.surfaces == pred.surfaces:
+        return
+    if len(gold) != len(pred):
+        raise ValueError(f"sentence count mismatch: gold has {len(gold)}, "
+                         f"predictions have {len(pred)}")
+    go, po = gold.offsets, pred.offsets
+    for si in range(len(gold)):
+        g, p = gold.surfaces[go[si]:go[si + 1]], pred.surfaces[po[si]:po[si + 1]]
         if len(g) != len(p):
             raise ValueError(f"sentence {si}: token count mismatch "
                              f"({len(g)} gold vs {len(p)} predicted)")
-        if g.surfaces != p.surfaces:
-            i = next(i for i, (a, b) in enumerate(zip(g.surfaces, p.surfaces)) if a != b)
+        if g != p:
+            i = next(i for i, (a, b) in enumerate(zip(g, p)) if a != b)
             raise ValueError(f"sentence {si}: token {i} differs "
-                             f"({g.surfaces[i]!r} gold vs {p.surfaces[i]!r} predicted)")
+                             f"({g[i]!r} gold vs {p[i]!r} predicted)")
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, Sentence, TagSet, _offsets, induce_tagset
+from .corpus import Dataset, TagSet, _offsets, induce_tagset
 
 BOS = "<BOS>"
 EOS = "<EOS>"
@@ -140,7 +140,7 @@ class EncodedCorpus:
                                         for t in range(lo, hi)), tuple(tags[lo:hi]))
 
 
-def _template(sentences: Sequence[Sentence]) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _template(ds: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The template of every token, stated once for the index and the encoder.
 
     Each distinct surface is one type; <BOS> and <EOS> are types 0 and 1, and
@@ -148,8 +148,7 @@ def _template(sentences: Sequence[Sentence]) -> tuple[list[str], np.ndarray, np.
     (slot, type)), the sentences' token offsets, and the (tokens, 4) matrix of
     name codes in the listed order b, w0, w-1, w+1.
     """
-    offsets = _offsets(np.fromiter(map(len, sentences), np.intp, len(sentences)))
-    surfaces = list(chain.from_iterable(s.surfaces for s in sentences))
+    offsets, surfaces = np.array(ds.offsets, np.intp), ds.surfaces
     type_of = {w: i for i, w in enumerate(dict.fromkeys(chain((BOS, EOS), surfaces)))}
     codes = np.zeros((len(surfaces), 4), np.intp)  # types first, then name codes
     codes[:, 1] = np.fromiter(map(type_of.__getitem__, surfaces), np.intp, len(surfaces))
@@ -170,9 +169,9 @@ def build_index(train: Dataset, min_count: int = 1) -> FeatureIndex:
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    if not train.sentences:
+    if not len(train):
         raise ValueError("empty training set")
-    names, _, codes = _template(train.sentences)
+    names, _, codes = _template(train)
     flat = codes.ravel()
     first = np.full(len(names), flat.size, np.intp)
     np.minimum.at(first, flat, np.arange(flat.size))
@@ -188,15 +187,15 @@ def encode_dataset(ds: Dataset, index: FeatureIndex) -> EncodedCorpus:
     template's (tokens, 4) code matrix gathers the ids; a mask drops the
     unknown ones, keeping the listed order b, w0, w-1, w+1.
     """
-    names, offsets, ids = _template(ds.sentences)  # name codes, gathered into ids
+    names, offsets, ids = _template(ds)  # name codes, gathered into ids
     ids = np.fromiter(map(index.attribute_to_id.get, names, repeat(-1)), np.intp,
                       len(names))[ids]
     known = ids >= 0
-    tags = np.fromiter(map(index.tag_to_id.get, chain.from_iterable(s.tags for s in ds.sentences),
-                           repeat(-1)), np.intp, len(ids))
+    tags = np.fromiter(map(index.tag_to_id.get, ds.tags, repeat(-1)), np.intp, len(ids))
     corpus = EncodedCorpus(ids[known], _offsets(known.sum(axis=1)), tags, offsets)
     if (tags < 0).any():
-        si, i = corpus.locate(int(np.argmax(tags < 0)))
+        token = int(np.argmax(tags < 0))
+        si, i = corpus.locate(token)
         raise ValueError(f"sentence {si}, position {i}: "
-                         f"tag {ds.sentences[si].tags[i]!r} is not in the tag set")
+                         f"tag {ds.tags[token]!r} is not in the tag set")
     return corpus

@@ -98,6 +98,16 @@ def spans_to_tags(spans: Sequence[EntitySpan], length: int) -> list[str]:
     return tags
 
 
+def mix_reference(primary: Dataset, auxiliaries: Sequence[Dataset] = (),
+                  seed: int = 0, shuffle: bool = False) -> Dataset:
+    """mix_datasets stated per sentence, as the reference for its column
+    gather: the list of sentences, shuffled in place by random.Random(seed)."""
+    sentences = [s for ds in (primary, *auxiliaries) for s in ds.sentences]
+    if shuffle:
+        random.Random(seed).shuffle(sentences)
+    return Dataset(sentences)
+
+
 def array_spans(ds: Dataset) -> list[list[EntitySpan]]:
     """The spans corpus._spans reads off a whole dataset's flat tag ids, per
     sentence and with positions within it, to compare with the reference."""

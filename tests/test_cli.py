@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import make_separable_corpus
+from helpers import make_separable_corpus, mix_reference
 import mixner.cli as cli_module
 import mixner.crf as crf_module
 from mixner.cli import build_parser, main
@@ -55,6 +55,17 @@ class TestMix:
                   "--shuffle", "--seed", "13", "-o", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_shuffle_order_is_the_per_sentence_reference(self, corpus_files, tmp_path):
+        """--shuffle orders the sentences as random.Random(seed).shuffle
+        orders the list of all sentences."""
+        out = tmp_path / "mixed.conll"
+        assert main(["mix", "--primary", str(corpus_files["cm_train"]),
+                     "--aux", str(corpus_files["ml_train"]),
+                     "--shuffle", "--seed", "13", "-o", str(out)]) == 0
+        primary, aux = (parse_conll(corpus_files[name].read_text())
+                        for name in ("cm_train", "ml_train"))
+        assert parse_conll(out.read_text()) == mix_reference(primary, [aux], 13, True)
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["mix", "--primary", str(tmp_path / "nope.conll"),
@@ -239,6 +250,19 @@ class TestTagAndEval:
         assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 2
         assert "sentence 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pred_text, message", [
+        ("a O\nz O\n\nc O\nd O\n", "sentence 0: token 1 differs ('b' gold vs 'z' predicted)"),
+        ("a O\n\nz O\n", "sentence 0: token count mismatch (2 gold vs 1 predicted)")])
+    def test_eval_names_the_first_misaligned_sentence(self, tmp_path, capsys,
+                                                      pred_text, message):
+        """Sentence 0 differs in a surface and sentence 1 in length, or the
+        other way round: the error names sentence 0, whichever way it differs."""
+        gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+        gold.write_text("a O\nb O\n\nc O\n")
+        pred.write_text(pred_text)
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
         """A file that starts with a UTF-8 byte-order mark reads as the same
         file without one, whether it opens with an id line or a token."""
@@ -388,3 +412,19 @@ def test_encode_and_index_are_called_by_module_name(corpus_files, tmp_path, monk
     assert main(["tag", "--model", str(model), "--input", str(corpus_files["cm_dev"]),
                  "-o", str(tmp_path / "pred.conll")]) == 0
     assert calls == {"encode_dataset": 1}
+
+
+def test_pipeline_builds_no_sentence(corpus_files, tmp_path, monkeypatch):
+    """mix, train, tag and eval read and write the Dataset columns: counting
+    Sentence.__post_init__ while they run sees no Sentence built."""
+    real, calls = Sentence.__post_init__, []
+
+    def counting(self):
+        calls.append(1)
+        real(self)
+
+    monkeypatch.setattr(Sentence, "__post_init__", counting)
+    run_pipeline(corpus_files, tmp_path / "out")
+    assert calls == []
+    Sentence(("a",), ("O",))
+    assert calls == [1]

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import array_spans, extract_entities, spans_to_tags, stray_inside
+from helpers import (array_spans, extract_entities, mix_reference, spans_to_tags,
+                     stray_inside)
 from mixner.corpus import (Dataset, ParseError, Sentence, TagSet, Token,
                            induce_tagset, mix_datasets, parse_conll, validate_iob,
                            write_conll)
@@ -115,7 +116,7 @@ class TestIob:
             ds = parse_conll(text)
             assert all(stray_inside(s.tags) == [] for s in ds)
             fixed = validate_iob(ds)
-            assert all(a is b for a, b in zip(fixed.sentences, ds.sentences))
+            assert fixed == ds
 
     def test_stray_inside_found_then_repaired(self):
         tags = ["O", "I-CW", "I-CW", "B-CW", "I-PROD", "O", "I-CW"]
@@ -259,7 +260,7 @@ def test_span_rule_matches_reference_property(tag_lists):
     """The array rule, run over a whole dataset's flat tag ids, gives every
     sentence the spans of the per-sentence reference, so a sentence that
     opens with I-X after one that ends in X starts a new span; validate_iob
-    writes those spans out and keeps unchanged sentences as the same objects."""
+    writes those spans out and leaves the other sentences as they were."""
     ds = Dataset(tuple(sent([(f"w{i}", t) for i, t in enumerate(tags)]) for tags in tag_lists))
     assert array_spans(ds) == [extract_entities(tags) for tags in tag_lists]
     fixed = validate_iob(ds)
@@ -267,7 +268,7 @@ def test_span_rule_matches_reference_property(tag_lists):
     for s, f in zip(ds.sentences, fixed.sentences):
         expected = tuple(spans_to_tags(extract_entities(s.tags), len(s)))
         assert f.tags == expected and f.surfaces == s.surfaces
-        assert (f is s) == (expected == s.tags)
+        assert (f == s) == (expected == s.tags)
 
 
 # Any token, tag and id the data model admits, not only IOB-valid ones.
@@ -290,9 +291,29 @@ def test_parse_write_is_identity_property(ds):
 @settings(max_examples=100, deadline=None)
 @given(any_datasets, any_datasets, st.integers(0, 2**32), st.booleans())
 def test_mixed_dataset_round_trips_property(a, b, seed, shuffle):
-    # A mixed dataset is a dataset like any other: its file holds all of it.
+    """A mixed dataset is a dataset like any other: its file holds all of it,
+    and it equals the per-sentence reference, shuffled sentences included."""
     mixed = mix_datasets(a, [b], seed=seed, shuffle=shuffle)
-    assert parse_conll(write_conll(mixed)) == mixed
+    assert mixed == mix_reference(a, [b], seed=seed, shuffle=shuffle)
+    assert Dataset(mixed.sentences) == parse_conll(write_conll(mixed)) == mixed
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_datasets)
+def test_validated_dataset_round_trips_property(ds):
+    """validate_iob's rewritten tags column makes a dataset like any other."""
+    fixed = validate_iob(ds)
+    assert Dataset(fixed.sentences) == parse_conll(write_conll(fixed)) == fixed
+
+
+@pytest.mark.parametrize("raw, expected", [("  a    b", "a b"), ("", None), (" \t x\ty ", "x y")])
+def test_parsed_ids_are_normalised_as_sentence_ids(raw, expected):
+    """The parser builds no Sentence, so it normalises an id the way Sentence
+    does: runs of whitespace become one space, and a blank id is None."""
+    ds = parse_conll(f"# id ={raw}\nx\tO\n")
+    assert ds.ids == (expected,) == (Sentence(("x",), ("O",), id=raw).id,)
+    assert ds == Dataset((Sentence(("x",), ("O",), id=raw),))
+    assert parse_conll(write_conll(ds)) == ds
 
 
 # The Sentence contract: two aligned, non-empty columns, checked once on
@@ -331,17 +352,20 @@ def test_sentence_rejects_non_iob_tag(tag):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(st.none(), st.sampled_from(["O", "B-X", "I-X", "B-Y"])),
+@given(st.lists(st.one_of(st.none(), st.sampled_from(["O", "B-X", "I-X", "B-Y", "# c"])),
                 min_size=1, max_size=300),
-       st.sampled_from(["X-CW", "0", "B-", "b-X"]))
+       st.sampled_from(["X-CW", "0", "B-", "b-X", None]))
 def test_parse_names_the_line_of_a_bad_tag_property(lines, bad):
-    """A bad tag after many valid lines (None: a blank line) is still reported
-    on its own line; without require_tags it reads as O."""
-    text = "".join("\n" if t is None else f"w\t{t}\n" for t in lines)
-    with pytest.raises(ParseError) as err:
-        parse_conll(text + f"w\t{bad}\n")
+    """A bad tag or a missing tag column (None) after many valid lines (None:
+    a blank line; "# c": a metadata line) is still reported on its own line;
+    without require_tags it reads as O."""
+    text = "".join("\n" if t is None else f"{t}\n" if t[0] == "#" else f"w\t{t}\n"
+                   for t in lines)
+    last = f"w\t{bad}\n" if bad else "w\n"
+    with pytest.raises(ParseError, match="invalid IOB tag" if bad else "no tag column") as err:
+        parse_conll(text + last)
     assert err.value.line == len(lines) + 1
-    assert parse_conll(text + f"w\t{bad}\n", require_tags=False).sentences[-1].tags[-1] == "O"
+    assert parse_conll(text + last, require_tags=False).sentences[-1].tags[-1] == "O"
 
 
 @settings(max_examples=60, deadline=None)
