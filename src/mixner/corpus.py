@@ -24,6 +24,21 @@ _ID_EQ_RE = re.compile(r"^id\s*=\s*(.*)$")
 _ID_BARE_RE = re.compile(r"^id\s+(\S+)")
 
 
+def _first_bad_tag(tags: Sequence[str | None]) -> int | None:
+    """The position of the first tag that is missing (None) or is not an IOB2
+    tag, or None if there is none; each distinct tag is matched once."""
+    bad = {t for t in set(tags) if t is None or not TAG_RE.match(t)}
+    return next(i for i, t in enumerate(tags) if t in bad) if bad else None
+
+
+def _clean_id(sid: str) -> str | None:
+    """A sentence id with its whitespace runs collapsed to one space, or None
+    if nothing is left.  Ids are written on "# id = ..." lines, so they must
+    survive a strip-and-reread cycle: Sentence and parse_conll normalize them
+    instead of failing later."""
+    return " ".join(sid.split()) or None
+
+
 class ParseError(ValueError):
     """Raised for malformed corpus files; carries the 1-based line number."""
 
@@ -57,14 +72,11 @@ class Sentence:
             bad = next(w for w in self.surfaces if not w or _WS_RE.search(w))
             raise ValueError(f"invalid token surface {bad!r}: "
                              "must be non-empty and contain no whitespace")
-        for tag in set(self.tags):
-            if not TAG_RE.match(tag):
-                raise ValueError(f"invalid IOB tag {tag!r}")
+        bad = _first_bad_tag(self.tags)
+        if bad is not None:
+            raise ValueError(f"invalid IOB tag {self.tags[bad]!r}")
         if self.id is not None:
-            # Ids are written on "# id = ..." lines, so they must survive a
-            # strip-and-reread cycle: normalize here instead of failing later.
-            clean = " ".join(self.id.split())
-            object.__setattr__(self, "id", clean or None)
+            object.__setattr__(self, "id", _clean_id(self.id))
 
     def __len__(self) -> int:
         return len(self.surfaces)
@@ -156,10 +168,9 @@ def _is_metadata(line: str) -> bool:
 
 
 def _metadata_id(line: str) -> str | None:
-    # Normalized as Sentence normalizes its id, so parsing builds no Sentence.
     body = line[1:].strip()
     m = _ID_EQ_RE.match(body) or _ID_BARE_RE.match(body)
-    return " ".join(m.group(1).split()) or None if m else None
+    return _clean_id(m.group(1)) if m else None
 
 
 def _data_line(text: str, token: int) -> int:
@@ -201,9 +212,8 @@ def parse_conll(text: str, require_tags: bool = True) -> Dataset:
 
     if not require_tags:
         tags = ["O"] * len(surfaces)
-    bad = {t for t in set(tags) if t is None or not TAG_RE.match(t)}  # once per distinct tag
-    if bad:
-        token = next(i for i, t in enumerate(tags) if t in bad)
+    token = _first_bad_tag(tags)
+    if token is not None:
         tag = tags[token]
         raise ParseError(f"invalid IOB tag {tag!r}" if tag else
                          "fewer columns than required: no tag column", _data_line(text, token))

@@ -5,14 +5,20 @@ The score of a tag sequence y for a sentence with attributes attrs(i) is
     start[y_1] + sum_i sum_{a in attrs(i)} W_e[a, y_i]
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
-All inference runs in log space with one maximum subtracted per row, which
-cannot overflow while path scores are finite.  One forward recursion takes
-a max for Viterbi, the given tags for sequence_score and, in the
-forward-backward, one of two exact steps, chosen per batch: while the
-transitions' spread is at most _MATMUL_SPREAD, the scaled recursion of
-Rabiner (1989), one matmul with E = exp(T - max T) per step, and one more
-matmul sums the expected transition counts; otherwise a log-sum-exp over a
-(rows, K, K) array.  Marginals exponentiate alpha + beta - log Z, which is
+All inference runs in log space with one maximum subtracted per packed row,
+which cannot overflow while path scores are finite.  Emission scores, alpha
+and beta are (K, rows) arrays, tags outer and packed rows contiguous, so a
+step's operations loop over the batch's sentences.  One forward recursion
+takes a max for Viterbi, whose backtrace recovers each back pointer, the
+given tags for sequence_score and, in the forward-backward, one of two
+exact steps, chosen per batch: while the transitions' spread is at most
+_MATMUL_SPREAD, the scaled recursion of Rabiner (1989), one matmul with
+E = exp(T - max T) per step, and one more matmul sums the expected
+transition counts; otherwise a log-sum-exp over a K x K x rows array.  Sums
+whose order follows the memory layout (log Z, the backward log-sum-exp,
+the start and end gradient sums, the edge-count product) run on row-major
+(rows, K) copies, so every result is bit for bit that of a (rows, K)
+layout.  Marginals exponentiate alpha + beta - log Z, which is
 <= 0 only up to a rounding error that grows with the scores.  Runaway
 weights (say 1e300) spread the transitions far beyond the bound, so they
 take the log-sum-exp step, overflow in the marginals and stop train on the
@@ -84,14 +90,22 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
 
 
-def _scatter(index: np.ndarray, source: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """A (size, K) float64 array whose row i sums source[rows[j]] over the j
-    with index[j] == i.  np.bincount adds its weights in order of occurrence,
-    as np.add.at does, so each sum is bit for bit the listed-order sum; one
-    column at a time, no (len(index), K) array is gathered.  With no rows at
-    all bincount returns integers, hence the cast."""
-    sums = np.stack([np.bincount(index, column[rows], size) for column in source.T], axis=1)
+def _scatter(index: np.ndarray, columns: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """A (len(columns), size) float64 array whose [c, i] sums columns[c][rows[j]]
+    over the j with index[j] == i.  np.bincount adds its weights in order of
+    occurrence, as np.add.at does, so each sum is bit for bit the listed-order
+    sum; one column at a time, no (len(index), len(columns)) array is
+    gathered.  With no rows at all bincount returns integers, hence the cast."""
+    sums = np.stack([np.bincount(index, column[rows], size) for column in columns])
     return sums.astype(np.float64, copy=False)
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """A row-major copy of x.T: packed rows outer, tags contiguous.  Sums whose
+    order follows the memory layout (a log-sum-exp over tags, numpy's sum
+    over rows, a BLAS product over rows) are taken on such copies, so they add
+    in the same order as on a (rows, K) array."""
+    return np.ascontiguousarray(x.T)
 
 
 def _check_range(ids: np.ndarray, limit: int, what: str, where) -> None:
@@ -107,9 +121,12 @@ class _Packed:
     """A batch scored under a model, laid out time-major and packed by length:
     sentences are ranked longest first (ties in input order), and step t holds
     the sentences longer than t in rows offsets[t] + rank, a prefix of step
-    t - 1.  em[row] sums W_e over the row's attributes in listed order, so it
-    is bit for bit the same whatever batch the sentence is in: the corpus keeps
-    each token's attributes in listed order, and _scatter adds in that order."""
+    t - 1.  em, like alpha and beta, is a (K, rows) array, tags outer and
+    packed rows contiguous, so every step's operations loop over the
+    sentences of the batch, not over K tags.  em[:, row] sums W_e over the
+    row's attributes in listed order, so it is bit for bit the same whatever
+    batch the sentence is in: the corpus keeps each token's attributes in
+    listed order, and _scatter adds in that order."""
 
     def __init__(self, model: CrfModel, batch: EncodedCorpus):
         if not len(batch):
@@ -140,17 +157,18 @@ class _Packed:
         self.tags[self.rows] = batch.tags
         self.attrs = batch.attrs
         self.attr_rows = np.repeat(self.rows, np.diff(batch.attr_offsets))
-        self.em = _scatter(self.attr_rows, model.emissions, self.attrs, n)
+        self.em = _scatter(self.attr_rows, model.emissions.T, self.attrs, n)
 
 
 def _forward(model: CrfModel, p: _Packed, step) -> np.ndarray:
-    """alpha[row] = step(alpha at the predecessor rows) + em[row]; step returns
-    the (rows, K) scores before emissions: _steps' sum-product step, Viterbi's
-    max over the previous tag, or sequence_score's row of the given tag."""
+    """alpha[:, row] = step(alpha at the predecessor rows) + em[:, row], as a
+    (K, rows) array; step returns the (K, rows) scores before emissions:
+    _steps' sum-product step, Viterbi's max over the previous tag, or
+    sequence_score's row of the given tag."""
     alpha = np.empty_like(p.em)
-    alpha[:p.b] = model.start + p.em[:p.b]
+    alpha[:, :p.b] = model.start[:, None] + p.em[:, :p.b]
     for lo, size, plo in p.steps:
-        alpha[lo:lo + size] = step(alpha[plo:plo + size]) + p.em[lo:lo + size]
+        alpha[:, lo:lo + size] = step(alpha[:, plo:plo + size]) + p.em[:, lo:lo + size]
     return alpha
 
 
@@ -166,8 +184,8 @@ _MATMUL_SPREAD = 961 * math.log(2)
 
 def _edges(a: np.ndarray, trans: np.ndarray, b: np.ndarray, log_z: np.ndarray) -> np.ndarray:
     """Edge marginals exp(a[r, j] + trans[j, k] + b[r, k] - log_z[r]), from
-    alpha at each row's predecessor and em + beta at the row: an (rows, K, K)
-    array built in place."""
+    row-major copies (_rows) of alpha at each row's predecessor and of em +
+    beta at the row: an (rows, K, K) array built in place."""
     edge = a[:, :, None] + trans
     edge += b[:, None] - log_z[:, None, None]
     return np.exp(edge, out=edge)
@@ -175,46 +193,55 @@ def _edges(a: np.ndarray, trans: np.ndarray, b: np.ndarray, log_z: np.ndarray) -
 
 def _steps(trans: np.ndarray):
     """The sum-product operations over transitions trans, chosen per batch:
-    the forward step a -> log sum_j exp(a[:, j, None] + trans), the backward
-    step b -> log sum_k exp(trans + b[:, None, k]), and the edge sum
-    (a, b, log_z) -> _edges(a, trans, b, log_z).sum(axis=0), the (K, K)
-    expected transition counts.  While ptp(trans) <= _MATMUL_SPREAD each is a
-    matmul through E = exp(trans - max trans): a step subtracts one maximum
-    per row, and the edge sum is ((A * s)^T @ B) * E for A = exp(a - c) and
-    B = exp(b - d) with row maxima c and d, and the row scale s = exp(c + d +
-    max trans - log_z), so no (rows, K, K) array is built.  Otherwise
-    (non-finite or extreme transitions) they are log-sum-exps and the sum of
-    _edges."""
+    on (K, rows) arrays, the forward step a -> log sum_j exp(a[j] +
+    trans[j, :, None]) and the backward step b -> log sum_k exp(trans[:, k,
+    None] + b[k]); on row-major (rows, K) copies, the edge sum (a, b, log_z)
+    -> _edges(a, trans, b, log_z).sum(axis=0), the (K, K) expected
+    transition counts.  While ptp(trans) <= _MATMUL_SPREAD each is a matmul
+    through E = exp(trans - max trans): a step subtracts one maximum per
+    packed row, E^T @ exp(a - c) forward and E @ exp(b - d) backward, and the
+    edge sum is ((A * s)^T @ B) * E for A = exp(a - c) and B = exp(b - d)
+    with row maxima c and d, and the row scale s = exp(c + d + max trans -
+    log_z), so no (rows, K, K) array is built.  Otherwise (non-finite or
+    extreme transitions) they are log-sum-exps, the backward one over a
+    row-major copy, and the sum of _edges.  Each sum adds in the order a
+    (rows, K) layout gives it, so no result depends on the layout."""
     top = trans.max()
     if not top - trans.min() <= _MATMUL_SPREAD:  # also taken for nan and inf
-        return (lambda a: _logsumexp(a[:, :, None] + trans, 1),
-                lambda b: _logsumexp(trans + b[:, None], 2),
+        return (lambda a: _logsumexp(a[:, None] + trans[:, :, None], 0),
+                lambda b: _logsumexp(trans + _rows(b)[:, None], 2).T,
                 lambda a, b, log_z: _edges(a, trans, b, log_z).sum(axis=0))
     e = np.exp(trans - top)
 
-    def step(x, f):
-        c = x.max(axis=1, keepdims=True)
-        return np.log(np.exp(x - c) @ f) + (c + top)
+    def step(f, x):
+        c = x.max(axis=0)
+        return np.log(f @ np.exp(x - c)) + (c + top)
 
     def edge_sum(a, b, log_z):
         c, d = a.max(axis=1, keepdims=True), b.max(axis=1, keepdims=True)
         scale = np.exp(c + d + top - log_z[:, None])
         return ((np.exp(a - c) * scale).T @ np.exp(b - d)) * e
-    return lambda a: step(a, e), lambda b: step(b, e.T), edge_sum
+    return lambda a: step(e.T, a), lambda b: step(e, b), edge_sum
+
+
+def _log_z(model: CrfModel, p: _Packed, alpha: np.ndarray) -> np.ndarray:
+    """log Z per rank, a log-sum-exp over a row-major copy of the last rows."""
+    return _logsumexp(_rows(alpha[:, p.last]) + model.end, 1)
 
 
 def _forward_backward(model: CrfModel, p: _Packed):
-    """Node marginals per row, the expected transition counts summed over
-    the batch, log Z per rank, and alpha and beta per row."""
+    """Node marginals per row as a (K, rows) array, the expected transition
+    counts summed over the batch, log Z per rank, and alpha and beta."""
     forward, backward, edge_sum = _steps(model.transitions)
     alpha = _forward(model, p, forward)
-    log_z = _logsumexp(alpha[p.last] + model.end, 1)
+    log_z = _log_z(model, p, alpha)
     em, beta = p.em, np.empty_like(p.em)
-    beta[p.last] = model.end
+    beta[:, p.last] = model.end[:, None]
     for lo, size, plo in reversed(p.steps):
-        beta[plo:plo + size] = backward(em[lo:lo + size] + beta[lo:lo + size])
-    node = np.exp(alpha + beta - log_z[p.rank_of_row, None])
-    counts = edge_sum(alpha[p.prev], (em + beta)[p.b:], log_z[p.rank_of_row[p.b:]])
+        beta[:, plo:plo + size] = backward(em[:, lo:lo + size] + beta[:, lo:lo + size])
+    node = np.exp(alpha + beta - log_z[p.rank_of_row])
+    counts = edge_sum(_rows(alpha[:, p.prev]), _rows((em + beta)[:, p.b:]),
+                      log_z[p.rank_of_row[p.b:]])
     return node, counts, log_z, alpha, beta
 
 
@@ -234,17 +261,16 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
 
     def given(a):  # the given previous tag's row
         j = next(previous)
-        return a[:, j, None] + model.transitions[j]
+        return a[j] + model.transitions[j, :, None]
 
     alpha = _forward(model, _Packed(model, _one(enc)), given)
-    return float(alpha[-1, tags[-1]] + model.end[tags[-1]])
+    return float(alpha[tags[-1], -1] + model.end[tags[-1]])
 
 
 def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
     """log Z by the forward pass alone."""
     p = _Packed(model, _one(enc))
-    alpha = _forward(model, p, _steps(model.transitions)[0])
-    return float(_logsumexp(alpha[p.last] + model.end, 1)[0])
+    return float(_log_z(model, p, _forward(model, p, _steps(model.transitions)[0]))[0])
 
 
 def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +279,8 @@ def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.nda
     built from alpha and beta of the forward-backward."""
     p = _Packed(model, _one(enc))
     node, _, log_z, alpha, beta = _forward_backward(model, p)
-    return node, _edges(alpha[p.prev], model.transitions, (p.em + beta)[p.b:], log_z)
+    return _rows(node), _edges(_rows(alpha[:, p.prev]), model.transitions,
+                               _rows((p.em + beta)[:, p.b:]), log_z)
 
 
 def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
@@ -268,17 +295,17 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     p = _Packed(model, batch)
     node, edges, log_z, _, _ = _forward_backward(model, p)
     k, tags, prev = model.num_tags, p.tags, p.tags[p.prev]
-    gold = (model.start[tags[:p.b]].sum() + p.em[np.arange(p.n), tags].sum()
+    gold = (model.start[tags[:p.b]].sum() + p.em[tags, np.arange(p.n)].sum()
             + model.transitions[prev, tags[p.b:]].sum() + model.end[tags[p.last]].sum())
     loss = float(log_z.sum() - gold)
-    node[np.arange(p.n), tags] -= 1.0  # now expected minus empirical counts per row
+    node[tags, np.arange(p.n)] -= 1.0  # now expected minus empirical counts per row
     pairs = np.bincount(prev * k + tags[p.b:], minlength=k * k).reshape(k, k)
     grad = np.zeros_like(model.weights)
     emissions, transitions, start, end = _views(grad, k)
-    emissions[...] = _scatter(p.attrs, node, p.attr_rows, len(emissions))
+    emissions[...] = _scatter(p.attrs, node, p.attr_rows, len(emissions)).T
     transitions[...] = edges - pairs
-    start[...] = node[:p.b].sum(axis=0)
-    end[...] = node[p.last].sum(axis=0)
+    start[...] = _rows(node[:, :p.b]).sum(axis=0)
+    end[...] = _rows(node[:, p.last]).sum(axis=0)
     if l2:
         loss += 0.5 * l2 * float(model.weights @ model.weights)
         grad += l2 * model.weights
@@ -287,24 +314,22 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
 
 def _best_paths(model: CrfModel, batch: EncodedCorpus) -> tuple[np.ndarray, np.ndarray]:
     """Each token's tag on its sentence's best path, aligned with batch.tags,
-    and each sentence's best score; ties go to the lower tag id (argmax)."""
-    back = []  # per step: best previous tag for each active sentence and tag
-    trans_t = np.ascontiguousarray(model.transitions.T)  # [current, previous]
-
-    def best(a):  # the max is read at the argmax, one pass over the candidates
-        cand = a[:, None, :] + trans_t  # (row, current, previous): argmax over contiguous memory
-        idx = cand.argmax(2)
-        back.append(idx)
-        return np.take_along_axis(cand, idx[:, :, None], 2)[:, :, 0]
-
+    and each sentence's best score; ties go to the lower tag id (argmax).
+    The forward step keeps only the max over the previous tag and stores no
+    back pointers.  The backtrace recovers each pointer for the one tag the
+    path follows, as the first argmax of alpha at the predecessor row plus
+    the transitions into that tag: the sums the max was taken over, under
+    the same first-maximum rule."""
+    trans = model.transitions
     p = _Packed(model, batch)
-    final = _forward(model, p, best)[p.last] + model.end
-    cur = np.argmax(final, axis=1)
-    scores = final[np.arange(p.b), cur][p.rank]
+    alpha = _forward(model, p, lambda a: (a[:, None] + trans[:, :, None]).max(axis=0))
+    final = alpha[:, p.last] + model.end[:, None]
+    cur = final.argmax(axis=0)
+    scores = final[cur, np.arange(p.b)][p.rank]
     tags = np.empty(p.n, np.intp)
-    for (lo, size, _), ptr in zip(reversed(p.steps), reversed(back)):
+    for lo, size, plo in reversed(p.steps):
         tags[lo:lo + size] = cur[:size]
-        cur[:size] = ptr[np.arange(size), cur[:size]]
+        cur[:size] = (alpha[:, plo:plo + size] + trans[:, cur[:size]]).argmax(axis=0)
     tags[:p.b] = cur
     return tags[p.rows], scores
 

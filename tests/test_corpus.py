@@ -1,4 +1,9 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -349,6 +354,27 @@ def test_sentence_rejects_malformed_columns_property(pairs, data):
 def test_sentence_rejects_non_iob_tag(tag):
     with pytest.raises(ValueError, match="invalid IOB tag"):
         Sentence(("a",), (tag,))
+
+
+def test_invalid_tag_named_is_the_first_under_every_hash_seed():
+    """Sentence and parse_conll both name the first bad tag, whatever order
+    the hash seed gives a set of the tags."""
+    code = textwrap.dedent("""
+        from mixner.corpus import Sentence, parse_conll
+        for make in (lambda: Sentence("abcd", ("X1", "X2", "X3", "X4")),
+                     lambda: parse_conll("a X1\\nb X2\\nc X3\\nd X4\\n")):
+            try:
+                make()
+            except ValueError as exc:
+                print(exc)
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert run.stdout == "invalid IOB tag 'X1'\nline 1: invalid IOB tag 'X1'\n", seed
 
 
 @settings(max_examples=100, deadline=None)

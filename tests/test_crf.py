@@ -24,8 +24,9 @@ from mixner.crf import (MIN_DELTA, CrfModel, TrainConfig, decode, load_model,
 from mixner.eval import score_entities
 from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset)
-from mixner.oracle import (TOL, TinyInstance, enumerate_logZ, enumerate_marginals,
-                           naive_nll_and_gradient, naive_sequence_score, random_instance)
+from mixner.oracle import (TOL, TinyInstance, enumerate_best, enumerate_logZ,
+                           enumerate_marginals, naive_nll_and_gradient, naive_sequence_score,
+                           random_instance)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -584,6 +585,23 @@ def test_packed_viterbi_and_decode_match_single_sentence(case, chunk):
            [path for path, _ in singles]
 
 
+@settings(max_examples=100, deadline=None)
+@given(ragged_batches(), st.integers(1, 4))
+def test_exact_ties_follow_enumeration_property(case, chunk):
+    """With weights rounded to small integers every path score is exact and
+    ties are common.  Viterbi, alone and packed by _decode_paths in chunks
+    of any size, then returns exactly enumerate_best's path and score: the
+    backtrace's first maximum is the rule the oracle states."""
+    model, corpus = case
+    model.weights[...] = np.rint(model.weights)
+    with patch.object(crf_module, "DECODE_CHUNK", chunk):
+        paths = np.split(crf_module._decode_paths(model, corpus), corpus.offsets[1:-1])
+    for e, path in zip(corpus, paths):
+        best = enumerate_best(TinyInstance(model, e))
+        assert viterbi(model, e) == best
+        assert path.tolist() == best[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(ragged_batches(), st.data())
 def test_packed_results_independent_of_input_order(case, data):
@@ -669,15 +687,22 @@ def test_low_transition_column_outweighed_by_emissions(low):
     assert np.max(np.abs(grad - ref_grad)) <= TOL * 1e3
 
 
-def test_gradient_builds_no_per_row_edge_array():
-    """The traced peak of one 256-sentence, 13-tag gradient stays below the
-    size of the (tokens - sentences, K, K) edge-marginal array."""
-    rng = np.random.default_rng(5)
+def thirteen_tag_case(seed, sentences):
+    """A 13-tag model over 4,000 attributes with N(0, 0.5) weights, and a
+    corpus of sentences of 1..24 tokens with 4 attributes each."""
+    rng = np.random.default_rng(seed)
     tags = ["O"] + sorted(f"{p}-{c}" for c in "ABCDEF" for p in "BI")
     model = tiny_model(tags, 4000)
     model.weights[...] = rng.normal(0.0, 0.5, model.weights.size)
-    lengths = rng.integers(1, 25, 256)
-    corpus = pack(*(enc(rng.integers(0, 4000, (n, 4)), rng.integers(0, 13, n)) for n in lengths))
+    lengths = rng.integers(1, 25, sentences)
+    return model, pack(*(enc(rng.integers(0, 4000, (n, 4)), rng.integers(0, 13, n))
+                         for n in lengths))
+
+
+def test_gradient_builds_no_per_row_edge_array():
+    """The traced peak of one 256-sentence, 13-tag gradient stays below the
+    size of the (tokens - sentences, K, K) edge-marginal array."""
+    model, corpus = thirteen_tag_case(5, 256)
     nll_and_gradient(model, corpus, 1e-4)
     tracemalloc.start()
     try:
@@ -686,6 +711,25 @@ def test_gradient_builds_no_per_row_edge_array():
     finally:
         tracemalloc.stop()
     assert peak < (len(corpus.tags) - len(corpus)) * 13 * 13 * 8
+
+
+def test_decode_memory_stays_flat():
+    """_decode_paths packs DECODE_CHUNK sentences per call, so its traced
+    peak on 8 * DECODE_CHUNK 13-tag sentences is at most 1.5 times its peak
+    on DECODE_CHUNK of them, plus 24 bytes per token for the paths returned."""
+    model, corpus = thirteen_tag_case(11, 8 * crf_module.DECODE_CHUNK)
+
+    def peak(encoded):
+        crf_module._decode_paths(model, encoded)
+        tracemalloc.start()
+        try:
+            crf_module._decode_paths(model, encoded)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(corpus[:crf_module.DECODE_CHUNK])
+    assert peak(corpus) <= 1.5 * small + 24 * len(corpus.tags)
 
 
 def test_every_forward_pass_runs_the_one_forward_recursion(monkeypatch):
@@ -767,9 +811,9 @@ def test_decode_matches_per_sentence_viterbi_property(ds, seed, chunk):
 @settings(max_examples=60, deadline=None)
 @given(ragged_batches(), st.booleans())
 def test_scatter_and_gather_bit_equal_to_add_at_property(case, bare):
-    """The emission sums of a packed batch and the emission gradient are bit
-    for bit those of np.add.at, and float64, also when some tokens or the
-    whole batch have no attributes."""
+    """The (K, rows) emission sums of a packed batch and the emission
+    gradient are bit for bit those of np.add.at, and float64, also when some
+    tokens or the whole batch have no attributes."""
     model, corpus = case
     if bare:
         corpus = EncodedCorpus([], np.zeros(len(corpus.tags) + 1, np.intp),
@@ -777,12 +821,14 @@ def test_scatter_and_gather_bit_equal_to_add_at_property(case, bare):
     p = crf_module._Packed(model, corpus)
     em = np.zeros((p.n, model.num_tags))
     np.add.at(em, p.attr_rows, model.emissions[p.attrs])
-    assert p.em.dtype == np.float64 and p.em.tobytes() == em.tobytes()
+    assert p.em.dtype == np.float64 and p.em.shape == (model.num_tags, p.n)
+    assert p.em.tobytes() == em.T.tobytes()
 
     node = crf_module._forward_backward(model, p)[0]
-    node[np.arange(p.n), p.tags] -= 1.0
+    assert node.shape == (model.num_tags, p.n)
+    node[p.tags, np.arange(p.n)] -= 1.0
     expected = np.zeros_like(model.emissions)
-    np.add.at(expected, p.attrs, node[p.attr_rows])
+    np.add.at(expected, p.attrs, node.T[p.attr_rows])
     grad = nll_and_gradient(model, corpus)[1]
     assert grad.dtype == np.float64
     assert views(model, grad)[0].tobytes() == expected.tobytes()
