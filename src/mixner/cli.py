@@ -36,6 +36,8 @@ def cmd_mix(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not Path(args.out).parent.is_dir():  # the history file is written there too
+        raise ValueError(f"output directory does not exist: {Path(args.out).parent}")
     print(f"train: --epochs {args.epochs} --batch {args.batch} "
           f"--patience {args.patience} --lr {args.lr} --l2 {args.l2} "
           f"--min-count {args.min_count} --seed {args.seed}")

@@ -1,15 +1,21 @@
 """Shared test utilities: synthetic corpora and reference statements."""
 
+import itertools
 import json
+import math
 import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from mixner.corpus import Dataset, Sentence, _spans, _tag_classes, _tag_ids
+from mixner.crf import _ADAGRAD_EPS, MIN_DELTA, CrfModel, TrainConfig
 from mixner.eval import ClassScore, ConfusionMatrix, EvalReport
-from mixner.features import BOS, EOS
+from mixner.features import BOS, EOS, EncodedSentence, FeatureIndex, encode_dataset
+from mixner.oracle import TinyInstance, _check_size, enumerate_best
 
 CLASSES = ("LOC", "ORG", "PER")
 
@@ -161,3 +167,112 @@ def report_from_json(text: str) -> EvalReport:
                                 tuple(tuple(row) for row in obj["confusion"]["counts"]))
     return EvalReport(per_class, obj["weighted_f1"], obj["micro_f1"],
                       obj["macro_f1"], confusion)
+
+
+def _feature_ids(k: int, num_attributes: int, enc: EncodedSentence, tags) -> list[int]:
+    """The weight-vector positions of every term of a sequence's score, in
+    the layout [emissions | transitions | start | end]."""
+    trans = num_attributes * k
+    ids = [trans + k * k + tags[0]]
+    for t, tag in enumerate(tags):
+        ids.extend(a * k + tag for a in enc.attr_ids[t])
+        if t > 0:
+            ids.append(trans + tags[t - 1] * k + tag)
+    ids.append(trans + k * k + k + tags[-1])
+    return ids
+
+
+def naive_nll_and_gradient(model: CrfModel, batch, l2: float = 0.0) -> tuple[float, np.ndarray]:
+    """crf.nll_and_gradient by enumeration: for each sentence of the batch,
+    log Z and the expected count of every weight are summed over all K^T tag
+    sequences, one term at a time, and the gold counts are subtracted."""
+    k, num_attributes = model.num_tags, model.index.num_attributes
+    w = model.weights.tolist()
+    loss = 0.5 * l2 * sum(x * x for x in w)
+    grad = [l2 * x for x in w]
+    for enc in batch:
+        _check_size(TinyInstance(model, enc))
+        terms = [_feature_ids(k, num_attributes, enc, y)
+                 for y in itertools.product(range(k), repeat=enc.length)]
+        scores = [sum(w[i] for i in ids) for ids in terms]
+        m = max(scores)
+        log_z = m + math.log(sum(math.exp(s - m) for s in scores))
+        gold = _feature_ids(k, num_attributes, enc, enc.tag_ids)
+        loss += log_z - sum(w[i] for i in gold)
+        for ids, s in zip(terms, scores):
+            p = math.exp(s - log_z)
+            for i in ids:
+                grad[i] += p
+        for i in gold:
+            grad[i] -= 1.0
+    return loss, np.array(grad)
+
+
+@dataclass
+class NaiveRun:
+    """What naive_train returns: the best epoch's weights, each epoch's
+    training loss and dev F1, the best epoch (1-based), and the weights after
+    every epoch, so that a caller can inspect near-tied dev paths."""
+
+    weights: np.ndarray
+    train_nll: list[float]
+    dev_f1: list[float]
+    best_epoch: int
+    epoch_weights: list[np.ndarray]
+
+
+def naive_train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
+                index: FeatureIndex) -> NaiveRun:
+    """README's statement of `train`, one sentence and one weight at a time.
+
+    Every epoch shuffles the sentence order with one random.Random(cfg.seed)
+    and cuts it into batches of cfg.batch_size.  Each batch's loss and
+    gradient come from naive_nll_and_gradient; the gradient, scaled by
+    1 / batch size, takes one AdaGrad step per weight.  Dev tags come from
+    enumerate_best, and dev F1 is the support-weighted F1 of the
+    span_counts_reference counts; training stops once dev F1 has failed to
+    beat the last reference by more than MIN_DELTA for more than
+    cfg.patience epochs, and the first best epoch's weights are kept.
+    """
+    sentences = list(encode_dataset(train_set, index))
+    dev_encoded = list(encode_dataset(dev, index))
+    w = [0.0] * CrfModel.zeros(index).weights.size
+    accum = [0.0] * len(w)
+    rng, order = random.Random(cfg.seed), list(range(len(sentences)))
+    run = NaiveRun(np.array(w), [], [], 0, [])
+    best_f1, stop_ref, bad_epochs = -1.0, -1.0, 0
+    for epoch in range(1, cfg.epochs + 1):
+        rng.shuffle(order)
+        epoch_loss = 0.0
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = [sentences[i] for i in order[lo:lo + cfg.batch_size]]
+            loss, grad = naive_nll_and_gradient(CrfModel(np.array(w), index), batch, cfg.l2)
+            epoch_loss += loss
+            for i, g in enumerate(grad.tolist()):
+                g *= 1.0 / len(batch)
+                accum[i] += g * g
+                w[i] -= cfg.learning_rate * g / (math.sqrt(accum[i]) + _ADAGRAD_EPS)
+        model = CrfModel(np.array(w), index)
+        pred = Dataset(Sentence(s.surfaces, [index.tagset.tags[t] for t in
+                                             enumerate_best(TinyInstance(model, enc))[0]])
+                       for s, enc in zip(dev.sentences, dev_encoded))
+        tp, fp, fn = span_counts_reference(dev, pred)
+        weighted, support = 0.0, 0
+        for c in sorted(tp.keys() | fp.keys() | fn.keys()):
+            prec = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] else 0.0
+            rec = tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] else 0.0
+            weighted += (2 * prec * rec / (prec + rec) if prec + rec else 0.0) * (tp[c] + fn[c])
+            support += tp[c] + fn[c]
+        f1 = weighted / support if support else 0.0
+        run.train_nll.append(epoch_loss)
+        run.dev_f1.append(f1)
+        run.epoch_weights.append(model.weights)
+        if f1 > best_f1:
+            best_f1, run.best_epoch, run.weights = f1, epoch, model.weights
+        if f1 > stop_ref + MIN_DELTA:
+            stop_ref, bad_epochs = f1, 0
+        else:
+            bad_epochs += 1
+            if bad_epochs > cfg.patience:
+                break
+    return run

@@ -1,16 +1,24 @@
+import contextlib
 import dataclasses
+import io
 import re
+import tempfile
+import warnings
 from collections import Counter
+from pathlib import Path
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_separable_corpus, mix_reference
 import mixner.cli as cli_module
 import mixner.crf as crf_module
 from mixner.cli import build_parser, main
-from mixner.corpus import Sentence, parse_conll, write_conll
-from mixner.crf import CrfModel, TrainConfig, load_model, save_model
+from mixner.corpus import Dataset, Sentence, parse_conll, write_conll
+from mixner.crf import CrfModel, TrainConfig, load_model, save_model, train
 from mixner.features import build_index
 
 
@@ -120,6 +128,17 @@ class TestTrain:
         assert code == 2
         assert f"empty dev file: {empty}" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
+
+    def test_missing_output_directory_exits_2_before_training(self, corpus_files, tmp_path,
+                                                               capsys, monkeypatch):
+        trainer = Mock(side_effect=AssertionError("train ran"))
+        monkeypatch.setattr(cli_module, "train", trainer)
+        code = main(["train", "--train", str(corpus_files["cm_train"]),
+                     "--dev", str(corpus_files["cm_dev"]),
+                     "-o", str(tmp_path / "missing" / "m.txt")])
+        assert code == 2 and not trainer.called
+        assert capsys.readouterr().err == \
+            f"error: output directory does not exist: {tmp_path / 'missing'}\n"
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--l2", "-1", "l2"), ("--l2", "nan", "l2"), ("--l2", "inf", "l2"),
@@ -428,3 +447,81 @@ def test_pipeline_builds_no_sentence(corpus_files, tmp_path, monkeypatch):
     assert calls == []
     Sentence(("a",), ("O",))
     assert calls == [1]
+
+
+# Bytes inserted by the damaged-input test: a NUL, an invalid UTF-8 byte, a
+# byte-order mark, three line breaks (str.splitlines ends lines at U+0085 and
+# U+2028 too), a metadata marker, a model section opener and non-finite numbers.
+INSERTS = (b"\x00", b"\xff", "\ufeff".encode(), b"\r", "\x85".encode(),
+           "\u2028".encode(), b"# ", b"[", b"nan", b"1e999")
+
+
+def damage(data: bytes, draw) -> bytes:
+    """data after one to three byte-level insertions, deletions, truncations
+    or duplications of a range, each at a drawn position."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 40)))
+        kind = draw(st.sampled_from(["insert", "delete", "truncate", "duplicate"]))
+        data = {"insert": lambda: data[:i] + draw(st.sampled_from(INSERTS)) + data[i:],
+                "delete": lambda: data[:i] + data[j:],
+                "truncate": lambda: data[:i],
+                "duplicate": lambda: data[:j] + data[i:j] + data[j:]}[kind]()
+    return data
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """The bytes of a small valid corpus, with sentence ids, and of a model
+    trained on it for one epoch."""
+    ds = Dataset(Sentence(s.surfaces, s.tags, f"s{i}")
+                 for i, s in enumerate(make_separable_corpus(3, 21)))
+    model_path = tmp_path_factory.mktemp("pristine") / "model.txt"
+    save_model(train(ds, ds, TrainConfig(epochs=1), build_index(ds))[0], model_path)
+    return {"corpus": write_conll(ds).encode(), "model": model_path.read_bytes()}
+
+
+# For each damaged file: which pristine file it starts from, the command with
+# {damaged}, {corpus}, {model} and {out} to fill in, and whether {out} is a
+# CoNLL file to read back.
+DAMAGED_RUNS = {
+    "mix input": ("corpus", ["mix", "--primary", "{damaged}", "--aux", "{corpus}",
+                             "--shuffle", "-o", "{out}"], True),
+    "train input": ("corpus", ["train", "--train", "{damaged}", "--dev", "{corpus}",
+                               "--epochs", "1", "-o", "{out}"], False),
+    "tag model": ("model", ["tag", "--model", "{damaged}", "--input", "{corpus}",
+                            "-o", "{out}"], True),
+    "tag input": ("corpus", ["tag", "--model", "{model}", "--input", "{damaged}",
+                             "-o", "{out}"], True),
+    "eval prediction": ("corpus", ["eval", "--gold", "{corpus}", "--pred", "{damaged}",
+                                   "--report", "{out}"], False),
+}
+
+
+@pytest.mark.parametrize("target", DAMAGED_RUNS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_input_exits_0_or_2_property(pristine, target, data):
+    """A damaged file makes a command exit 2 with one `error:` line, or exit 0
+    with output that reads back: no traceback, no warning, no other code."""
+    source, argv, conll_out = DAMAGED_RUNS[target]
+    damaged = damage(pristine[source], data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in ("damaged", "corpus", "model", "out")}
+        paths["damaged"].write_bytes(damaged)
+        paths["corpus"].write_bytes(pristine["corpus"])
+        paths["model"].write_bytes(pristine["model"])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main([arg.format(**paths) for arg in argv])
+        assert code in (0, 2)
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        elif conll_out:
+            text = paths["out"].read_text(encoding="utf-8")
+            x = parse_conll(text)
+            assert parse_conll(write_conll(x)) == x
+            assert write_conll(x) == text

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_separable_corpus, stray_inside
+from helpers import make_separable_corpus, naive_nll_and_gradient, stray_inside
 from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset, write_conll
 import mixner.crf as crf_module
 import mixner.eval as eval_module
@@ -25,8 +25,7 @@ from mixner.eval import score_entities
 from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset)
 from mixner.oracle import (TOL, TinyInstance, enumerate_best, enumerate_logZ,
-                           enumerate_marginals, naive_nll_and_gradient, naive_sequence_score,
-                           random_instance)
+                           enumerate_marginals, naive_sequence_score, random_instance)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -8,17 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import helpers
+from helpers import naive_nll_and_gradient, naive_train
 from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset
 import mixner.crf as crf_module
 from mixner.crf import (CrfModel, TrainConfig, log_partition, marginals,
                         nll_and_gradient, train, viterbi)
 from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset)
-import mixner.oracle as oracle_module
 from mixner.oracle import (TOL, TinyInstance, enumerate_best, enumerate_logZ,
                            enumerate_marginals, fd_gradient, gradient_error,
-                           naive_nll_and_gradient, naive_sequence_score, naive_train,
-                           random_instance, run_verification, serialize_instance)
+                           naive_sequence_score, random_instance, run_verification,
+                           serialize_instance)
 
 
 def zero_instance(tags, t_len, num_attrs=1):
@@ -216,7 +217,7 @@ def test_train_matches_naive_reference(run):
     train_ds, dev_ds, cfg, min_delta = run
     index = build_index(train_ds)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle_module, "MIN_DELTA", min_delta)
+        patch.setattr(helpers, "MIN_DELTA", min_delta)
         patch.setattr(crf_module, "MIN_DELTA", min_delta)
         ref = naive_train(train_ds, dev_ds, cfg, index)
         patch.setattr(crf_module, "nll_and_gradient", naive_nll_and_gradient)
