@@ -23,7 +23,14 @@ def _read_dataset(path: str, require_tags: bool = True) -> Dataset:
     return parse_conll(text, require_tags=require_tags)
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before any work if the directory an output goes to is missing."""
+    if not Path(path).parent.is_dir():
+        raise ValueError(f"output directory does not exist: {Path(path).parent}")
+
+
 def cmd_mix(args) -> int:
+    _check_out_dir(args.out)
     print(f"mix: --seed {args.seed}")
     primary = _read_dataset(args.primary)
     auxiliaries = [_read_dataset(p) for p in args.aux]
@@ -36,8 +43,7 @@ def cmd_mix(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if not Path(args.out).parent.is_dir():  # the history file is written there too
-        raise ValueError(f"output directory does not exist: {Path(args.out).parent}")
+    _check_out_dir(args.out)  # the history file is written there too
     print(f"train: --epochs {args.epochs} --batch {args.batch} "
           f"--patience {args.patience} --lr {args.lr} --l2 {args.l2} "
           f"--min-count {args.min_count} --seed {args.seed}")
@@ -65,6 +71,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
+    _check_out_dir(args.out)
     model = load_model(args.model)
     ds = _read_dataset(args.input, require_tags=False)
     tagged = decode(model, ds)
@@ -74,6 +81,8 @@ def cmd_tag(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.report:
+        _check_out_dir(args.report)
     gold = _read_dataset(args.gold)
     pred = _read_dataset(args.pred)
     report = score_entities(gold, pred)

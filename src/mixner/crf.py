@@ -5,25 +5,24 @@ The score of a tag sequence y for a sentence with attributes attrs(i) is
     start[y_1] + sum_i sum_{a in attrs(i)} W_e[a, y_i]
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
-All inference runs in log space with one maximum subtracted per packed row,
-which cannot overflow while path scores are finite.  Emission scores, alpha
-and beta are (K, rows) arrays, tags outer and packed rows contiguous, so a
-step's operations loop over the batch's sentences.  One forward recursion
-takes a max for Viterbi, whose backtrace recovers each back pointer, the
-given tags for sequence_score and, in the forward-backward, one of two
-exact steps, chosen per batch: while the transitions' spread is at most
-_MATMUL_SPREAD, the scaled recursion of Rabiner (1989), one matmul with
-E = exp(T - max T) per step, and one more matmul sums the expected
-transition counts; otherwise a log-sum-exp over a K x K x rows array.  Sums
-whose order follows the memory layout (log Z, the backward log-sum-exp,
-the start and end gradient sums, the edge-count product) run on row-major
-(rows, K) copies, so every result is bit for bit that of a (rows, K)
-layout.  Marginals exponentiate alpha + beta - log Z, which is
-<= 0 only up to a rounding error that grows with the scores.  Runaway
-weights (say 1e300) spread the transitions far beyond the bound, so they
-take the log-sum-exp step, overflow in the marginals and stop train on the
-non-finite loss.  Training is maximum likelihood with an L2 penalty,
-optimized by mini-batch AdaGrad, deterministic given the seed.
+Emission scores are (K, rows) arrays, tags outer and packed rows
+contiguous.  One forward recursion, _forward, takes in log space a max for
+Viterbi, whose backtrace recovers each back pointer, and the given tags for
+sequence_score; in the forward-backward it takes one of two exact
+sum-product steps, chosen per batch.  While the transitions spread by at
+most _MATMUL_SPREAD and no interior row's emissions by more than 1022 ln 2,
+the scaled recursion of Rabiner (1989) runs in probability space: one matmul
+and one multiply per step on row-major (rows, K) blocks, a division by the
+row maxima every r steps, with r set per batch from the transitions'
+spread, and one more matmul for the expected transition counts.  Start and
+end weights, whose spread is unbounded, enter in log space, and so does
+log Z.  The comment above _MATMUL_SPREAD proves this path exact.
+Otherwise (non-finite or extreme weights) the step is a log-sum-exp over a
+K x K x rows array, and the marginals exponentiate alpha + beta - log Z.
+Runaway weights (say 1e300) spread the transitions far beyond the bound,
+so they take the log-sum-exp step, overflow in the marginals and stop
+train on the non-finite loss.  Training is maximum likelihood with an L2
+penalty, optimized by mini-batch AdaGrad, deterministic given the seed.
 """
 
 import math
@@ -160,26 +159,52 @@ class _Packed:
         self.em = _scatter(self.attr_rows, model.emissions.T, self.attrs, n)
 
 
-def _forward(model: CrfModel, p: _Packed, step) -> np.ndarray:
-    """alpha[:, row] = step(alpha at the predecessor rows) + em[:, row], as a
-    (K, rows) array; step returns the (K, rows) scores before emissions:
-    _steps' sum-product step, Viterbi's max over the previous tag, or
-    sequence_score's row of the given tag."""
-    alpha = np.empty_like(p.em)
-    alpha[:, :p.b] = model.start[:, None] + p.em[:, :p.b]
-    for lo, size, plo in p.steps:
-        alpha[:, lo:lo + size] = step(alpha[:, plo:plo + size]) + p.em[:, lo:lo + size]
-    return alpha
+def _forward(p: _Packed, first: np.ndarray, step, out=None) -> np.ndarray:
+    """The one forward recursion, as a (K, rows) array, out if given: the
+    first rows are first, and the rows of step t, a slice rows, are step(x,
+    t, rows) for x the rows of step t - 1 that precede them.  The steps are
+    _scaled's matmul, _log_space's log-sum-exp, Viterbi's max over the
+    previous tag and sequence_score's row of the given tag."""
+    if out is None:
+        out = np.empty((len(first), p.n))
+    out[:, :p.b] = first
+    for t, (lo, size, plo) in enumerate(p.steps, 1):
+        out[:, lo:lo + size] = step(out[:, plo:plo + size], t, slice(lo, lo + size))
+    return out
 
 
-# The matmul recursion of _steps is exact for transitions T whose spread
-# ptp(T) is at most this.  Proof: every entry of E = exp(T - max T) is at least
-# exp(-ptp T), a normal float while ptp T <= 1022 ln 2, so each matmul step's
-# largest term keeps full precision.  A row's edge scale exp(c + d + max T -
-# log Z) is at most exp(ptp T), because log Z >= c + d + min T for the row
-# maxima c of alpha and d of em + beta; so the edge sum over fewer than 2**63
-# rows stays below 2**63 * exp(ptp T), which is finite while ptp T <= 961 ln 2.
+# _scaled, the forward-backward in probability space, is exact for
+# transitions T whose spread S = ptp(T) is at most _MATMUL_SPREAD and K < 2**31
+# tags (K x K floats must fit in memory), while every interior row (neither
+# first nor last in its sentence) has x >= _LOG_NORMAL, so q = exp(x) >=
+# 2**-1022: its emissions spread by at most 1022 ln 2.  Otherwise
+# _forward_backward takes _log_space.  Proof:
+# - Range.  E = exp(T - min T) lies in [1, e**S], e**S <= 2**961, so for u >= 0
+#   with maximum M every entry of u @ E (and of w @ E^T) lies in [M, K e**S M].
+#   As q <= 1, with q = 1 at each row's best tag, a row's maximum, 1 at the
+#   first rows (the last, backward) and after a division, never falls and
+#   rises at most K e**S < 2**992 per step.  r = max(1, floor(_GROWTH /
+#   (S + ln K))) steps after a division by the maximum it is below 2**1023,
+#   half the largest float, which leaves room for rounding; r >= 1, as
+#   S + ln K < 992 ln 2.
+# - Precision.  An interior entry (u @ E)[k] q[k] >= M q[k] >= 2**-1022, as
+#   M >= 1, is normal after every step, so it keeps full relative precision.
+#   Entries below 2**-1022 M come only from start and end, which enter in log
+#   space, or from a division by the maximum; each is off by at most
+#   2**-1074 M and enters the next step times at most e**S, against entries
+#   >= M: a relative error below 2**-113.
+# - Normalisers.  Divided by their row maxima, u <= 1 with a 1 at its best
+#   tag, and v >= 1 / (K e**S) > 2**-992, so sum(u v) > 2**-992 > 0.  A
+#   product u v lost to underflow moves a node marginal by less than 2**-1074
+#   K e**S < 2**-82.  An edge row's scale wmax / (vmax sum(u v)) is at most 1,
+#   as sum(u v) >= v at u's best tag >= wmax / vmax.
+# - The gate on x.  An interior tag whose emission lies d below the row's
+#   best can still win through transitions into and out of it worth up to
+#   2 S (1332 at the bound), yet q = exp(-d) underflows to 0 for d > 745 and
+#   drops it (test_interior_emission_deficit_repaid_by_transitions).
 _MATMUL_SPREAD = 961 * math.log(2)
+_GROWTH = 1023 * math.log(2)  # the log of the largest rise allowed between divisions
+_LOG_NORMAL = -1022 * math.log(2)  # exp(x) >= 2**-1022, the least normal float, for x >= this
 
 
 def _edges(a: np.ndarray, trans: np.ndarray, b: np.ndarray, log_z: np.ndarray) -> np.ndarray:
@@ -191,58 +216,109 @@ def _edges(a: np.ndarray, trans: np.ndarray, b: np.ndarray, log_z: np.ndarray) -
     return np.exp(edge, out=edge)
 
 
-def _steps(trans: np.ndarray):
-    """The sum-product operations over transitions trans, chosen per batch:
-    on (K, rows) arrays, the forward step a -> log sum_j exp(a[j] +
-    trans[j, :, None]) and the backward step b -> log sum_k exp(trans[:, k,
-    None] + b[k]); on row-major (rows, K) copies, the edge sum (a, b, log_z)
-    -> _edges(a, trans, b, log_z).sum(axis=0), the (K, K) expected
-    transition counts.  While ptp(trans) <= _MATMUL_SPREAD each is a matmul
-    through E = exp(trans - max trans): a step subtracts one maximum per
-    packed row, E^T @ exp(a - c) forward and E @ exp(b - d) backward, and the
-    edge sum is ((A * s)^T @ B) * E for A = exp(a - c) and B = exp(b - d)
-    with row maxima c and d, and the row scale s = exp(c + d + max trans -
-    log_z), so no (rows, K, K) array is built.  Otherwise (non-finite or
-    extreme transitions) they are log-sum-exps, the backward one over a
-    row-major copy, and the sum of _edges.  Each sum adds in the order a
-    (rows, K) layout gives it, so no result depends on the layout."""
-    top = trans.max()
-    if not top - trans.min() <= _MATMUL_SPREAD:  # also taken for nan and inf
-        return (lambda a: _logsumexp(a[:, None] + trans[:, :, None], 0),
-                lambda b: _logsumexp(trans + _rows(b)[:, None], 2).T,
-                lambda a, b, log_z: _edges(a, trans, b, log_z).sum(axis=0))
-    e = np.exp(trans - top)
-
-    def step(f, x):
-        c = x.max(axis=0)
-        return np.log(f @ np.exp(x - c)) + (c + top)
-
-    def edge_sum(a, b, log_z):
-        c, d = a.max(axis=1, keepdims=True), b.max(axis=1, keepdims=True)
-        scale = np.exp(c + d + top - log_z[:, None])
-        return ((np.exp(a - c) * scale).T @ np.exp(b - d)) * e
-    return lambda a: step(e.T, a), lambda b: step(e, b), edge_sum
-
-
-def _log_z(model: CrfModel, p: _Packed, alpha: np.ndarray) -> np.ndarray:
-    """log Z per rank, a log-sum-exp over a row-major copy of the last rows."""
-    return _logsumexp(_rows(alpha[:, p.last]) + model.end, 1)
-
-
-def _forward_backward(model: CrfModel, p: _Packed):
-    """Node marginals per row as a (K, rows) array, the expected transition
-    counts summed over the batch, log Z per rank, and alpha and beta."""
-    forward, backward, edge_sum = _steps(model.transitions)
-    alpha = _forward(model, p, forward)
-    log_z = _log_z(model, p, alpha)
-    em, beta = p.em, np.empty_like(p.em)
+def _log_space(model: CrfModel, p: _Packed, per_row: bool):
+    """_forward_backward in log space, for transitions or emissions beyond
+    the bound of _scaled (non-finite or extreme weights): log-sum-exp steps,
+    the backward one over a row-major copy, and edges from _edges."""
+    trans, em = model.transitions, p.em
+    alpha = _forward(p, model.start[:, None] + em[:, :p.b], lambda a, t, rows: _logsumexp(
+        a[:, None] + trans[:, :, None], 0) + em[:, rows])
+    log_z = _logsumexp(_rows(alpha[:, p.last]) + model.end, 1)
+    beta = np.empty_like(em)
     beta[:, p.last] = model.end[:, None]
     for lo, size, plo in reversed(p.steps):
-        beta[:, plo:plo + size] = backward(em[:, lo:lo + size] + beta[:, lo:lo + size])
+        beta[:, plo:plo + size] = _logsumexp(
+            trans + _rows(em[:, lo:lo + size] + beta[:, lo:lo + size])[:, None], 2).T
     node = np.exp(alpha + beta - log_z[p.rank_of_row])
-    counts = edge_sum(_rows(alpha[:, p.prev]), _rows((em + beta)[:, p.b:]),
-                      log_z[p.rank_of_row[p.b:]])
-    return node, counts, log_z, alpha, beta
+    edges = _edges(_rows(alpha[:, p.prev]), trans, _rows((em + beta)[:, p.b:]),
+                   log_z[p.rank_of_row[p.b:]])
+    return node, edges if per_row else edges.sum(axis=0), log_z
+
+
+def _scaled(model: CrfModel, p: _Packed, x: np.ndarray, top: np.ndarray, per_row: bool):
+    """_forward_backward in probability space, the scaled recursion of
+    Rabiner (1989).  x holds em plus start at first rows and end at last
+    rows, less its row maxima top; it is overwritten with q = exp(x).  With
+    E = exp(T - min T) the forward step is u = (u_prev @ E) * q and the
+    backward step v = w_next @ E^T, w = v * q, on row-major (rows, K) arrays
+    so that a step's rows are one contiguous block; every r steps a row is
+    divided by its maximum.  Node and edge marginals sum to 1 per row, so
+    they are normalised per row, on (K, rows) copies; only log Z needs
+    offsets, summed per sentence by np.bincount from each row's top and
+    divisor, and taken in log space at the last rows."""
+    trans, b = model.transitions, p.b
+    low = trans.min()
+    e = np.exp(trans - low)
+    growth = float(trans.max() - low) + math.log(len(trans))  # log of a row's largest rise
+    r = max(1, int(_GROWTH // growth)) if growth else p.n  # one tag: rows never grow
+    scale = np.ones(p.n)
+    last = x[:, p.last]
+    q = _rows(np.exp(x, out=x))
+
+    def forward(prev, t, rows):  # prev.T and the result's .T are (size, K) blocks
+        u = np.dot(prev.T, e)
+        u *= q[rows]
+        if t % r == 0:
+            scale[rows] = s = u.max(axis=1)
+            u /= s[:, None]
+        return u.T
+
+    u = _forward(p, x[:, :b], forward, np.empty_like(q).T).T
+    # alpha + end at each last row, less the offsets: log(u @ E) at its
+    # predecessor plus x, or x alone for one-token sentences.
+    multi = p.last >= b
+    last[:, multi] += np.log(np.dot(u[p.prev[p.last[multi] - b]], e)).T
+    lse = _logsumexp(_rows(last), 1)
+    scale[p.last] = 1.0  # a last row's divisor does not enter its log Z
+    offsets = top + np.log(scale)
+    offsets[b:] += low
+    log_z = lse + np.bincount(p.rank_of_row, offsets, b)
+
+    et = np.ascontiguousarray(e.T)
+    v, w = np.empty_like(u), np.empty_like(u)
+    v[p.last], w[p.last] = 1.0, q[p.last]
+    for t, (lo, size, plo) in zip(range(len(p.steps), 0, -1), reversed(p.steps)):
+        vp, wp = v[plo:plo + size], w[plo:plo + size]
+        np.dot(w[lo:lo + size], et, out=vp)
+        np.multiply(vp, q[plo:plo + size], out=wp)
+        if (t - 1) % r == 0:
+            wp /= wp.max(axis=1, keepdims=True)
+
+    node = u = _rows(u)
+    u /= u.max(axis=0)
+    edge = u[:, p.prev]  # u / max u at each row's predecessor
+    v = _rows(v)
+    vmax = v.max(axis=0)
+    v /= vmax
+    node *= v
+    norm = node.sum(axis=0)
+    node /= norm
+    node[:, p.last] = np.exp(last - lse)
+    w = _rows(w[b:])
+    wmax = w.max(axis=0)
+    w /= wmax
+    edge *= wmax / (vmax[p.prev] * norm[p.prev])
+    edges = edge.T[:, :, None] * e * w.T[:, None] if per_row else (edge @ w.T) * e
+    return node, edges, log_z
+
+
+def _forward_backward(model: CrfModel, p: _Packed, per_row: bool = False):
+    """Node marginals per row as a (K, rows) array; the edge marginals of the
+    rows after each sentence's first, summed over the batch into a (K, K)
+    array, or per row as (rows - sentences, K, K) if per_row; and log Z per
+    rank.  _scaled where its bound holds, _log_space otherwise."""
+    trans = model.transitions
+    if trans.max() - trans.min() <= _MATMUL_SPREAD:  # not taken for nan and inf
+        x = p.em.copy()
+        x[:, :p.b] += model.start[:, None]
+        x[:, p.last] += model.end[:, None]
+        top = x.max(axis=0)
+        x -= top
+        lowest = x.min(axis=0)
+        lowest[:p.b] = lowest[p.last] = 0.0  # only interior rows need exp(x) normal
+        if lowest.min() >= _LOG_NORMAL:  # not taken for nan
+            return _scaled(model, p, x, top, per_row)
+    return _log_space(model, p, per_row)
 
 
 def _one(enc: EncodedSentence) -> EncodedCorpus:
@@ -257,30 +333,27 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
     if len(tags) != enc.length:
         raise ValueError("tag sequence length does not match the sentence")
     _check_range(np.asarray(tags, np.intp), model.num_tags, "tag", "position {}".format)
-    previous = iter(tags)
+    p = _Packed(model, _one(enc))
 
-    def given(a):  # the given previous tag's row
-        j = next(previous)
-        return a[j] + model.transitions[j, :, None]
+    def given(a, t, rows):  # the given previous tag's row
+        j = tags[t - 1]
+        return a[j] + model.transitions[j, :, None] + p.em[:, rows]
 
-    alpha = _forward(model, _Packed(model, _one(enc)), given)
+    alpha = _forward(p, model.start[:, None] + p.em[:, :1], given)
     return float(alpha[tags[-1], -1] + model.end[tags[-1]])
 
 
 def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
-    """log Z by the forward pass alone."""
-    p = _Packed(model, _one(enc))
-    return float(_log_z(model, p, _forward(model, p, _steps(model.transitions)[0]))[0])
+    """log Z, from the forward-backward that nll_and_gradient runs."""
+    return float(_forward_backward(model, _Packed(model, _one(enc)))[2][0])
 
 
 def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.ndarray]:
     """Posterior tag distributions (node, edge): node[t, k] = P(y_t = k) with
     shape (T, K), and edge[t, j, k] = P(y_t = j, y_{t+1} = k), shape (T-1, K, K),
-    built from alpha and beta of the forward-backward."""
-    p = _Packed(model, _one(enc))
-    node, _, log_z, alpha, beta = _forward_backward(model, p)
-    return _rows(node), _edges(_rows(alpha[:, p.prev]), model.transitions,
-                               _rows((p.em + beta)[:, p.b:]), log_z)
+    from the forward-backward that nll_and_gradient runs."""
+    node, edges, _ = _forward_backward(model, _Packed(model, _one(enc)), per_row=True)
+    return _rows(node), edges
 
 
 def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
@@ -293,7 +366,7 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     packed batch.
     """
     p = _Packed(model, batch)
-    node, edges, log_z, _, _ = _forward_backward(model, p)
+    node, edges, log_z = _forward_backward(model, p)
     k, tags, prev = model.num_tags, p.tags, p.tags[p.prev]
     gold = (model.start[tags[:p.b]].sum() + p.em[tags, np.arange(p.n)].sum()
             + model.transitions[prev, tags[p.b:]].sum() + model.end[tags[p.last]].sum())
@@ -322,7 +395,8 @@ def _best_paths(model: CrfModel, batch: EncodedCorpus) -> tuple[np.ndarray, np.n
     the same first-maximum rule."""
     trans = model.transitions
     p = _Packed(model, batch)
-    alpha = _forward(model, p, lambda a: (a[:, None] + trans[:, :, None]).max(axis=0))
+    alpha = _forward(p, model.start[:, None] + p.em[:, :p.b], lambda a, t, rows: (
+        a[:, None] + trans[:, :, None]).max(axis=0) + p.em[:, rows])
     final = alpha[:, p.last] + model.end[:, None]
     cur = final.argmax(axis=0)
     scores = final[cur, np.arange(p.b)][p.rank]

@@ -330,6 +330,26 @@ class TestTagAndEval:
         assert not pred_path.exists()
 
 
+@pytest.mark.parametrize("command, work", [
+    ("mix", "mix_datasets"), ("tag", "decode"), ("eval", "score_entities")])
+def test_missing_output_directory_exits_2_before_the_work(corpus_files, tmp_path, capsys,
+                                                          monkeypatch, command, work):
+    """mix -o, tag -o and eval --report into a missing directory fail with one
+    error line before mixing, decoding or scoring, as train does."""
+    model = tmp_path / "zero.txt"
+    save_model(CrfModel.zeros(build_index(parse_conll(corpus_files["cm_train"].read_text()))),
+               model)
+    missing = tmp_path / "missing"
+    dev = corpus_files["cm_dev"]
+    argv = {"mix": ["mix", "--primary", dev, "-o", missing / "mixed.conll"],
+            "tag": ["tag", "--model", model, "--input", dev, "-o", missing / "pred.conll"],
+            "eval": ["eval", "--gold", dev, "--pred", dev, "--report", missing / "r.txt"]}
+    worker = Mock(side_effect=AssertionError(f"{work} ran"))
+    monkeypatch.setattr(cli_module, work, worker)
+    assert main([str(a) for a in argv[command]]) == 2 and not worker.called
+    assert capsys.readouterr().err == f"error: output directory does not exist: {missing}\n"
+
+
 class TestVerify:
     def test_passes_and_prints_per_check(self, capsys):
         assert main(["verify", "--trials", "20", "--seed", "5"]) == 0

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
+from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
 
@@ -686,12 +688,127 @@ def test_low_transition_column_outweighed_by_emissions(low):
     assert np.max(np.abs(grad - ref_grad)) <= TOL * 1e3
 
 
+def exact_against_enumeration(model, e):
+    """log Z, node and edge marginals and the gradient of one sentence agree
+    with enumeration to TOL * max(1, |log Z|), with warnings as errors."""
+    inst = TinyInstance(model, e)
+    ref = enumerate_logZ(inst)
+    tol = TOL * max(1.0, abs(ref))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(log_partition(model, e) - ref) <= tol
+        for got, want in zip(marginals(model, e), enumerate_marginals(inst)):
+            assert got.size == 0 or np.max(np.abs(got - want)) <= tol
+        grad = nll_and_gradient(model, pack(e))[1]
+    assert np.max(np.abs(grad - naive_nll_and_gradient(model, pack(e))[1])) <= tol
+
+
+@pytest.mark.parametrize("attrs, start, end", [
+    ([(), (), (0,)], 0.0, 1600.0),  # last token: emission favours O by 800, end B-X by 1600
+    ([(0,), (), ()], 1600.0, 0.0),  # the same at the first token, through start
+    ([(0,)], 400.0, 1600.0)])       # one token: start, emission and end at once
+def test_start_and_end_traps_match_enumeration(attrs, start, end):
+    """Start and end weights, whose spread is unbounded, enter the scaled
+    recursion in log space: exp(em - max em) alone would round the O
+    emission's rivals to 0 at the first or last token, where start or end
+    weights make one of them the likely tag."""
+    m = tiny_model(["O", "B-X", "I-X"], 1)
+    m.transitions[...] = [[0.5, -1.0, 0.2], [0.3, 2.0, -0.7], [1.1, 0.0, 0.4]]
+    m.emissions[0, 0] = 800.0
+    m.start[1], m.end[1] = start, end
+    e = enc(attrs, [1] * len(attrs))
+    with patch.object(crf_module, "_edges", wraps=crf_module._edges) as edges:
+        exact_against_enumeration(m, e)
+    assert not edges.called  # the scaled path ran
+
+
+def test_interior_emission_deficit_repaid_by_transitions():
+    """B-X at the middle token lies 800 below O in emission, and the
+    transitions into and out of it are worth 600 each, so it is the likely
+    tag.  exp(-800) underflows, so the scaled recursion would drop it:
+    _forward_backward must take the log-space path, and stay exact."""
+    m = tiny_model(["O", "B-X"], 2)
+    m.transitions[...] = [[0.0, 600.0], [600.0, 0.0]]
+    m.emissions[:, 0] = [2000.0, 800.0]
+    e = enc([(0,), (1,), (0,)], [0, 1, 0])
+    with patch.object(crf_module, "_edges", wraps=crf_module._edges) as edges:
+        exact_against_enumeration(m, e)
+    assert edges.called
+    assert marginals(m, e)[0][1, 1] > 0.5
+
+
+THIRTEEN_TAGS = ["O"] + sorted(f"{p}-{c}" for c in "ABCDEF" for p in "BI")
+
+
+@st.composite
+def long_batches(draw):
+    """A model of 2..13 tags whose transitions spread near 0, mid-range or
+    just under _MATMUL_SPREAD, with start and end weights up to 1e3, and 1..6
+    sentences of 1..200 tokens with two attributes each.  (With one tag the
+    gradient is 0, and the log-sum-exp path's rounding over 1,200 rows
+    alone exceeds 1e-9.)"""
+    k = draw(st.integers(2, 13))
+    model = tiny_model(THIRTEEN_TAGS[:k], 6)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model.weights[...] = rng.normal(0.0, 1.0, model.weights.size)
+    model.start[...], model.end[...] = rng.uniform(-1e3, 1e3, (2, k))
+    bound = crf_module._MATMUL_SPREAD
+    lo, hi = draw(st.sampled_from([(0.0, 2.0), (200.0, 400.0), (bound - 1.0, bound)]))
+    t = model.transitions
+    t[...] = (t - t.min()) * (draw(st.floats(lo, hi)) / np.ptp(t)) - hi / 2
+    lengths = draw(st.lists(st.integers(1, 200), min_size=1, max_size=6))
+    return model, pack(*(enc(rng.integers(0, 6, (n, 2)), rng.integers(0, k, n))
+                         for n in lengths))
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_batches())
+def test_long_sentences_through_the_renormalisation_property(case):
+    """Sentences too long for enumeration, with transitions up to the bound,
+    where a row is divided by its maximum every step (r = 1) or rarely: the
+    scaled path's loss, gradient, log Z and node marginals agree with the
+    log-sum-exp path to 1e-9 relative."""
+    model, corpus = case
+    p = crf_module._Packed(model, corpus)
+    with patch.object(crf_module, "_edges", wraps=crf_module._edges) as edges:
+        node, _, log_z = crf_module._forward_backward(model, p)
+        loss, grad = nll_and_gradient(model, corpus)
+    assert not edges.called  # the scaled path ran
+    with patch.object(crf_module, "_MATMUL_SPREAD", -1.0):  # log-sum-exp only
+        lse_node, _, lse_log_z = crf_module._forward_backward(model, p)
+        lse_loss, lse_grad = nll_and_gradient(model, corpus)
+    assert close(log_z, lse_log_z) and close(node, lse_node)
+    assert close(loss, lse_loss) and close(grad, lse_grad)
+
+
+def test_gradient_takes_no_exp_or_log_per_step(monkeypatch):
+    """nll_and_gradient calls np.exp and np.log as often on 13-tag sentences
+    of up to 60 tokens as on sentences of up to 5: the recursions multiply,
+    and transcendentals run once per batch."""
+    model, _ = thirteen_tag_case(7, 1)
+    rng = np.random.default_rng(8)
+    corpora = [pack(*(enc(rng.integers(0, 4000, (n, 4)), rng.integers(0, 13, n))
+                      for n in [longest, *rng.integers(1, longest, 30)]))
+               for longest in (5, 60)]
+    counts = Counter()
+    for name in ("exp", "log"):
+        def counted(*args, _real=getattr(np, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    tallies = []
+    for corpus in corpora:
+        counts.clear()
+        nll_and_gradient(model, corpus, 1e-4)
+        tallies.append(dict(counts))
+    assert tallies[0] == tallies[1] and tallies[0]["exp"] > 0
+
+
 def thirteen_tag_case(seed, sentences):
     """A 13-tag model over 4,000 attributes with N(0, 0.5) weights, and a
     corpus of sentences of 1..24 tokens with 4 attributes each."""
     rng = np.random.default_rng(seed)
-    tags = ["O"] + sorted(f"{p}-{c}" for c in "ABCDEF" for p in "BI")
-    model = tiny_model(tags, 4000)
+    model = tiny_model(THIRTEEN_TAGS, 4000)
     model.weights[...] = rng.normal(0.0, 0.5, model.weights.size)
     lengths = rng.integers(1, 25, sentences)
     return model, pack(*(enc(rng.integers(0, 4000, (n, 4)), rng.integers(0, 13, n))
