@@ -275,12 +275,12 @@ def _scaled(model: CrfModel, p: _Packed, x: np.ndarray, top: np.ndarray, per_row
     log_z = lse + np.bincount(p.rank_of_row, offsets, b)
 
     et = np.ascontiguousarray(e.T)
-    v, w = np.empty_like(u), np.empty_like(u)
-    v[p.last], w[p.last] = 1.0, q[p.last]
+    v, w = np.empty_like(u), q  # w = v * q overwrites q row by row; at last rows w = q
+    v[p.last] = 1.0
     for t, (lo, size, plo) in zip(range(len(p.steps), 0, -1), reversed(p.steps)):
         vp, wp = v[plo:plo + size], w[plo:plo + size]
         np.dot(w[lo:lo + size], et, out=vp)
-        np.multiply(vp, q[plo:plo + size], out=wp)
+        wp *= vp
         if (t - 1) % r == 0:
             wp /= wp.max(axis=1, keepdims=True)
 
