@@ -28,20 +28,21 @@ penalty, optimized by mini-batch AdaGrad, deterministic given the seed.
 import math
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, TagSet
+from .corpus import Dataset, TagSet, _offsets
 from .eval import _class_scores, _span_counts
-from .features import EncodedCorpus, EncodedSentence, FeatureIndex, encode_dataset
+from .features import EncodedCorpus, EncodedSentence, FeatureIndex, _ranges, encode_dataset
 
 MODEL_HEADER = "MIXNER-CRF v1"
 _SECTIONS = ("tags", "attributes", "start", "end", "transitions", "emissions")
 _ADAGRAD_EPS = 1e-8
 MIN_DELTA = 1e-4  # smallest dev F1 gain that resets the patience count
-DECODE_CHUNK = 256  # sentences per packed Viterbi call in _decode_paths
+DECODE_CHUNK = 256  # a _decode_paths chunk's limit in sentences, times the mean length in tokens
 
 
 def _views(weights: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
@@ -116,47 +117,60 @@ def _check_range(ids: np.ndarray, limit: int, what: str, where) -> None:
                          f"for {limit} {what}s")
 
 
+def _check_ids(model: CrfModel, corpus: EncodedCorpus) -> None:
+    """Reject ids outside the model, naming the first one's place in corpus."""
+    where = "sentence {}, position {}".format
+    _check_range(corpus.tags, model.num_tags, "tag", lambda j: where(*corpus.locate(j)))
+    _check_range(corpus.attrs, model.index.num_attributes, "attribute", lambda j: where(
+        *corpus.locate(np.searchsorted(corpus.attr_offsets, j, "right") - 1)))
+
+
 class _Packed:
-    """A batch scored under a model, laid out time-major and packed by length:
-    sentences are ranked longest first (ties in input order), and step t holds
-    the sentences longer than t in rows offsets[t] + rank, a prefix of step
-    t - 1.  em, like alpha and beta, is a (K, rows) array, tags outer and
-    packed rows contiguous, so every step's operations loop over the
-    sentences of the batch, not over K tags.  em[:, row] sums W_e over the
-    row's attributes in listed order, so it is bit for bit the same whatever
-    batch the sentence is in: the corpus keeps each token's attributes in
-    listed order, and _scatter adds in that order."""
+    """The weight-free layout of a batch, the sentences sel of a corpus (all if
+    None), whose tokens sit at corpus indices tokens: time-major and packed by
+    length, sentences ranked longest first (ties in batch order), step t holding
+    the sentences longer than t in rows offsets[t] + rank, a prefix of step t - 1.
+    em, set by weigh, is like alpha and beta a (K, rows) array, tags outer and
+    packed rows contiguous, so every step loops over the batch's sentences,
+    not over K tags.  em[:, row] sums W_e over the row's attributes in listed
+    order, so it is bit for bit the same whatever batch the sentence is in:
+    the corpus keeps that order, and _scatter adds in it."""
 
-    def __init__(self, model: CrfModel, batch: EncodedCorpus):
-        if not len(batch):
+    def __init__(self, corpus: EncodedCorpus, sel: np.ndarray | None = None):
+        lengths = corpus.lengths if sel is None else corpus.lengths[sel]
+        self.b = b = len(lengths)
+        if not b:
             raise ValueError("empty batch")
-
-        def where(token):
-            return "sentence {}, position {}".format(*batch.locate(token))
-
-        _check_range(batch.tags, model.num_tags, "tag", where)
-        _check_range(batch.attrs, model.index.num_attributes, "attribute",
-                     lambda j: where(np.searchsorted(batch.attr_offsets, j, "right") - 1))
-        self.b = b = len(batch)
-        self.lengths = lengths = batch.lengths
         self.rank = np.argsort(np.argsort(-lengths, kind="stable"))
         sizes = b - np.cumsum(np.bincount(lengths))[:-1]
         offsets = np.cumsum(sizes) - sizes
         # (row offset, sentences active, previous step's row offset), steps >= 1
         self.steps = list(zip(offsets[1:].tolist(), sizes[1:].tolist(), offsets.tolist()))
-        self.n = n = len(batch.tags)
+        self.n = n = int(sizes.sum())
         step = np.repeat(np.arange(len(sizes)), sizes)
         self.rank_of_row = np.arange(n) - offsets[step]
         self.prev = np.arange(b, n) - sizes[step[b:] - 1]  # predecessors of rows b..n-1
         self.last = offsets[np.sort(lengths)[::-1] - 1] + np.arange(b)
-        # Packed row of every token, sentence by sentence in input order.
-        pos = np.arange(n) - np.repeat(batch.offsets[:-1], lengths)
+        # Packed row of every token, sentence by sentence in batch order.
+        pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         self.rows = offsets[pos] + np.repeat(self.rank, lengths)
+        self.tokens = slice(None) if sel is None else _ranges(corpus.offsets[sel], lengths)[0]
         self.tags = np.empty(n, np.intp)
-        self.tags[self.rows] = batch.tags
-        self.attrs = batch.attrs
-        self.attr_rows = np.repeat(self.rows, np.diff(batch.attr_offsets))
-        self.em = _scatter(self.attr_rows, model.emissions.T, self.attrs, n)
+        self.tags[self.rows] = corpus.tags[self.tokens]
+        starts = corpus.attr_offsets[:-1][self.tokens]
+        counts = corpus.attr_offsets[1:][self.tokens] - starts
+        self.attrs = corpus.attrs if sel is None else corpus.attrs[_ranges(starts, counts)[0]]
+        self.attr_rows = np.repeat(self.rows, counts)
+
+    def weigh(self, model: CrfModel) -> "_Packed":
+        self.em = _scatter(self.attr_rows, model.emissions.T, self.attrs, self.n)
+        return self
+
+
+def _packed(model: CrfModel, batch: EncodedCorpus) -> _Packed:
+    """The whole batch's layout weighed under model, once its ids are checked."""
+    _check_ids(model, batch)
+    return _Packed(batch).weigh(model)
 
 
 def _forward(p: _Packed, first: np.ndarray, step, out=None) -> np.ndarray:
@@ -333,7 +347,7 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
     if len(tags) != enc.length:
         raise ValueError("tag sequence length does not match the sentence")
     _check_range(np.asarray(tags, np.intp), model.num_tags, "tag", "position {}".format)
-    p = _Packed(model, _one(enc))
+    p = _packed(model, _one(enc))
 
     def given(a, t, rows):  # the given previous tag's row
         j = tags[t - 1]
@@ -345,14 +359,14 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
 
 def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
     """log Z, from the forward-backward that nll_and_gradient runs."""
-    return float(_forward_backward(model, _Packed(model, _one(enc)))[2][0])
+    return float(_forward_backward(model, _packed(model, _one(enc)))[2][0])
 
 
 def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.ndarray]:
     """Posterior tag distributions (node, edge): node[t, k] = P(y_t = k) with
     shape (T, K), and edge[t, j, k] = P(y_t = j, y_{t+1} = k), shape (T-1, K, K),
     from the forward-backward that nll_and_gradient runs."""
-    node, edges, _ = _forward_backward(model, _Packed(model, _one(enc)), per_row=True)
+    node, edges, _ = _forward_backward(model, _packed(model, _one(enc)), per_row=True)
     return _rows(node), edges
 
 
@@ -365,7 +379,7 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     expected minus empirical feature counts plus l2 * w, summed over the
     packed batch.
     """
-    p = _Packed(model, batch)
+    p = _packed(model, batch)
     node, edges, log_z = _forward_backward(model, p)
     k, tags, prev = model.num_tags, p.tags, p.tags[p.prev]
     gold = (model.start[tags[:p.b]].sum() + p.em[tags, np.arange(p.n)].sum()
@@ -385,16 +399,15 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     return loss, grad
 
 
-def _best_paths(model: CrfModel, batch: EncodedCorpus) -> tuple[np.ndarray, np.ndarray]:
-    """Each token's tag on its sentence's best path, aligned with batch.tags,
-    and each sentence's best score; ties go to the lower tag id (argmax).
+def _best_paths(model: CrfModel, p: _Packed) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's tag on its sentence's best path, in batch order, and
+    each sentence's best score; ties go to the lower tag id (argmax).
     The forward step keeps only the max over the previous tag and stores no
     back pointers.  The backtrace recovers each pointer for the one tag the
     path follows, as the first argmax of alpha at the predecessor row plus
     the transitions into that tag: the sums the max was taken over, under
     the same first-maximum rule."""
     trans = model.transitions
-    p = _Packed(model, batch)
     alpha = _forward(p, model.start[:, None] + p.em[:, :p.b], lambda a, t, rows: (
         a[:, None] + trans[:, :, None]).max(axis=0) + p.em[:, rows])
     final = alpha[:, p.last] + model.end[:, None]
@@ -411,16 +424,32 @@ def _best_paths(model: CrfModel, batch: EncodedCorpus) -> tuple[np.ndarray, np.n
 def viterbi(model: CrfModel, enc: EncodedSentence) -> tuple[list[int], float]:
     """Best tag sequence and its score, from _best_paths on the one-sentence
     corpus; ties go to the lower tag id."""
-    tags, scores = _best_paths(model, _one(enc))
+    tags, scores = _best_paths(model, _packed(model, _one(enc)))
     return tags.tolist(), scores.item()
 
 
-def _decode_paths(model: CrfModel, encoded: EncodedCorpus) -> np.ndarray:
-    """The best tag id of every token, aligned with encoded.tags; decoding
-    DECODE_CHUNK sentences per packed call keeps working memory flat."""
-    return np.concatenate([np.empty(0, np.intp)] + [
-        _best_paths(model, encoded[lo:lo + DECODE_CHUNK])[0]
-        for lo in range(0, len(encoded), DECODE_CHUNK)])
+def _chunks(model: CrfModel, encoded: EncodedCorpus) -> Iterator[_Packed]:
+    """The chunks _decode_paths decodes, once encoded's ids are checked: sentences
+    longest first (ties in input order), DECODE_CHUNK at most per chunk and, unless
+    one is longer, DECODE_CHUNK times the mean length, rounded up, in tokens."""
+    _check_ids(model, encoded)
+    order = np.argsort(-encoded.lengths, kind="stable")
+    ends = _offsets(encoded.lengths[order])  # tokens before each sentence of order
+    cap, lo = DECODE_CHUNK * -(-ends[-1] // max(len(order), 1)), 0
+    while lo < len(order):
+        hi = max(lo + 1, min(lo + DECODE_CHUNK, ends.searchsorted(ends[lo] + cap, "right") - 1))
+        yield _Packed(encoded, order[lo:hi])
+        lo = hi
+
+
+def _decode_paths(model: CrfModel, encoded: EncodedCorpus, chunks=None) -> np.ndarray:
+    """Every token's best tag id, aligned with encoded.tags, from the chunks of
+    _chunks(model, encoded) or from chunks, a list of them made already."""
+    paths = np.empty(len(encoded.tags), np.intp)
+    for p in _chunks(model, encoded) if chunks is None else chunks:
+        paths[p.tokens] = _best_paths(model, p.weigh(model))[0]
+        del p.em, p  # free the emission sums, and a chunk of _chunks, before the next
+    return paths
 
 
 def decode(model: CrfModel, dataset: Dataset) -> Dataset:
@@ -488,6 +517,7 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
         raise ValueError(f"dev {exc}") from None
 
     model = CrfModel.zeros(index)
+    dev_chunks = list(_chunks(model, dev_encoded))  # packed once, weighed every epoch
     accum = np.zeros_like(model.weights)
     rng = random.Random(cfg.seed)
     order = list(range(len(encoded_train)))
@@ -514,8 +544,8 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
                 grad *= 1.0 / len(batch)
                 accum += grad * grad
                 model.weights -= cfg.learning_rate * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
-        f1 = _class_scores(*_span_counts(dev_encoded.tags, _decode_paths(model, dev_encoded),
-                                         dev_encoded.offsets, index.tagset.tags))[1]
+        f1 = _class_scores(*_span_counts(dev_encoded.tags, _decode_paths(
+            model, dev_encoded, dev_chunks), dev_encoded.offsets, index.tagset.tags))[1]
         records.append(EpochRecord(epoch, epoch_loss, f1, time.monotonic() - started))
         if f1 > best_f1:
             best_f1 = f1

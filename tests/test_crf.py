@@ -52,8 +52,9 @@ def pack(*sentences):
 
 
 def best_paths(model, corpus):
-    """crf._best_paths cut into one (path, score) pair per sentence."""
-    tags, scores = crf_module._best_paths(model, corpus)
+    """crf._best_paths on the whole corpus, cut into one (path, score) pair
+    per sentence."""
+    tags, scores = crf_module._best_paths(model, crf_module._packed(model, corpus))
     return list(zip((p.tolist() for p in np.split(tags, corpus.offsets[1:-1])),
                     scores.tolist()))
 
@@ -233,8 +234,21 @@ class TestIdRange:
         batch = pack(enc([(0,)], [0]), enc([(0,), (1,), ()], [0, 2, tag]))
         message = f"sentence 1, position 2: tag id {tag} is out of range for 3 tags"
         for call in (lambda: nll_and_gradient(m, batch),
-                     lambda: crf_module._best_paths(m, batch),
+                     lambda: crf_module._packed(m, batch),
                      lambda: crf_module._decode_paths(m, batch)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    @pytest.mark.parametrize("attr", [-1, 2])
+    def test_decode_names_the_corpus_sentence(self, attr):
+        """Past the first DECODE_CHUNK sentences, _decode_paths names a bad
+        id by its sentence in the corpus, as nll_and_gradient does, not by
+        its place in the chunk it was decoded in."""
+        m, n = self.model(), crf_module.DECODE_CHUNK + 44
+        corpus = pack(*[enc([(0,), (1,)], [0, 1])] * (n - 1), enc([(attr,)], [0]))
+        message = f"sentence {n - 1}, position 0: attribute id {attr} is out of range"
+        for call in (lambda: nll_and_gradient(m, corpus),
+                     lambda: crf_module._decode_paths(m, corpus)):
             with pytest.raises(ValueError, match=re.escape(message)):
                 call()
 
@@ -457,6 +471,27 @@ class TestTrain:
         assert [(r.epoch, r.train_nll, r.dev_f1) for r in history.records] == \
                [(r.epoch, r.train_nll, r.dev_f1) for r in expected.records]
         assert history.best_epoch == expected.best_epoch
+
+    def test_dev_chunks_are_packed_once(self, monkeypatch):
+        """train builds the layout of each dev chunk once, before the first
+        epoch, and only weighs it again after each: two more epochs build
+        one layout per training batch each, and none for dev."""
+        train_ds, dev_ds = make_separable_corpus(300, 41), make_separable_corpus(700, 42)
+        index = build_index(train_ds)
+        real, built = crf_module._Packed.__init__, []
+
+        def counting(self, *args):
+            built.append(1)
+            real(self, *args)
+
+        def builds(epochs):
+            built.clear()
+            cfg = TrainConfig(epochs=epochs, batch_size=64, patience=3, seed=6)
+            assert len(train(train_ds, dev_ds, cfg, index)[1].records) == epochs
+            return len(built)
+
+        monkeypatch.setattr(crf_module._Packed, "__init__", counting)
+        assert builds(3) - builds(1) == 2 * math.ceil(300 / 64)
 
     def test_patience_zero_stops_at_first_plateau(self):
         cfg = TrainConfig(epochs=40, batch_size=16, patience=0, seed=3)
@@ -769,7 +804,7 @@ def test_long_sentences_through_the_renormalisation_property(case):
     scaled path's loss, gradient, log Z and node marginals agree with the
     log-sum-exp path to 1e-9 relative."""
     model, corpus = case
-    p = crf_module._Packed(model, corpus)
+    p = crf_module._packed(model, corpus)
     with patch.object(crf_module, "_edges", wraps=crf_module._edges) as edges:
         node, _, log_z = crf_module._forward_backward(model, p)
         loss, grad = nll_and_gradient(model, corpus)
@@ -846,6 +881,65 @@ def test_decode_memory_stays_flat():
 
     small = peak(corpus[:crf_module.DECODE_CHUNK])
     assert peak(corpus) <= 1.5 * small + 24 * len(corpus.tags)
+
+
+def test_decode_memory_stays_flat_with_skewed_lengths():
+    """With half the sentences 1 token long and half 30, the longest first
+    are decoded together, and a chunk of DECODE_CHUNK of them would hold twice
+    the tokens of a chunk in input order: the token bound keeps the traced
+    peak within the bound of test_decode_memory_stays_flat."""
+    model, _ = thirteen_tag_case(11, 1)
+    rng = np.random.default_rng(12)
+    corpus = pack(*(enc(rng.integers(0, 4000, (n, 4)), rng.integers(0, 13, n))
+                    for n in [1, 30] * (4 * crf_module.DECODE_CHUNK)))
+
+    def peak(encoded):
+        crf_module._decode_paths(model, encoded)
+        tracemalloc.start()
+        try:
+            crf_module._decode_paths(model, encoded)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(corpus[:crf_module.DECODE_CHUNK])
+    assert peak(corpus) <= 1.5 * small + 24 * len(corpus.tags)
+
+
+def test_decode_takes_long_sentences_together(monkeypatch):
+    """Two 40-token sentences, at positions 0 and DECODE_CHUNK among
+    one-token ones, are decoded longest first in one chunk: Viterbi takes 39
+    steps, not 39 for each of two chunks in input order."""
+    model, _ = thirteen_tag_case(13, 1)
+    lengths = [1] * 300
+    lengths[0] = lengths[crf_module.DECODE_CHUNK] = 40
+    corpus = pack(*(enc([(0, 1)] * n, [0] * n) for n in lengths))
+    real, steps = crf_module._forward, []
+
+    def counting(p, first, step, out=None):
+        return real(p, first, lambda *args: steps.append(1) or step(*args), out)
+
+    monkeypatch.setattr(crf_module, "_forward", counting)
+    paths = crf_module._decode_paths(model, corpus)
+    assert len(steps) == 39
+    assert paths.tolist() == [k for e in corpus for k in viterbi(model, e)[0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches(), st.integers(1, 4))
+def test_decode_chunks_are_bounded_property(case, chunk):
+    """_chunks takes every sentence once, longest first with ties in input
+    order, in chunks of at most chunk sentences and, unless a chunk is one
+    sentence, at most chunk times the mean length, rounded up, in tokens."""
+    model, corpus = case
+    with patch.object(crf_module, "DECODE_CHUNK", chunk):
+        chunks = list(crf_module._chunks(model, corpus))
+    lengths = corpus.lengths
+    cap = chunk * math.ceil(lengths.mean())
+    assert np.concatenate([p.tokens for p in chunks]).tolist() == \
+           [t for i in np.argsort(-lengths, kind="stable") for t in range(
+               corpus.offsets[i], corpus.offsets[i + 1])]
+    assert all(p.b <= chunk and (p.n <= cap or p.b == 1) for p in chunks)
 
 
 def test_every_forward_pass_runs_the_one_forward_recursion(monkeypatch):
@@ -934,7 +1028,7 @@ def test_scatter_and_gather_bit_equal_to_add_at_property(case, bare):
     if bare:
         corpus = EncodedCorpus([], np.zeros(len(corpus.tags) + 1, np.intp),
                                corpus.tags, corpus.offsets)
-    p = crf_module._Packed(model, corpus)
+    p = crf_module._packed(model, corpus)
     em = np.zeros((p.n, model.num_tags))
     np.add.at(em, p.attr_rows, model.emissions[p.attrs])
     assert p.em.dtype == np.float64 and p.em.shape == (model.num_tags, p.n)
