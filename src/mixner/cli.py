@@ -24,9 +24,13 @@ def _read_dataset(path: str, require_tags: bool = True) -> Dataset:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before any work if the directory an output goes to is missing."""
-    if not Path(path).parent.is_dir():
-        raise ValueError(f"output directory does not exist: {Path(path).parent}")
+    """Fail before any work if an output would go into a missing directory
+    or onto a directory ('' and '.' included)."""
+    out = Path(path)
+    if out.is_dir():
+        raise ValueError(f"output path is a directory: {out}")
+    if not out.parent.is_dir():
+        raise ValueError(f"output directory does not exist: {out.parent}")
 
 
 def cmd_mix(args) -> int:

@@ -6,17 +6,19 @@ The score of a tag sequence y for a sentence with attributes attrs(i) is
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
 Emission scores are (K, rows) arrays, tags outer and packed rows
-contiguous.  One forward recursion, _forward, takes in log space a max for
-Viterbi, whose backtrace recovers each back pointer, and the given tags for
+contiguous, with start and end added once at the first and last rows.  One
+forward recursion, _forward, takes in log space a max for Viterbi, whose
+backtrace recovers each back pointer, and the given tags for
 sequence_score; in the forward-backward it takes one of two exact
 sum-product steps, chosen per batch.  While the transitions spread by at
 most _MATMUL_SPREAD and no interior row's emissions by more than 1022 ln 2,
 the scaled recursion of Rabiner (1989) runs in probability space: one matmul
 and one multiply per step on row-major (rows, K) blocks, a division by the
 row maxima every r steps, with r set per batch from the transitions'
-spread, and one more matmul for the expected transition counts.  Start and
-end weights, whose spread is unbounded, enter in log space, and so does
-log Z.  The comment above _MATMUL_SPREAD proves this path exact.
+spread, and one more matmul for the expected transition counts.  First and
+last rows, whose spread start and end leave unbounded, take the same steps,
+and log Z is the log of a last row's sum plus the offsets divided out.
+The comment above _MATMUL_SPREAD proves this path exact.
 Otherwise (non-finite or extreme weights) the step is a log-sum-exp over a
 K x K x rows array, and the marginals exponentiate alpha + beta - log Z.
 Runaway weights (say 1e300) spread the transitions far beyond the bound,
@@ -101,10 +103,8 @@ def _scatter(index: np.ndarray, columns: np.ndarray, rows: np.ndarray, size: int
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
-    """A row-major copy of x.T: packed rows outer, tags contiguous.  Sums whose
-    order follows the memory layout (a log-sum-exp over tags, numpy's sum
-    over rows, a BLAS product over rows) are taken on such copies, so they add
-    in the same order as on a (rows, K) array."""
+    """A row-major copy of x.T, packed rows outer and tags contiguous: the
+    rows of a step of _scaled are one (size, K) block for its matmuls."""
     return np.ascontiguousarray(x.T)
 
 
@@ -133,8 +133,9 @@ class _Packed:
     em, set by weigh, is like alpha and beta a (K, rows) array, tags outer and
     packed rows contiguous, so every step loops over the batch's sentences,
     not over K tags.  em[:, row] sums W_e over the row's attributes in listed
-    order, so it is bit for bit the same whatever batch the sentence is in:
-    the corpus keeps that order, and _scatter adds in it."""
+    order, then adds start at a first row and end at a last row, so it is bit
+    for bit the same whatever batch the sentence is in: the corpus keeps that
+    order, and _scatter adds in it."""
 
     def __init__(self, corpus: EncodedCorpus, sel: np.ndarray | None = None):
         lengths = corpus.lengths if sel is None else corpus.lengths[sel]
@@ -163,7 +164,9 @@ class _Packed:
         self.attr_rows = np.repeat(self.rows, counts)
 
     def weigh(self, model: CrfModel) -> "_Packed":
-        self.em = _scatter(self.attr_rows, model.emissions.T, self.attrs, self.n)
+        self.em = em = _scatter(self.attr_rows, model.emissions.T, self.attrs, self.n)
+        em[:, :self.b] += model.start[:, None]
+        em[:, self.last] += model.end[:, None]
         return self
 
 
@@ -200,13 +203,14 @@ def _forward(p: _Packed, first: np.ndarray, step, out=None) -> np.ndarray:
 #   rises at most K e**S < 2**992 per step.  r = max(1, floor(_GROWTH /
 #   (S + ln K))) steps after a division by the maximum it is below 2**1023,
 #   half the largest float, which leaves room for rounding; r >= 1, as
-#   S + ln K < 992 ln 2.
+#   S + ln K < 992 ln 2.  A row's sum lies in [M, K M]: if the row is not
+#   divided, below K (K e**S)**(r - 1) <= 2**1023, so log Z's logs are finite.
 # - Precision.  An interior entry (u @ E)[k] q[k] >= M q[k] >= 2**-1022, as
 #   M >= 1, is normal after every step, so it keeps full relative precision.
-#   Entries below 2**-1022 M come only from start and end, which enter in log
-#   space, or from a division by the maximum; each is off by at most
-#   2**-1074 M and enters the next step times at most e**S, against entries
-#   >= M: a relative error below 2**-113.
+#   Entries below 2**-1022 M come only from a division by the maximum or
+#   from first and last rows, not gated; each is off by at most 2**-1074 M
+#   (2**-1074 K e**S M at a last row) and enters the next step times at most
+#   e**S, or a last row's sum, against entries >= M: an error below K 2**-113.
 # - Normalisers.  Divided by their row maxima, u <= 1 with a 1 at its best
 #   tag, and v >= 1 / (K e**S) > 2**-992, so sum(u v) > 2**-992 > 0.  A
 #   product u v lost to underflow moves a node marginal by less than 2**-1074
@@ -215,58 +219,59 @@ def _forward(p: _Packed, first: np.ndarray, step, out=None) -> np.ndarray:
 # - The gate on x.  An interior tag whose emission lies d below the row's
 #   best can still win through transitions into and out of it worth up to
 #   2 S (1332 at the bound), yet q = exp(-d) underflows to 0 for d > 745 and
-#   drops it (test_interior_emission_deficit_repaid_by_transitions).
+#   drops it (test_interior_emission_deficit_repaid_by_transitions).  A
+#   first or last row needs no gate: a rival whose exp(x) underflows there
+#   lies d > 1022 ln 2 below, transitions on its one side repay at most S <=
+#   961 ln 2 of it, and its error is bounded above for any d
+#   (test_start_and_end_traps_match_enumeration).
 _MATMUL_SPREAD = 961 * math.log(2)
 _GROWTH = 1023 * math.log(2)  # the log of the largest rise allowed between divisions
 _LOG_NORMAL = -1022 * math.log(2)  # exp(x) >= 2**-1022, the least normal float, for x >= this
 
 
 def _edges(a: np.ndarray, trans: np.ndarray, b: np.ndarray, log_z: np.ndarray) -> np.ndarray:
-    """Edge marginals exp(a[r, j] + trans[j, k] + b[r, k] - log_z[r]), from
-    row-major copies (_rows) of alpha at each row's predecessor and of em +
-    beta at the row: an (rows, K, K) array built in place."""
-    edge = a[:, :, None] + trans
-    edge += b[:, None] - log_z[:, None, None]
+    """Edge marginals exp(a[j, r] + trans[j, k] + b[k, r] - log_z[r]), from
+    (K, rows) arrays of alpha at each row's predecessor and of em + beta at
+    the row: an (rows, K, K) array built in place."""
+    edge = a.T[:, :, None] + trans
+    edge += b.T[:, None] - log_z[:, None, None]
     return np.exp(edge, out=edge)
 
 
 def _log_space(model: CrfModel, p: _Packed, per_row: bool):
     """_forward_backward in log space, for transitions or emissions beyond
-    the bound of _scaled (non-finite or extreme weights): log-sum-exp steps,
-    the backward one over a row-major copy, and edges from _edges."""
+    the bound of _scaled (non-finite or extreme weights): log-sum-exp steps
+    and edges from _edges."""
     trans, em = model.transitions, p.em
-    alpha = _forward(p, model.start[:, None] + em[:, :p.b], lambda a, t, rows: _logsumexp(
+    alpha = _forward(p, em[:, :p.b], lambda a, t, rows: _logsumexp(
         a[:, None] + trans[:, :, None], 0) + em[:, rows])
-    log_z = _logsumexp(_rows(alpha[:, p.last]) + model.end, 1)
-    beta = np.empty_like(em)
-    beta[:, p.last] = model.end[:, None]
+    log_z = _logsumexp(alpha[:, p.last], 0)
+    beta = np.zeros_like(em)  # 0 at the last rows
     for lo, size, plo in reversed(p.steps):
         beta[:, plo:plo + size] = _logsumexp(
-            trans + _rows(em[:, lo:lo + size] + beta[:, lo:lo + size])[:, None], 2).T
+            trans[:, :, None] + (em[:, lo:lo + size] + beta[:, lo:lo + size]), 1)
     node = np.exp(alpha + beta - log_z[p.rank_of_row])
-    edges = _edges(_rows(alpha[:, p.prev]), trans, _rows((em + beta)[:, p.b:]),
-                   log_z[p.rank_of_row[p.b:]])
+    edges = _edges(alpha[:, p.prev], trans, (em + beta)[:, p.b:], log_z[p.rank_of_row[p.b:]])
     return node, edges if per_row else edges.sum(axis=0), log_z
 
 
 def _scaled(model: CrfModel, p: _Packed, x: np.ndarray, top: np.ndarray, per_row: bool):
     """_forward_backward in probability space, the scaled recursion of
-    Rabiner (1989).  x holds em plus start at first rows and end at last
-    rows, less its row maxima top; it is overwritten with q = exp(x).  With
-    E = exp(T - min T) the forward step is u = (u_prev @ E) * q and the
-    backward step v = w_next @ E^T, w = v * q, on row-major (rows, K) arrays
-    so that a step's rows are one contiguous block; every r steps a row is
-    divided by its maximum.  Node and edge marginals sum to 1 per row, so
-    they are normalised per row, on (K, rows) copies; only log Z needs
-    offsets, summed per sentence by np.bincount from each row's top and
-    divisor, and taken in log space at the last rows."""
+    Rabiner (1989), every row alike.  x holds em less its row maxima top; it
+    is overwritten with q = exp(x).  With E = exp(T - min T) the forward step
+    is u = (u_prev @ E) * q and the backward step v = w_next @ E^T, w = v * q,
+    on row-major (rows, K) arrays so that a step's rows are one contiguous
+    block; every r steps a row is divided by its maximum.  Node and edge
+    marginals sum to 1 per row, so they are normalised per row, on (K, rows)
+    copies.  log Z is the log of a last row's sum of u plus its sentence's
+    offsets, summed by np.bincount: each row's top and log divisor, and
+    min T per step."""
     trans, b = model.transitions, p.b
     low = trans.min()
     e = np.exp(trans - low)
     growth = float(trans.max() - low) + math.log(len(trans))  # log of a row's largest rise
     r = max(1, int(_GROWTH // growth)) if growth else p.n  # one tag: rows never grow
     scale = np.ones(p.n)
-    last = x[:, p.last]
     q = _rows(np.exp(x, out=x))
 
     def forward(prev, t, rows):  # prev.T and the result's .T are (size, K) blocks
@@ -278,15 +283,9 @@ def _scaled(model: CrfModel, p: _Packed, x: np.ndarray, top: np.ndarray, per_row
         return u.T
 
     u = _forward(p, x[:, :b], forward, np.empty_like(q).T).T
-    # alpha + end at each last row, less the offsets: log(u @ E) at its
-    # predecessor plus x, or x alone for one-token sentences.
-    multi = p.last >= b
-    last[:, multi] += np.log(np.dot(u[p.prev[p.last[multi] - b]], e)).T
-    lse = _logsumexp(_rows(last), 1)
-    scale[p.last] = 1.0  # a last row's divisor does not enter its log Z
     offsets = top + np.log(scale)
     offsets[b:] += low
-    log_z = lse + np.bincount(p.rank_of_row, offsets, b)
+    log_z = np.log(u[p.last].sum(axis=1)) + np.bincount(p.rank_of_row, offsets, b)
 
     et = np.ascontiguousarray(e.T)
     v, w = np.empty_like(u), q  # w = v * q overwrites q row by row; at last rows w = q
@@ -307,7 +306,6 @@ def _scaled(model: CrfModel, p: _Packed, x: np.ndarray, top: np.ndarray, per_row
     node *= v
     norm = node.sum(axis=0)
     node /= norm
-    node[:, p.last] = np.exp(last - lse)
     w = _rows(w[b:])
     wmax = w.max(axis=0)
     w /= wmax
@@ -323,11 +321,8 @@ def _forward_backward(model: CrfModel, p: _Packed, per_row: bool = False):
     rank.  _scaled where its bound holds, _log_space otherwise."""
     trans = model.transitions
     if trans.max() - trans.min() <= _MATMUL_SPREAD:  # not taken for nan and inf
-        x = p.em.copy()
-        x[:, :p.b] += model.start[:, None]
-        x[:, p.last] += model.end[:, None]
-        top = x.max(axis=0)
-        x -= top
+        top = p.em.max(axis=0)
+        x = p.em - top
         lowest = x.min(axis=0)
         lowest[:p.b] = lowest[p.last] = 0.0  # only interior rows need exp(x) normal
         if lowest.min() >= _LOG_NORMAL:  # not taken for nan
@@ -348,13 +343,9 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
         raise ValueError("tag sequence length does not match the sentence")
     _check_range(np.asarray(tags, np.intp), model.num_tags, "tag", "position {}".format)
     p = _packed(model, _one(enc))
-
-    def given(a, t, rows):  # the given previous tag's row
-        j = tags[t - 1]
-        return a[j] + model.transitions[j, :, None] + p.em[:, rows]
-
-    alpha = _forward(p, model.start[:, None] + p.em[:, :1], given)
-    return float(alpha[tags[-1], -1] + model.end[tags[-1]])
+    alpha = _forward(p, p.em[:, :1], lambda a, t, rows: (  # the given previous tag's row
+        a[tags[t - 1]] + model.transitions[tags[t - 1], :, None] + p.em[:, rows]))
+    return float(alpha[tags[-1], -1])
 
 
 def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
@@ -367,7 +358,7 @@ def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.nda
     shape (T, K), and edge[t, j, k] = P(y_t = j, y_{t+1} = k), shape (T-1, K, K),
     from the forward-backward that nll_and_gradient runs."""
     node, edges, _ = _forward_backward(model, _packed(model, _one(enc)), per_row=True)
-    return _rows(node), edges
+    return node.T, edges
 
 
 def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
@@ -382,8 +373,7 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     p = _packed(model, batch)
     node, edges, log_z = _forward_backward(model, p)
     k, tags, prev = model.num_tags, p.tags, p.tags[p.prev]
-    gold = (model.start[tags[:p.b]].sum() + p.em[tags, np.arange(p.n)].sum()
-            + model.transitions[prev, tags[p.b:]].sum() + model.end[tags[p.last]].sum())
+    gold = p.em[tags, np.arange(p.n)].sum() + model.transitions[prev, tags[p.b:]].sum()
     loss = float(log_z.sum() - gold)
     node[tags, np.arange(p.n)] -= 1.0  # now expected minus empirical counts per row
     pairs = np.bincount(prev * k + tags[p.b:], minlength=k * k).reshape(k, k)
@@ -391,8 +381,8 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     emissions, transitions, start, end = _views(grad, k)
     emissions[...] = _scatter(p.attrs, node, p.attr_rows, len(emissions)).T
     transitions[...] = edges - pairs
-    start[...] = _rows(node[:, :p.b]).sum(axis=0)
-    end[...] = _rows(node[:, p.last]).sum(axis=0)
+    start[...] = node[:, :p.b].sum(axis=1)
+    end[...] = node[:, p.last].sum(axis=1)
     if l2:
         loss += 0.5 * l2 * float(model.weights @ model.weights)
         grad += l2 * model.weights
@@ -408,9 +398,9 @@ def _best_paths(model: CrfModel, p: _Packed) -> tuple[np.ndarray, np.ndarray]:
     the transitions into that tag: the sums the max was taken over, under
     the same first-maximum rule."""
     trans = model.transitions
-    alpha = _forward(p, model.start[:, None] + p.em[:, :p.b], lambda a, t, rows: (
+    alpha = _forward(p, p.em[:, :p.b], lambda a, t, rows: (
         a[:, None] + trans[:, :, None]).max(axis=0) + p.em[:, rows])
-    final = alpha[:, p.last] + model.end[:, None]
+    final = alpha[:, p.last]
     cur = final.argmax(axis=0)
     scores = final[cur, np.arange(p.b)][p.rank]
     tags = np.empty(p.n, np.intp)

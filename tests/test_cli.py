@@ -131,14 +131,18 @@ class TestTrain:
 
     def test_missing_output_directory_exits_2_before_training(self, corpus_files, tmp_path,
                                                                capsys, monkeypatch):
+        """-o into a missing directory, or onto a directory, fails with one
+        error line before training."""
         trainer = Mock(side_effect=AssertionError("train ran"))
         monkeypatch.setattr(cli_module, "train", trainer)
-        code = main(["train", "--train", str(corpus_files["cm_train"]),
-                     "--dev", str(corpus_files["cm_dev"]),
-                     "-o", str(tmp_path / "missing" / "m.txt")])
-        assert code == 2 and not trainer.called
-        assert capsys.readouterr().err == \
-            f"error: output directory does not exist: {tmp_path / 'missing'}\n"
+        for out, message in [
+                (tmp_path / "missing" / "m.txt",
+                 f"output directory does not exist: {tmp_path / 'missing'}"),
+                (tmp_path, f"output path is a directory: {tmp_path}")]:
+            code = main(["train", "--train", str(corpus_files["cm_train"]),
+                         "--dev", str(corpus_files["cm_dev"]), "-o", str(out)])
+            assert code == 2 and not trainer.called
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--l2", "-1", "l2"), ("--l2", "nan", "l2"), ("--l2", "inf", "l2"),
@@ -334,20 +338,23 @@ class TestTagAndEval:
     ("mix", "mix_datasets"), ("tag", "decode"), ("eval", "score_entities")])
 def test_missing_output_directory_exits_2_before_the_work(corpus_files, tmp_path, capsys,
                                                           monkeypatch, command, work):
-    """mix -o, tag -o and eval --report into a missing directory fail with one
-    error line before mixing, decoding or scoring, as train does."""
+    """mix -o, tag -o and eval --report into a missing directory, or onto a
+    directory, fail with one error line before mixing, decoding or scoring,
+    as train does."""
     model = tmp_path / "zero.txt"
     save_model(CrfModel.zeros(build_index(parse_conll(corpus_files["cm_train"].read_text()))),
                model)
     missing = tmp_path / "missing"
     dev = corpus_files["cm_dev"]
-    argv = {"mix": ["mix", "--primary", dev, "-o", missing / "mixed.conll"],
-            "tag": ["tag", "--model", model, "--input", dev, "-o", missing / "pred.conll"],
-            "eval": ["eval", "--gold", dev, "--pred", dev, "--report", missing / "r.txt"]}
     worker = Mock(side_effect=AssertionError(f"{work} ran"))
     monkeypatch.setattr(cli_module, work, worker)
-    assert main([str(a) for a in argv[command]]) == 2 and not worker.called
-    assert capsys.readouterr().err == f"error: output directory does not exist: {missing}\n"
+    for out, message in [(missing / "out.txt", f"output directory does not exist: {missing}"),
+                         (tmp_path, f"output path is a directory: {tmp_path}")]:
+        argv = {"mix": ["mix", "--primary", dev, "-o", out],
+                "tag": ["tag", "--model", model, "--input", dev, "-o", out],
+                "eval": ["eval", "--gold", dev, "--pred", dev, "--report", out]}
+        assert main([str(a) for a in argv[command]]) == 2 and not worker.called
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestVerify:

@@ -738,17 +738,27 @@ def exact_against_enumeration(model, e):
     assert np.max(np.abs(grad - naive_nll_and_gradient(model, pack(e))[1])) <= tol
 
 
-@pytest.mark.parametrize("attrs, start, end", [
-    ([(), (), (0,)], 0.0, 1600.0),  # last token: emission favours O by 800, end B-X by 1600
-    ([(0,), (), ()], 1600.0, 0.0),  # the same at the first token, through start
-    ([(0,)], 400.0, 1600.0)])       # one token: start, emission and end at once
-def test_start_and_end_traps_match_enumeration(attrs, start, end):
+@pytest.mark.parametrize("attrs, start, end, into, out", [
+    # last token: emission favours O by 800, end B-X by 1600
+    ([(), (), (0,)], 0.0, 1600.0, 0.0, 0.0),
+    ([(0,), (), ()], 1600.0, 0.0, 0.0, 0.0),  # the same at the first token, through start
+    ([(0,)], 400.0, 1600.0, 0.0, 0.0),        # one token: start, emission and end at once
+    # O lies 720 (exp subnormal) or 760 (exp 0) below B-X; at a last or first
+    # token the transitions on O's one side repay 655 of it
+    ([(), (), (0,)], 0.0, 1520.0, 655.0, 0.0), ([(), (), (0,)], 0.0, 1560.0, 655.0, 0.0),
+    ([(0,), (), ()], 1520.0, 0.0, 0.0, 655.0), ([(0,), (), ()], 1560.0, 0.0, 0.0, 655.0),
+    ([(0,)], 400.0, 1130.0, 0.0, 0.0), ([(0,)], 400.0, 1160.0, 0.0, 0.0)])
+def test_start_and_end_traps_match_enumeration(attrs, start, end, into, out):
     """Start and end weights, whose spread is unbounded, enter the scaled
-    recursion in log space: exp(em - max em) alone would round the O
-    emission's rivals to 0 at the first or last token, where start or end
-    weights make one of them the likely tag."""
+    recursion as emissions of the first and last rows, which are not gated:
+    exp(em - max em) rounds the O emission's rivals to 0 there, or O itself
+    to a subnormal or 0 when start or end make B-X the likely tag, with
+    transitions into or out of O (into, out) up to 655, and the results stay
+    exact."""
     m = tiny_model(["O", "B-X", "I-X"], 1)
     m.transitions[...] = [[0.5, -1.0, 0.2], [0.3, 2.0, -0.7], [1.1, 0.0, 0.4]]
+    m.transitions[:, 0] += into
+    m.transitions[0] += out
     m.emissions[0, 0] = 800.0
     m.start[1], m.end[1] = start, end
     e = enc(attrs, [1] * len(attrs))
@@ -814,6 +824,32 @@ def test_long_sentences_through_the_renormalisation_property(case):
         lse_loss, lse_grad = nll_and_gradient(model, corpus)
     assert close(log_z, lse_log_z) and close(node, lse_node)
     assert close(loss, lse_loss) and close(grad, lse_grad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_batches(), st.booleans())
+def test_time_reversal_property(case, log_space):
+    """Every sentence read right to left, under the model with start and end
+    swapped and the transitions transposed, has the same log Z and the
+    mirrored node marginals, to 1e-9, on the scaled and on the log-space
+    path: first and last rows are treated alike."""
+    model, corpus = case
+    mirror = CrfModel(model.weights.copy(), model.index)
+    mirror.start[...], mirror.end[...] = model.end, model.start
+    mirror.transitions[...] = model.transitions.T
+    mirrored = pack(*(enc(e.attr_ids[::-1], e.tag_ids[::-1]) for e in corpus))
+    flip = np.concatenate([np.arange(hi - 1, lo - 1, -1)
+                           for lo, hi in zip(corpus.offsets[:-1], corpus.offsets[1:])])
+    results = []
+    for m, c in ((model, corpus), (mirror, mirrored)):
+        p = crf_module._packed(m, c)
+        with patch.object(crf_module, "_MATMUL_SPREAD",
+                          -1.0 if log_space else crf_module._MATMUL_SPREAD):
+            node, _, log_z = crf_module._forward_backward(m, p)
+        results.append((node[:, p.rows], log_z[p.rank]))
+    (node, log_z), (mirror_node, mirror_log_z) = results
+    assert close(mirror_log_z, log_z)
+    assert np.max(np.abs(mirror_node - node[:, flip])) <= 1e-9
 
 
 def test_gradient_takes_no_exp_or_log_per_step(monkeypatch):
@@ -1021,9 +1057,10 @@ def test_decode_matches_per_sentence_viterbi_property(ds, seed, chunk):
 @settings(max_examples=60, deadline=None)
 @given(ragged_batches(), st.booleans())
 def test_scatter_and_gather_bit_equal_to_add_at_property(case, bare):
-    """The (K, rows) emission sums of a packed batch and the emission
-    gradient are bit for bit those of np.add.at, and float64, also when some
-    tokens or the whole batch have no attributes."""
+    """The (K, rows) emission sums of a packed batch, start and end added at
+    first and last rows, and the emission gradient are bit for bit those of
+    np.add.at, and float64, also when some tokens or the whole batch have no
+    attributes."""
     model, corpus = case
     if bare:
         corpus = EncodedCorpus([], np.zeros(len(corpus.tags) + 1, np.intp),
@@ -1031,6 +1068,8 @@ def test_scatter_and_gather_bit_equal_to_add_at_property(case, bare):
     p = crf_module._packed(model, corpus)
     em = np.zeros((p.n, model.num_tags))
     np.add.at(em, p.attr_rows, model.emissions[p.attrs])
+    em[:p.b] += model.start
+    em[p.last] += model.end
     assert p.em.dtype == np.float64 and p.em.shape == (model.num_tags, p.n)
     assert p.em.tobytes() == em.T.tobytes()
 
