@@ -23,7 +23,7 @@ def _read_dataset(path: str, require_tags: bool = True) -> Dataset:
     return parse_conll(text, require_tags=require_tags)
 
 
-def _check_out_dir(path: str) -> None:
+def _check_out_dir(path: str | Path) -> None:
     """Fail before any work if an output would go into a missing directory
     or onto a directory ('' and '.' included)."""
     out = Path(path)
@@ -47,7 +47,9 @@ def cmd_mix(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_out_dir(args.out)  # the history file is written there too
+    _check_out_dir(args.out)
+    history_path = Path(args.out).with_name(Path(args.out).name + ".history.tsv")
+    _check_out_dir(history_path)
     print(f"train: --epochs {args.epochs} --batch {args.batch} "
           f"--patience {args.patience} --lr {args.lr} --l2 {args.l2} "
           f"--min-count {args.min_count} --seed {args.seed}")
@@ -63,7 +65,6 @@ def cmd_train(args) -> int:
     index = build_index(train_ds, min_count=args.min_count)
     model, history = train(train_ds, dev_ds, cfg, index)
     save_model(model, args.out)
-    history_path = Path(args.out).with_name(Path(args.out).name + ".history.tsv")
     rows = ["epoch\ttrain_nll\tdev_weighted_f1\tseconds"]
     rows.extend(f"{r.epoch}\t{r.train_nll:.6f}\t{r.dev_f1:.6f}\t{r.seconds:.3f}"
                 for r in history.records)
@@ -85,13 +86,13 @@ def cmd_tag(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.report:
+    if args.report is not None:
         _check_out_dir(args.report)
     gold = _read_dataset(args.gold)
     pred = _read_dataset(args.pred)
     report = score_entities(gold, pred)
     rendered = render_report(report, args.format)
-    if args.report:
+    if args.report is not None:
         Path(args.report).write_text(rendered, encoding="utf-8")
     else:
         sys.stdout.write(rendered)

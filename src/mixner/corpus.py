@@ -259,9 +259,12 @@ def _tag_classes(names: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarra
 def _spans(ids: np.ndarray, offsets: np.ndarray, cls: np.ndarray,
            is_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The IOB2 span rule over flat tag ids, sentence s being ids[offsets[s]:
-    offsets[s + 1]]: a token continues the span before it when it is I-X, is
-    not first in its sentence and follows a token of class X; every other
-    non-O token starts a span.  Returns the spans' first and last positions
+    offsets[s + 1]], with cls[id] the class id of a tag id (-1 for O) and
+    is_b[id] whether it is a B- tag: a token continues the span before it
+    when it is I-X, is not first in its sentence and follows a token of class
+    X; every other non-O token starts a span.  So a stray I-X opens a span as
+    B-X would, and an I-X that opens a sentence starts a new span even after
+    a sentence that ends in X.  Returns the spans' first and last positions
     and class ids."""
     c = cls[ids]
     cont = np.zeros(len(ids) + 1, bool)  # a last False ends the final span
@@ -274,7 +277,7 @@ def _spans(ids: np.ndarray, offsets: np.ndarray, cls: np.ndarray,
 def validate_iob(ds: Dataset) -> Dataset:
     """Rewrite every stray I-X to B-X, so the tags spell out the spans that
     _spans reads.  Idempotent; never changes a span's class.  Only the fixed
-    positions of the tags column are rewritten."""
+    positions of a copy of the tags column are rewritten."""
     names, offsets, (ids,) = _tag_ids(ds)
     _, cls, is_b = _tag_classes(names)
     starts = _spans(ids, offsets, cls, is_b)[0]

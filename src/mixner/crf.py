@@ -1,30 +1,12 @@
 """Linear-chain CRF: scoring, inference, training, and persistence.
 
-The score of a tag sequence y for a sentence with attributes attrs(i) is
-
-    start[y_1] + sum_i sum_{a in attrs(i)} W_e[a, y_i]
+    score(y) = start[y_1] + sum_i sum_{a in attrs(i)} W_e[a, y_i]
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
-Emission scores are (K, rows) arrays, tags outer and packed rows
-contiguous, with start and end added once at the first and last rows.  One
-forward recursion, _forward, takes in log space a max for Viterbi, whose
-backtrace recovers each back pointer, and the given tags for
-sequence_score; in the forward-backward it takes one of two exact
-sum-product steps, chosen per batch.  While the transitions spread by at
-most _MATMUL_SPREAD and no interior row's emissions by more than 1022 ln 2,
-the scaled recursion of Rabiner (1989) runs in probability space: one matmul
-and one multiply per step on row-major (rows, K) blocks, a division by the
-row maxima every r steps, with r set per batch from the transitions'
-spread, and one more matmul for the expected transition counts.  First and
-last rows, whose spread start and end leave unbounded, take the same steps,
-and log Z is the log of a last row's sum plus the offsets divided out.
-The comment above _MATMUL_SPREAD proves this path exact.
-Otherwise (non-finite or extreme weights) the step is a log-sum-exp over a
-K x K x rows array, and the marginals exponentiate alpha + beta - log Z.
-Runaway weights (say 1e300) spread the transitions far beyond the bound,
-so they take the log-sum-exp step, overflow in the marginals and stop
-train on the non-finite loss.  Training is maximum likelihood with an L2
-penalty, optimized by mini-batch AdaGrad, deterministic given the seed.
+Layouts: CrfModel (the weights), _Packed (a batch), _chunks (decoding).
+Forward-backward: _forward_backward picks _scaled, proved exact in the
+comment above _MATMUL_SPREAD, or _log_space.  Viterbi: _best_paths.
+Training: nll_and_gradient and train.  Persistence: save_model, load_model.
 """
 
 import math
@@ -61,7 +43,9 @@ class CrfModel:
     The vector is laid out [emissions | transitions | start | end], as in
     CRFsuite, and the four blocks are writable views into it: emissions has
     one row per attribute and one column per tag; transitions is indexed
-    [previous, current].  The tag set is the index's.
+    [previous, current].  The tag set is the index's.  nll_and_gradient's
+    gradient has the same layout, so an AdaGrad step is arithmetic on whole
+    vectors.
     """
 
     def __init__(self, weights: np.ndarray, index: FeatureIndex):
@@ -97,7 +81,8 @@ def _scatter(index: np.ndarray, columns: np.ndarray, rows: np.ndarray, size: int
     over the j with index[j] == i.  np.bincount adds its weights in order of
     occurrence, as np.add.at does, so each sum is bit for bit the listed-order
     sum; one column at a time, no (len(index), len(columns)) array is
-    gathered.  With no rows at all bincount returns integers, hence the cast."""
+    gathered.  (np.add.reduceat sums in another order and is not bit-equal.)
+    With no rows at all bincount returns integers, hence the cast."""
     sums = np.stack([np.bincount(index, column[rows], size) for column in columns])
     return sums.astype(np.float64, copy=False)
 
@@ -118,7 +103,9 @@ def _check_range(ids: np.ndarray, limit: int, what: str, where) -> None:
 
 
 def _check_ids(model: CrfModel, corpus: EncodedCorpus) -> None:
-    """Reject ids outside the model, naming the first one's place in corpus."""
+    """Reject ids outside the model, naming the first one's place in corpus:
+    run once per batch (_packed) or per decoded corpus (_chunks), so an id
+    of -1 is an error that names its sentence's number there."""
     where = "sentence {}, position {}".format
     _check_range(corpus.tags, model.num_tags, "tag", lambda j: where(*corpus.locate(j)))
     _check_range(corpus.attrs, model.index.num_attributes, "attribute", lambda j: where(
@@ -130,12 +117,14 @@ class _Packed:
     None), whose tokens sit at corpus indices tokens: time-major and packed by
     length, sentences ranked longest first (ties in batch order), step t holding
     the sentences longer than t in rows offsets[t] + rank, a prefix of step t - 1.
-    em, set by weigh, is like alpha and beta a (K, rows) array, tags outer and
-    packed rows contiguous, so every step loops over the batch's sentences,
-    not over K tags.  em[:, row] sums W_e over the row's attributes in listed
-    order, then adds start at a first row and end at a last row, so it is bit
-    for bit the same whatever batch the sentence is in: the corpus keeps that
-    order, and _scatter adds in it."""
+    That is the layout of PyTorch's pack_padded_sequence, with no padding.  The
+    tokens and attributes are gathered from the corpus by sentence number, so
+    no new corpus is built.  em, set by weigh, is like alpha and beta a (K, rows)
+    array, tags outer and packed rows contiguous, so every step loops over the
+    batch's sentences, not over K tags.  em[:, row] sums W_e over the row's
+    attributes in listed order, then adds start at a first row and end at a
+    last row, so it is bit for bit the same whatever batch the sentence is in:
+    the corpus keeps that order, and _scatter adds in it."""
 
     def __init__(self, corpus: EncodedCorpus, sel: np.ndarray | None = None):
         lengths = corpus.lengths if sel is None else corpus.lengths[sel]
@@ -241,7 +230,9 @@ def _edges(a: np.ndarray, trans: np.ndarray, b: np.ndarray, log_z: np.ndarray) -
 def _log_space(model: CrfModel, p: _Packed, per_row: bool):
     """_forward_backward in log space, for transitions or emissions beyond
     the bound of _scaled (non-finite or extreme weights): log-sum-exp steps
-    and edges from _edges."""
+    over a K x K x rows array, and edges from _edges.  Runaway weights (say
+    1e300) spread the transitions far beyond the bound, so they come here,
+    overflow in the marginals and stop train on its non-finite loss."""
     trans, em = model.transitions, p.em
     alpha = _forward(p, em[:, :p.b], lambda a, t, rows: _logsumexp(
         a[:, None] + trans[:, :, None], 0) + em[:, rows])
@@ -257,15 +248,18 @@ def _log_space(model: CrfModel, p: _Packed, per_row: bool):
 
 def _scaled(model: CrfModel, p: _Packed, x: np.ndarray, top: np.ndarray, per_row: bool):
     """_forward_backward in probability space, the scaled recursion of
-    Rabiner (1989), every row alike.  x holds em less its row maxima top; it
-    is overwritten with q = exp(x).  With E = exp(T - min T) the forward step
-    is u = (u_prev @ E) * q and the backward step v = w_next @ E^T, w = v * q,
-    on row-major (rows, K) arrays so that a step's rows are one contiguous
-    block; every r steps a row is divided by its maximum.  Node and edge
+    Rabiner (1989), also in Sutton & McCallum, An Introduction to CRFs
+    (2012), section 4, every row alike, with no exp or log per step.  x holds
+    em less its row maxima top; it is overwritten with q = exp(x).  With
+    E = exp(T - min T) the forward step is u = (u_prev @ E) * q and the
+    backward step v = w_next @ E^T, w = v * q, on row-major (rows, K) arrays
+    so that a step's rows are one contiguous block; every r steps a row is
+    divided by its maximum.  Node and edge
     marginals sum to 1 per row, so they are normalised per row, on (K, rows)
-    copies.  log Z is the log of a last row's sum of u plus its sentence's
-    offsets, summed by np.bincount: each row's top and log divisor, and
-    min T per step."""
+    copies; summed over the batch, the edge marginals are one (K x rows) @
+    (rows x K) product, with no per-row edge array.  log Z is the log of a
+    last row's sum of u plus its sentence's offsets, summed by np.bincount:
+    each row's top and log divisor, and min T per step."""
     trans, b = model.transitions, p.b
     low = trans.min()
     e = np.exp(trans - low)
@@ -396,7 +390,8 @@ def _best_paths(model: CrfModel, p: _Packed) -> tuple[np.ndarray, np.ndarray]:
     back pointers.  The backtrace recovers each pointer for the one tag the
     path follows, as the first argmax of alpha at the predecessor row plus
     the transitions into that tag: the sums the max was taken over, under
-    the same first-maximum rule."""
+    the same first-maximum rule.  A sentence's rows meet no other sentence's,
+    so its path and score do not depend on the rest of the batch."""
     trans = model.transitions
     alpha = _forward(p, p.em[:, :p.b], lambda a, t, rows: (
         a[:, None] + trans[:, :, None]).max(axis=0) + p.em[:, rows])
@@ -421,7 +416,10 @@ def viterbi(model: CrfModel, enc: EncodedSentence) -> tuple[list[int], float]:
 def _chunks(model: CrfModel, encoded: EncodedCorpus) -> Iterator[_Packed]:
     """The chunks _decode_paths decodes, once encoded's ids are checked: sentences
     longest first (ties in input order), DECODE_CHUNK at most per chunk and, unless
-    one is longer, DECODE_CHUNK times the mean length, rounded up, in tokens."""
+    one is longer, DECODE_CHUNK times the mean length, rounded up, in tokens.  A
+    chunk takes as many Viterbi steps as its first sentence is long, and none
+    holds much more than the tokens of DECODE_CHUNK sentences of mean length,
+    so working memory stays flat however the lengths are spread."""
     _check_ids(model, encoded)
     order = np.argsort(-encoded.lengths, kind="stable")
     ends = _offsets(encoded.lengths[order])  # tokens before each sentence of order
@@ -489,10 +487,13 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
     """Fit a CRF by mini-batch AdaGrad with early stopping on dev entity F1.
 
     Both datasets are encoded under index, the training set first.  Weights
-    start at zero.  After every epoch the dev set is decoded to flat
-    tag ids and scored against its gold ids, with no tag strings built; when
-    weighted F1 fails to improve by more than MIN_DELTA for more than
-    `patience` consecutive epochs, training stops.  The returned model
+    start at zero.  The dev set's decode chunks are packed once, before the
+    first epoch, and only weighed again each epoch.  After every epoch the dev
+    set is decoded to flat tag ids and scored against its gold ids by the span
+    rule eval uses, with no tag strings built, so its F1 is the one eval
+    reports for the decoded dev set.  When weighted F1 fails to improve by
+    more than MIN_DELTA for more than `patience` consecutive epochs, training
+    stops.  The returned model
     carries the weights of the best epoch (first occurrence on ties), and the
     whole procedure is reproducible bit for bit from the seed.  A batch loss
     that is not finite stops training with a ValueError naming the epoch and
@@ -582,7 +583,8 @@ def _blocks(text: str) -> list[list[str]]:
 
 
 def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
-    """Fill a weight block from its section, one block row per line."""
+    """Fill a weight block from its section, one block row per line.  Rows are
+    read with np.loadtxt, which reads the same bits as Python's float."""
     width = block.shape[1] if block.ndim == 2 else 1
     if len(rows) != len(block):
         raise ValueError(f"truncated model file: bad row count in [{section}]")

@@ -2,8 +2,9 @@
 
 Every position gets a bias plus the current, previous, and next surface
 forms; tag context is handled entirely by the transition weights of the
-model, never by the attributes.  One template feeds both build_index and
-encode_dataset, so the two cannot drift apart.
+model, never by the attributes.  One template, _template, feeds both
+build_index and encode_dataset, as CRFsuite's one attribute generator feeds
+its dictionary and its encoder, so the two cannot drift apart.
 """
 
 from dataclasses import InitVar, dataclass, field

@@ -172,7 +172,14 @@ class CheckResult:
 def run_verification(trials: int, seed: int) -> list[CheckResult]:
     """Compare the fast implementations against the oracles on random tiny
     instances; returns one result per check (logZ, viterbi, marginals,
-    gradient), keeping the first failing instance for reproduction."""
+    gradient), keeping the first failing instance for reproduction.
+
+    Every fourth trial's weights are scaled by 200, 400 or 800 in turn.
+    Drawn in [-2, 2], the transitions spread by at most 4, far inside
+    crf._MATMUL_SPREAD; scaled, most spread past it, so the checks reach
+    crf._log_space as well as crf._scaled.  The scale is a function of the
+    trial number, so the random stream, and every other trial, is the same
+    as with no scaling."""
     from . import crf
 
     if trials < 0:
@@ -191,9 +198,12 @@ def run_verification(trials: int, seed: int) -> list[CheckResult]:
 
     rng = random.Random(seed)
     l2_cycle = (0.0, 1e-4, 1e-2)
+    scales = (200.0, 400.0, 800.0)
     for trial in range(trials):
         inst = random_instance(rng)
         model, enc = inst.model, inst.sentence
+        if trial % 4 == 3:
+            model.weights *= scales[trial // 4 % len(scales)]
 
         diff = abs(crf.log_partition(model, enc) - enumerate_logZ(inst))
         record("logZ", diff <= TOL, inst, f"trial {trial}: logZ differs by {diff:.3e}")

@@ -138,6 +138,19 @@ def span_counts_reference(gold: Dataset, pred: Dataset) -> tuple[Counter, Counte
             Counter(k[3] for k in g - p))
 
 
+def weighted_f1_reference(gold: Dataset, pred: Dataset) -> float:
+    """Support-weighted entity F1 of the span_counts_reference counts, the
+    classes taken in sorted order; 0/0 counts as 0."""
+    tp, fp, fn = span_counts_reference(gold, pred)
+    weighted, support = 0.0, 0
+    for c in sorted(tp.keys() | fp.keys() | fn.keys()):
+        prec = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] else 0.0
+        rec = tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] else 0.0
+        weighted += (2 * prec * rec / (prec + rec) if prec + rec else 0.0) * (tp[c] + fn[c])
+        support += tp[c] + fn[c]
+    return weighted / support if support else 0.0
+
+
 def confusion_reference(gold: Dataset, pred: Dataset) -> ConfusionMatrix:
     """The token confusion matrix counted pair by pair: rows are gold
     classes, columns predicted ones, O first and then the sorted classes."""
@@ -229,10 +242,10 @@ def naive_train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
     and cuts it into batches of cfg.batch_size.  Each batch's loss and
     gradient come from naive_nll_and_gradient; the gradient, scaled by
     1 / batch size, takes one AdaGrad step per weight.  Dev tags come from
-    enumerate_best, and dev F1 is the support-weighted F1 of the
-    span_counts_reference counts; training stops once dev F1 has failed to
-    beat the last reference by more than MIN_DELTA for more than
-    cfg.patience epochs, and the first best epoch's weights are kept.
+    enumerate_best, and dev F1 is weighted_f1_reference; training stops once
+    dev F1 has failed to beat the last reference by more than MIN_DELTA for
+    more than cfg.patience epochs, and the first best epoch's weights are
+    kept.
     """
     sentences = list(encode_dataset(train_set, index))
     dev_encoded = list(encode_dataset(dev, index))
@@ -256,14 +269,7 @@ def naive_train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
         pred = Dataset(Sentence(s.surfaces, [index.tagset.tags[t] for t in
                                              enumerate_best(TinyInstance(model, enc))[0]])
                        for s, enc in zip(dev.sentences, dev_encoded))
-        tp, fp, fn = span_counts_reference(dev, pred)
-        weighted, support = 0.0, 0
-        for c in sorted(tp.keys() | fp.keys() | fn.keys()):
-            prec = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] else 0.0
-            rec = tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] else 0.0
-            weighted += (2 * prec * rec / (prec + rec) if prec + rec else 0.0) * (tp[c] + fn[c])
-            support += tp[c] + fn[c]
-        f1 = weighted / support if support else 0.0
+        f1 = weighted_f1_reference(dev, pred)
         run.train_nll.append(epoch_loss)
         run.dev_f1.append(f1)
         run.epoch_weights.append(model.weights)

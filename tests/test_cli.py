@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -132,13 +133,17 @@ class TestTrain:
     def test_missing_output_directory_exits_2_before_training(self, corpus_files, tmp_path,
                                                                capsys, monkeypatch):
         """-o into a missing directory, or onto a directory, fails with one
-        error line before training."""
+        error line before training, and so does an -o whose history file
+        <out>.history.tsv would be a directory."""
         trainer = Mock(side_effect=AssertionError("train ran"))
         monkeypatch.setattr(cli_module, "train", trainer)
+        (tmp_path / "m.txt.history.tsv").mkdir()
         for out, message in [
                 (tmp_path / "missing" / "m.txt",
                  f"output directory does not exist: {tmp_path / 'missing'}"),
-                (tmp_path, f"output path is a directory: {tmp_path}")]:
+                (tmp_path, f"output path is a directory: {tmp_path}"),
+                (tmp_path / "m.txt",
+                 f"output path is a directory: {tmp_path / 'm.txt.history.tsv'}")]:
             code = main(["train", "--train", str(corpus_files["cm_train"]),
                          "--dev", str(corpus_files["cm_dev"]), "-o", str(out)])
             assert code == 2 and not trainer.called
@@ -339,8 +344,8 @@ class TestTagAndEval:
 def test_missing_output_directory_exits_2_before_the_work(corpus_files, tmp_path, capsys,
                                                           monkeypatch, command, work):
     """mix -o, tag -o and eval --report into a missing directory, or onto a
-    directory, fail with one error line before mixing, decoding or scoring,
-    as train does."""
+    directory ('' included), fail with one error line before mixing,
+    decoding or scoring, as train does."""
     model = tmp_path / "zero.txt"
     save_model(CrfModel.zeros(build_index(parse_conll(corpus_files["cm_train"].read_text()))),
                model)
@@ -349,7 +354,8 @@ def test_missing_output_directory_exits_2_before_the_work(corpus_files, tmp_path
     worker = Mock(side_effect=AssertionError(f"{work} ran"))
     monkeypatch.setattr(cli_module, work, worker)
     for out, message in [(missing / "out.txt", f"output directory does not exist: {missing}"),
-                         (tmp_path, f"output path is a directory: {tmp_path}")]:
+                         (tmp_path, f"output path is a directory: {tmp_path}"),
+                         ("", "output path is a directory: .")]:
         argv = {"mix": ["mix", "--primary", dev, "-o", out],
                 "tag": ["tag", "--model", model, "--input", dev, "-o", out],
                 "eval": ["eval", "--gold", dev, "--pred", dev, "--report", out]}
@@ -389,6 +395,30 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "instance" in captured.err
+
+
+def test_readme_names_every_option_and_default():
+    """README's bullet for each subcommand, the lines from the one that opens
+    with "- `name" to the next unindented one, names every option and, as
+    `--opt value`, every default that is not None, False or []."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name, parser in commands.items():
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith((f"- `{name} ", f"- `{name}`")))
+        end = next((i for i in range(first + 1, len(lines))
+                    if not lines[i].startswith("  ")), len(lines))
+        bullet = " ".join(" ".join(lines[first:end]).split())
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert any(re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", bullet)
+                       for o in action.option_strings), (name, action.option_strings)
+            if not (action.default is None or action.default is False or action.default == []):
+                flag = max(action.option_strings, key=len)
+                assert f"{flag} {action.default}" in bullet, (name, flag, action.default)
 
 
 def run_pipeline(files, out):

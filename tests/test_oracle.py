@@ -1,7 +1,14 @@
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import math
 import random
+import re
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +16,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import naive_nll_and_gradient, naive_train
-from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset
+from helpers import (extract_entities, naive_nll_and_gradient, naive_train, spans_to_tags,
+                     weighted_f1_reference)
+from mixner.cli import main
+from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset, parse_conll, write_conll
 import mixner.crf as crf_module
-from mixner.crf import (CrfModel, TrainConfig, log_partition, marginals,
+from mixner.crf import (CrfModel, TrainConfig, load_model, log_partition, marginals,
                         nll_and_gradient, train, viterbi)
 from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset)
@@ -142,6 +151,20 @@ class TestDriver:
                                              "gradient"]
         assert all(r.ok and r.passed == 25 for r in results)
 
+    def test_checks_reach_both_forward_backward_paths(self, monkeypatch):
+        """The scaled trials take crf._log_space and the others crf._scaled,
+        and every check passes on both."""
+        calls = Counter()
+        for name in ("_scaled", "_log_space"):
+            def counting(*args, _real=getattr(crf_module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(crf_module, name, counting)
+        results = run_verification(300, 7)
+        assert all(r.ok and r.passed == 300 for r in results)
+        assert calls["_scaled"] > 0 and calls["_log_space"] > 0
+
     def test_failure_carries_instance(self, monkeypatch):
         # run_verification reads log_partition off the crf module, so a fault
         # injected there must be caught and reported with the instance.
@@ -238,3 +261,99 @@ def test_train_matches_naive_reference(run):
         expected = ref.epoch_weights[history.best_epoch - 1]
     assert np.all(np.abs(model.weights - expected) <= TOL * np.maximum(1.0, np.abs(expected)))
 
+
+
+def canonical(ds: Dataset) -> Dataset:
+    """The dataset with every span opened by B-X, as the reference for what
+    validate_iob gives train: the spans of extract_entities written back."""
+    return Dataset(Sentence(s.surfaces, spans_to_tags(extract_entities(s.tags), len(s)), s.id)
+                   for s in ds)
+
+
+@st.composite
+def tiny_pipelines(draw):
+    """A primary corpus of 1..3 sentences, an auxiliary one of 0..3 and a dev
+    set of 1..3, whose words include one never seen in training: sentences of
+    1..4 tokens over at most 3 tags, stray I-X included.  Then a mix seed and
+    a training configuration of 1 or 2 epochs."""
+    def corpus(words, tags, least):
+        token = st.tuples(st.sampled_from(words), st.sampled_from(tags))
+        rows = draw(st.lists(st.lists(token, min_size=1, max_size=4),
+                             min_size=least, max_size=3))
+        return Dataset(Sentence(*zip(*row)) for row in rows)
+
+    tags = draw(st.sampled_from([("O", "B-X", "I-X"), ("O", "B-X", "B-Y")]))
+    primary, aux = corpus("abc", tags, 1), corpus("abc", tags, 0)
+    known = induce_tagset(canonical(helpers.mix_reference(primary, [aux]))).tags
+    cfg = TrainConfig(epochs=draw(st.integers(1, 2)), batch_size=draw(st.integers(1, 6)),
+                      seed=draw(st.integers(0, 999)))
+    return primary, aux, corpus("abcd", known, 1), draw(st.integers(0, 999)), cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_pipelines())
+def test_pipeline_matches_reference_chain(run):
+    """mix --shuffle, train, tag and eval --format json through cli.main
+    against the reference chain: helpers.mix_reference, naive_train,
+    enumerate_best per dev sentence and weighted_f1_reference.  Both trainers
+    take the enumerated batch gradient, for the reason
+    test_train_matches_naive_reference gives.
+
+    The mixed file is the reference's, byte for byte, and so are the
+    history's losses and dev F1, except that dev F1 may differ from the
+    first epoch at which a dev sentence has near-tied paths.  The model holds the
+    reference's weights at the best epoch train reports.  Each tagged
+    sentence has the reference's path, or one that rescores to within TOL of
+    it, as verify accepts; and eval's F1 is the reference's over those
+    paths."""
+    primary, aux, dev, mix_seed, cfg = run
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(io.StringIO()) as stdout:
+        d = Path(tmp)
+        for name, ds in (("primary", primary), ("aux", aux), ("dev", dev)):
+            (d / f"{name}.conll").write_text(write_conll(ds), encoding="utf-8")
+        patch.setattr(crf_module, "nll_and_gradient", naive_nll_and_gradient)
+        for argv in (["mix", "--primary", d / "primary.conll", "--aux", d / "aux.conll",
+                      "--shuffle", "--seed", mix_seed, "-o", d / "mixed.conll"],
+                     ["train", "--train", d / "mixed.conll", "--dev", d / "dev.conll",
+                      "--epochs", cfg.epochs, "--batch", cfg.batch_size, "--seed", cfg.seed,
+                      "-o", d / "model.txt"],
+                     ["tag", "--model", d / "model.txt", "--input", d / "dev.conll",
+                      "-o", d / "pred.conll"],
+                     ["eval", "--gold", d / "dev.conll", "--pred", d / "pred.conll",
+                      "--format", "json", "--report", d / "report.json"]):
+            assert main([str(a) for a in argv]) == 0
+        out = {name: (d / name).read_text(encoding="utf-8") for name in
+               ("mixed.conll", "model.txt.history.tsv", "pred.conll", "report.json")}
+        weights = load_model(d / "model.txt").weights
+    best = int(re.search(r"^best epoch (\d+)", stdout.getvalue(), re.M).group(1))
+
+    mixed = helpers.mix_reference(primary, [aux], mix_seed, shuffle=True)
+    assert out["mixed.conll"] == write_conll(mixed)
+    train_ds, dev_ds = canonical(mixed), canonical(dev)
+    index = build_index(train_ds)
+    ref = naive_train(train_ds, dev_ds, cfg, index)
+    rows = [row.split("\t")[1:3] for row in out["model.txt.history.tsv"].splitlines()[1:]]
+    assert [nll for nll, _ in rows] == [f"{nll:.6f}" for nll in ref.train_nll]
+    split = next((e for e, ((_, f1), ref_f1) in enumerate(zip(rows, ref.dev_f1))
+                  if f1 != f"{ref_f1:.6f}"), None)
+    if split is None:
+        assert best == ref.best_epoch
+    else:
+        assert near_tied(ref.epoch_weights[split], index, dev_ds)
+    expected = ref.epoch_weights[best - 1]
+    assert np.all(np.abs(weights - expected) <= TOL * np.maximum(1.0, np.abs(expected)))
+
+    model, names = CrfModel(expected, index), index.tagset.tags
+    tagged = []
+    for s, p, enc in zip(dev.sentences, parse_conll(out["pred.conll"]).sentences,
+                         encode_dataset(dev_ds, index)):
+        path, score = enumerate_best(TinyInstance(model, enc))
+        given_path = [names.index(t) for t in p.tags]
+        if given_path != path:  # near-tied: verify accepts either
+            assert abs(naive_sequence_score(model, enc, given_path) - score) <= TOL
+            path = given_path
+        tagged.append(Sentence(s.surfaces, [names[k] for k in path], s.id))
+    assert out["pred.conll"] == write_conll(Dataset(tagged))
+    assert json.loads(out["report.json"])["weighted_f1"] == weighted_f1_reference(
+        dev, Dataset(tagged))
