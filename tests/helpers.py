@@ -221,6 +221,20 @@ def naive_nll_and_gradient(model: CrfModel, batch, l2: float = 0.0) -> tuple[flo
     return loss, np.array(grad)
 
 
+def model_text_reference(model: CrfModel) -> str:
+    """The model file save_model writes, stated row by row, as the reference
+    for its spelling: each weight as Python's repr, the shortest decimal that
+    reads back to the same float; single spaces between columns; "\\n" line
+    ends and a final newline.  [start] and [end] hold one weight per line."""
+    lines = ["MIXNER-CRF v1", "[tags]", *model.tagset.tags,
+             "[attributes]", *model.index.attributes()]
+    for name in ("start", "end", "transitions", "emissions"):
+        lines.append(f"[{name}]")
+        lines.extend(" ".join(map(repr, np.atleast_1d(row).tolist()))
+                     for row in getattr(model, name))
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class NaiveRun:
     """What naive_train returns: the best epoch's weights, each epoch's

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_separable_corpus, naive_nll_and_gradient, stray_inside
+from helpers import (make_separable_corpus, model_text_reference, naive_nll_and_gradient,
+                     stray_inside)
 from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset, write_conll
 import mixner.crf as crf_module
 import mixner.eval as eval_module
@@ -323,6 +324,26 @@ class TestPersistence:
         save_model(m, one)
         save_model(load_model(one), two)
         assert one.read_bytes() == two.read_bytes()
+
+    def spelled_models(self):
+        values = tiny_model(["O", "B-A", "B-B", "I-A", "I-B"], 2)
+        values.emissions[1] = [-0.0, 5e-324, 1e-05, 1e+16, 0.1]
+        return {"trained-like": self.trained_like_model(),
+                "zero attributes": tiny_model(["O", "B-X"], 0),
+                "one tag": tiny_model(["O"], 3),
+                "edge values": values}
+
+    @pytest.mark.parametrize("name", ["trained-like", "zero attributes", "one tag",
+                                      "edge values"])
+    def test_bytes_equal_per_row_reference(self, tmp_path, name):
+        m = self.spelled_models()[name]
+        save_model(m, tmp_path / "model.txt")
+        data = (tmp_path / "model.txt").read_bytes()
+        assert data == model_text_reference(m).encode("utf-8")
+        if name == "zero attributes":
+            assert data.endswith(b"[emissions]\n")
+        if name == "edge values":
+            assert data.endswith(b"\n-0.0 5e-324 1e-05 1e+16 0.1\n")
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -1148,3 +1169,22 @@ def test_line_replaced_model_raises_only_value_error_property(seed, data):
         load_text("\n".join(lines) + "\n")
     except ValueError:
         pass
+
+
+_FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.data())
+def test_saved_bytes_equal_per_row_reference_property(k, num_attrs, data):
+    """Any finite float64 bit patterns, in any block shape, are written as the
+    per-row reference spells them, and read back to the same bits."""
+    m = tiny_model(["O", "B-A", "B-B", "I-A"][:k], num_attrs)
+    bits = data.draw(st.lists(_FINITE_BITS, min_size=m.weights.size,
+                              max_size=m.weights.size))
+    m.weights[:] = np.array(bits, dtype=np.uint64).view(np.float64)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "model.txt"
+        save_model(m, path)
+        assert path.read_bytes() == model_text_reference(m).encode("utf-8")
+        assert load_model(path).weights.tobytes() == m.weights.tobytes()
