@@ -5,6 +5,7 @@ errors.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -23,18 +24,21 @@ def _read_dataset(path: str, require_tags: bool = True) -> Dataset:
     return parse_conll(text, require_tags=require_tags)
 
 
-def _check_out_dir(path: str | Path) -> None:
-    """Fail before any work if an output would go into a missing directory
-    or onto a directory ('' and '.' included)."""
+def _check_out(path: str | Path, inputs: list[str]) -> None:
+    """Fail before any work if an output would go into a missing directory,
+    onto a directory ('' and '.' included), or onto one of the command's
+    input files, however the two paths are spelled."""
     out = Path(path)
     if out.is_dir():
         raise ValueError(f"output path is a directory: {out}")
     if not out.parent.is_dir():
         raise ValueError(f"output directory does not exist: {out.parent}")
+    if out.exists() and any(Path(p).exists() and os.path.samefile(out, p) for p in inputs):
+        raise ValueError(f"output path is also an input: {out}")
 
 
 def cmd_mix(args) -> int:
-    _check_out_dir(args.out)
+    _check_out(args.out, [args.primary, *args.aux])
     print(f"mix: --seed {args.seed}")
     primary = _read_dataset(args.primary)
     auxiliaries = [_read_dataset(p) for p in args.aux]
@@ -47,9 +51,9 @@ def cmd_mix(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_out_dir(args.out)
+    _check_out(args.out, [args.train, args.dev])
     history_path = Path(args.out).with_name(Path(args.out).name + ".history.tsv")
-    _check_out_dir(history_path)
+    _check_out(history_path, [args.train, args.dev])
     print(f"train: --epochs {args.epochs} --batch {args.batch} "
           f"--patience {args.patience} --lr {args.lr} --l2 {args.l2} "
           f"--min-count {args.min_count} --seed {args.seed}")
@@ -76,7 +80,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    _check_out_dir(args.out)
+    _check_out(args.out, [args.model, args.input])
     model = load_model(args.model)
     ds = _read_dataset(args.input, require_tags=False)
     tagged = decode(model, ds)
@@ -87,7 +91,7 @@ def cmd_tag(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.report is not None:
-        _check_out_dir(args.report)
+        _check_out(args.report, [args.gold, args.pred])
     gold = _read_dataset(args.gold)
     pred = _read_dataset(args.pred)
     report = score_entities(gold, pred)

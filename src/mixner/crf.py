@@ -555,15 +555,21 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
 
 
 def save_model(model: CrfModel, path: str | Path) -> None:
-    """Write the model as versioned UTF-8 text; floats keep full precision."""
+    """Write the model as versioned UTF-8 text, each weight as its float's
+    repr, which reads back bit for bit.  A block's rows come from one chain
+    of C-level iterators: memoryview yields the block's floats in row-major
+    order, and zip deals them out `width` to a row.  Nothing is opened
+    before every row is formatted."""
     if not np.isfinite(model.weights).all():
         raise ValueError("refusing to save a model with non-finite weights")
     lines = [MODEL_HEADER, "[tags]", *model.tagset.tags,
              "[attributes]", *model.index.attributes()]
-    for name in _SECTIONS[2:]:  # start and end hold one weight per line
+    for name in _SECTIONS[2:]:
+        block = getattr(model, name)
+        width = block.shape[1] if block.ndim == 2 else 1  # start and end: one weight a line
+        weights = map(repr, memoryview(block.reshape(-1)))
         lines.append(f"[{name}]")
-        lines.extend(" ".join(map(repr, np.atleast_1d(row).tolist()))
-                     for row in getattr(model, name))
+        lines.extend(map(" ".join, zip(*[weights] * width)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

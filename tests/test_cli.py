@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import os
 import re
 import tempfile
 import warnings
@@ -132,22 +133,34 @@ class TestTrain:
 
     def test_missing_output_directory_exits_2_before_training(self, corpus_files, tmp_path,
                                                                capsys, monkeypatch):
-        """-o into a missing directory, or onto a directory, fails with one
-        error line before training, and so does an -o whose history file
-        <out>.history.tsv would be a directory."""
+        """-o into a missing directory, onto a directory or onto an input
+        file fails with one error line before training, and so does an -o
+        whose history file <out>.history.tsv would be a directory or an
+        input file."""
         trainer = Mock(side_effect=AssertionError("train ran"))
         monkeypatch.setattr(cli_module, "train", trainer)
         (tmp_path / "m.txt.history.tsv").mkdir()
-        for out, message in [
-                (tmp_path / "missing" / "m.txt",
+        train_file, dev, history_dev = (
+            tmp_path / "t.conll", tmp_path / "dev.conll", tmp_path / "d.txt.history.tsv")
+        train_file.write_bytes(corpus_files["cm_train"].read_bytes())
+        for path in (dev, history_dev):
+            path.write_bytes(corpus_files["cm_dev"].read_bytes())
+        for out, dev_file, message in [
+                (train_file, dev, f"output path is also an input: {train_file}"),
+                (dev, dev, f"output path is also an input: {dev}"),
+                (tmp_path / "d.txt", history_dev,
+                 f"output path is also an input: {history_dev}"),
+                (tmp_path / "missing" / "m.txt", dev,
                  f"output directory does not exist: {tmp_path / 'missing'}"),
-                (tmp_path, f"output path is a directory: {tmp_path}"),
-                (tmp_path / "m.txt",
+                (tmp_path, dev, f"output path is a directory: {tmp_path}"),
+                (tmp_path / "m.txt", dev,
                  f"output path is a directory: {tmp_path / 'm.txt.history.tsv'}")]:
-            code = main(["train", "--train", str(corpus_files["cm_train"]),
-                         "--dev", str(corpus_files["cm_dev"]), "-o", str(out)])
+            before = train_file.read_bytes(), dev_file.read_bytes()
+            code = main(["train", "--train", str(train_file), "--dev", str(dev_file),
+                         "-o", str(out)])
             assert code == 2 and not trainer.called
             assert capsys.readouterr().err == f"error: {message}\n"
+            assert (train_file.read_bytes(), dev_file.read_bytes()) == before
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--l2", "-1", "l2"), ("--l2", "nan", "l2"), ("--l2", "inf", "l2"),
@@ -343,24 +356,32 @@ class TestTagAndEval:
     ("mix", "mix_datasets"), ("tag", "decode"), ("eval", "score_entities")])
 def test_missing_output_directory_exits_2_before_the_work(corpus_files, tmp_path, capsys,
                                                           monkeypatch, command, work):
-    """mix -o, tag -o and eval --report into a missing directory, or onto a
-    directory ('' included), fail with one error line before mixing,
-    decoding or scoring, as train does."""
+    """mix -o, tag -o and eval --report into a missing directory, onto a
+    directory ('' included) or onto an input file (a hard link included)
+    fail with one error line before mixing, decoding or scoring, as train
+    does."""
     model = tmp_path / "zero.txt"
     save_model(CrfModel.zeros(build_index(parse_conll(corpus_files["cm_train"].read_text()))),
                model)
     missing = tmp_path / "missing"
-    dev = corpus_files["cm_dev"]
+    dev = tmp_path / "dev.conll"
+    dev.write_bytes(corpus_files["cm_dev"].read_bytes())
+    link = tmp_path / "link.conll"
+    os.link(dev, link)
     worker = Mock(side_effect=AssertionError(f"{work} ran"))
     monkeypatch.setattr(cli_module, work, worker)
-    for out, message in [(missing / "out.txt", f"output directory does not exist: {missing}"),
+    for out, message in [(dev, f"output path is also an input: {dev}"),
+                         (link, f"output path is also an input: {link}"),
+                         (missing / "out.txt", f"output directory does not exist: {missing}"),
                          (tmp_path, f"output path is a directory: {tmp_path}"),
                          ("", "output path is a directory: .")]:
+        before = dev.read_bytes(), model.read_bytes()
         argv = {"mix": ["mix", "--primary", dev, "-o", out],
                 "tag": ["tag", "--model", model, "--input", dev, "-o", out],
                 "eval": ["eval", "--gold", dev, "--pred", dev, "--report", out]}
         assert main([str(a) for a in argv[command]]) == 2 and not worker.called
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert (dev.read_bytes(), model.read_bytes()) == before
 
 
 class TestVerify:
