@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from unittest.mock import patch
 
@@ -757,6 +758,45 @@ def exact_against_enumeration(model, e):
             assert got.size == 0 or np.max(np.abs(got - want)) <= tol
         grad = nll_and_gradient(model, pack(e))[1]
     assert np.max(np.abs(grad - naive_nll_and_gradient(model, pack(e))[1])) <= tol
+
+
+@contextmanager
+def forward_backward_paths():
+    """The set of forward-backward paths, "_scaled" and "_log_space", called
+    within it."""
+    taken = set()
+
+    def counting(name):
+        real = getattr(crf_module, name)
+
+        def path(*args):
+            taken.add(name)
+            return real(*args)
+        return patch.object(crf_module, name, path)
+
+    with counting("_scaled"), counting("_log_space"):
+        yield taken
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("attrs", [[(1,), (0,), (1,)], [(1,), (1,), (0,), (1,)]])
+@pytest.mark.parametrize("deficit", [720.0, 760.0, 800.0])
+@pytest.mark.parametrize("into, out", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+def test_interior_rival_past_underflow_stays_scaled(k, attrs, deficit, into, out):
+    """B-X lies deficit below O at one interior token, where exp(x) is
+    subnormal (720) or 0 (760, 800); its neighbours are held at O, and the
+    transitions into and out of B-X are worth up to _MATMUL_SPREAD - 1
+    (into, out).  Every path through it is worth less than 2**-114 of the
+    same path through O, so _scaled runs, and the results stay exact."""
+    m = tiny_model(["O", "B-X", "I-X"][:k], 2)
+    m.transitions[0, 1], m.transitions[1, 0] = (
+        into * (crf_module._MATMUL_SPREAD - 1.0), out * (crf_module._MATMUL_SPREAD - 1.0))
+    m.emissions[0, 0] = deficit  # attribute 0: the interior token
+    m.emissions[1, 0] = 20.0  # attribute 1: a neighbour
+    e = enc(attrs, [0] * len(attrs))
+    with forward_backward_paths() as taken:
+        exact_against_enumeration(m, e)
+    assert taken == {"_scaled"}
 
 
 @pytest.mark.parametrize("attrs, start, end, into, out", [
