@@ -4,8 +4,9 @@
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
 Layouts: CrfModel (the weights), _Packed (a batch), _chunks (decoding).
-Forward-backward: _forward_backward picks _scaled, proved exact in the
-comment above _MATMUL_SPREAD, or _log_space.  Viterbi: _best_paths.
+Forward-backward: _forward_backward picks _scaled when the transitions'
+spread is at most _MATMUL_SPREAD, proved exact in the comment above it, and
+_log_space otherwise.  Viterbi: _best_paths.
 Training: nll_and_gradient and train.  Persistence: save_model, load_model.
 """
 
@@ -181,41 +182,36 @@ def _forward(p: _Packed, first: np.ndarray, step, out=None) -> np.ndarray:
 
 # _scaled, the forward-backward in probability space, is exact for
 # transitions T whose spread S = ptp(T) is at most _MATMUL_SPREAD and K < 2**31
-# tags (K x K floats must fit in memory), while every interior row (neither
-# first nor last in its sentence) has x >= _LOG_NORMAL, so q = exp(x) >=
-# 2**-1022: its emissions spread by at most 1022 ln 2.  Otherwise
-# _forward_backward takes _log_space.  Proof:
-# - Range.  E = exp(T - min T) lies in [1, e**S], e**S <= 2**961, so for u >= 0
+# tags (K x K floats must fit in memory), with no bound on the emissions;
+# otherwise _forward_backward takes _log_space.  Every row, first, interior
+# and last alike, has q = exp(x), x = em less the row's maximum.  Proof:
+# - Range.  E = exp(T - min T) lies in [1, e**S], e**S <= 2**454, so for u >= 0
 #   with maximum M every entry of u @ E (and of w @ E^T) lies in [M, K e**S M].
 #   As q <= 1, with q = 1 at each row's best tag, a row's maximum, 1 at the
 #   first rows (the last, backward) and after a division, never falls and
-#   rises at most K e**S < 2**992 per step.  r = max(1, floor(_GROWTH /
-#   (S + ln K))) steps after a division by the maximum it is below 2**1023,
-#   half the largest float, which leaves room for rounding; r >= 1, as
-#   S + ln K < 992 ln 2.  A row's sum lies in [M, K M]: if the row is not
-#   divided, below K (K e**S)**(r - 1) <= 2**1023, so log Z's logs are finite.
-# - Precision.  An interior entry (u @ E)[k] q[k] >= M q[k] >= 2**-1022, as
-#   M >= 1, is normal after every step, so it keeps full relative precision.
-#   Entries below 2**-1022 M come only from a division by the maximum or
-#   from first and last rows, not gated; each is off by at most 2**-1074 M
-#   (2**-1074 K e**S M at a last row) and enters the next step times at most
-#   e**S, or a last row's sum, against entries >= M: an error below K 2**-113.
+#   rises at most K e**S < 2**485 per step.  r = max(1, floor(_GROWTH /
+#   (S + ln K))) >= 2 steps after a division by the maximum it is below
+#   2**1023, half the largest float, which leaves room for rounding.  A row's
+#   sum lies in [M, K M]: if the row is not divided, below K (K e**S)**(r - 1)
+#   <= 2**1023, so log Z's logs are finite.
+# - Underflow.  An entry (u @ E)[k] q[k] with q[k] >= 2**-1022, the least
+#   normal float, is at least M q[k] >= 2**-1022, as M >= 1: it keeps full
+#   relative precision.  A rival whose q falls below 2**-1022 lies more than
+#   1022 ln 2 below its row's best, and the transitions into and out of it
+#   repay at most 2 S.  So every path through it is worth less than
+#   2**-1022 e**(2 S) <= 2**-114 of the same path through the best tag, and
+#   those of one row less than K 2**-114 of Z.  Its own rounding error, q's
+#   and the product's, below 2**-1073 K e**S M, enters the next step or log
+#   Z's sum times at most e**S against entries >= M: below K 2**-165.  An
+#   entry that a division by the maximum leaves below 2**-1022 is off by at
+#   most 2**-1074 M, less still.
 # - Normalisers.  Divided by their row maxima, u <= 1 with a 1 at its best
-#   tag, and v >= 1 / (K e**S) > 2**-992, so sum(u v) > 2**-992 > 0.  A
+#   tag, and v >= 1 / (K e**S) > 2**-485, so sum(u v) > 2**-485 > 0.  A
 #   product u v lost to underflow moves a node marginal by less than 2**-1074
-#   K e**S < 2**-82.  An edge row's scale wmax / (vmax sum(u v)) is at most 1,
-#   as sum(u v) >= v at u's best tag >= wmax / vmax.
-# - The gate on x.  An interior tag whose emission lies d below the row's
-#   best can still win through transitions into and out of it worth up to
-#   2 S (1332 at the bound), yet q = exp(-d) underflows to 0 for d > 745 and
-#   drops it (test_interior_emission_deficit_repaid_by_transitions).  A
-#   first or last row needs no gate: a rival whose exp(x) underflows there
-#   lies d > 1022 ln 2 below, transitions on its one side repay at most S <=
-#   961 ln 2 of it, and its error is bounded above for any d
-#   (test_start_and_end_traps_match_enumeration).
-_MATMUL_SPREAD = 961 * math.log(2)
+#   K e**S < 2**-589.  An edge row's scale wmax / (vmax sum(u v)) is at most
+#   1, as sum(u v) >= v at u's best tag >= wmax / vmax.
+_MATMUL_SPREAD = 454 * math.log(2)
 _GROWTH = 1023 * math.log(2)  # the log of the largest rise allowed between divisions
-_LOG_NORMAL = -1022 * math.log(2)  # exp(x) >= 2**-1022, the least normal float, for x >= this
 
 
 def _edges(a: np.ndarray, trans: np.ndarray, b: np.ndarray, log_z: np.ndarray) -> np.ndarray:
@@ -228,11 +224,11 @@ def _edges(a: np.ndarray, trans: np.ndarray, b: np.ndarray, log_z: np.ndarray) -
 
 
 def _log_space(model: CrfModel, p: _Packed, per_row: bool):
-    """_forward_backward in log space, for transitions or emissions beyond
-    the bound of _scaled (non-finite or extreme weights): log-sum-exp steps
-    over a K x K x rows array, and edges from _edges.  Runaway weights (say
-    1e300) spread the transitions far beyond the bound, so they come here,
-    overflow in the marginals and stop train on its non-finite loss."""
+    """_forward_backward in log space, for transitions beyond the bound of
+    _scaled (non-finite or spread wider than _MATMUL_SPREAD): log-sum-exp
+    steps over a K x K x rows array, and edges from _edges.  Runaway weights
+    (say 1e300) spread the transitions far beyond the bound, so they come
+    here, overflow in the marginals and stop train on its non-finite loss."""
     trans, em = model.transitions, p.em
     alpha = _forward(p, em[:, :p.b], lambda a, t, rows: _logsumexp(
         a[:, None] + trans[:, :, None], 0) + em[:, rows])
@@ -246,7 +242,7 @@ def _log_space(model: CrfModel, p: _Packed, per_row: bool):
     return node, edges if per_row else edges.sum(axis=0), log_z
 
 
-def _scaled(model: CrfModel, p: _Packed, x: np.ndarray, top: np.ndarray, per_row: bool):
+def _scaled(model: CrfModel, p: _Packed, per_row: bool):
     """_forward_backward in probability space, the scaled recursion of
     Rabiner (1989), also in Sutton & McCallum, An Introduction to CRFs
     (2012), section 4, every row alike, with no exp or log per step.  x holds
@@ -261,6 +257,8 @@ def _scaled(model: CrfModel, p: _Packed, x: np.ndarray, top: np.ndarray, per_row
     last row's sum of u plus its sentence's offsets, summed by np.bincount:
     each row's top and log divisor, and min T per step."""
     trans, b = model.transitions, p.b
+    top = p.em.max(axis=0)
+    x = p.em - top
     low = trans.min()
     e = np.exp(trans - low)
     growth = float(trans.max() - low) + math.log(len(trans))  # log of a row's largest rise
@@ -312,15 +310,11 @@ def _forward_backward(model: CrfModel, p: _Packed, per_row: bool = False):
     """Node marginals per row as a (K, rows) array; the edge marginals of the
     rows after each sentence's first, summed over the batch into a (K, K)
     array, or per row as (rows - sentences, K, K) if per_row; and log Z per
-    rank.  _scaled where its bound holds, _log_space otherwise."""
+    rank.  _scaled where the transitions spread by at most _MATMUL_SPREAD,
+    whatever the emissions, and _log_space otherwise."""
     trans = model.transitions
     if trans.max() - trans.min() <= _MATMUL_SPREAD:  # not taken for nan and inf
-        top = p.em.max(axis=0)
-        x = p.em - top
-        lowest = x.min(axis=0)
-        lowest[:p.b] = lowest[p.last] = 0.0  # only interior rows need exp(x) normal
-        if lowest.min() >= _LOG_NORMAL:  # not taken for nan
-            return _scaled(model, p, x, top, per_row)
+        return _scaled(model, p, per_row)
     return _log_space(model, p, per_row)
 
 

@@ -713,53 +713,6 @@ def test_forward_backward_exact_on_both_sides_of_the_matmul_bound(case, over, da
         assert close(lse_node, node) and close(lse_edge, edge)
 
 
-@pytest.mark.parametrize("trans, matmul", [
-    ([[0.0, 600.0], [-60.0, 1.0]], True), ([[0.0, 700.0], [-60.0, 1.0]], False),
-    ([[0.0, np.inf], [0.0, 0.0]], False), ([[0.0, np.nan], [0.0, 0.0]], False),
-    ([[1e300, -1e300], [0.0, 0.0]], False)])
-def test_matmul_path_only_within_the_bound(trans, matmul):
-    """The gradient sums a per-row edge array only off the matmul path."""
-    m = tiny_model(["O", "B-X"], 1)
-    m.transitions[...] = trans
-    with np.errstate(all="ignore"), patch.object(
-            crf_module, "_edges", wraps=crf_module._edges) as edges:
-        nll_and_gradient(m, pack(enc([(0,), (), (0,)], [0, 1, 1])))
-    assert edges.called != matmul
-
-
-@pytest.mark.parametrize("low", [-660.0, -900.0])
-def test_low_transition_column_outweighed_by_emissions(low):
-    """Every transition into tag 1 lies |low| below the rest, and an emission
-    of 1000 still makes the edge into tag 1 the likely one.  Within the bound
-    (660) the matmul path is exact; beyond it (900) exp(low) underflows, and
-    the log-sum-exp path keeps the result exact."""
-    m = tiny_model(["O", "B-X"], 1)
-    m.transitions[:, 1] = low
-    m.emissions[0, 1] = 1000.0
-    e = enc([(), (0,), ()], [0, 1, 0])
-    inst = TinyInstance(m, e)
-    assert abs(log_partition(m, e) - enumerate_logZ(inst)) <= TOL * 1e3
-    for got, ref in zip(marginals(m, e), enumerate_marginals(inst)):
-        assert np.max(np.abs(got - ref)) <= TOL * 1e3
-    grad, ref_grad = (f(m, pack(e))[1] for f in (nll_and_gradient, naive_nll_and_gradient))
-    assert np.max(np.abs(grad - ref_grad)) <= TOL * 1e3
-
-
-def exact_against_enumeration(model, e):
-    """log Z, node and edge marginals and the gradient of one sentence agree
-    with enumeration to TOL * max(1, |log Z|), with warnings as errors."""
-    inst = TinyInstance(model, e)
-    ref = enumerate_logZ(inst)
-    tol = TOL * max(1.0, abs(ref))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert abs(log_partition(model, e) - ref) <= tol
-        for got, want in zip(marginals(model, e), enumerate_marginals(inst)):
-            assert got.size == 0 or np.max(np.abs(got - want)) <= tol
-        grad = nll_and_gradient(model, pack(e))[1]
-    assert np.max(np.abs(grad - naive_nll_and_gradient(model, pack(e))[1])) <= tol
-
-
 @contextmanager
 def forward_backward_paths():
     """The set of forward-backward paths, "_scaled" and "_log_space", called
@@ -776,6 +729,58 @@ def forward_backward_paths():
 
     with counting("_scaled"), counting("_log_space"):
         yield taken
+
+
+@pytest.mark.parametrize("trans, matmul", [
+    ([[0.0, crf_module._MATMUL_SPREAD - 61.0], [-60.0, 1.0]], True),  # spread bound - 1
+    ([[0.0, crf_module._MATMUL_SPREAD - 59.0], [-60.0, 1.0]], False),  # spread bound + 1
+    ([[0.0, np.inf], [0.0, 0.0]], False), ([[0.0, np.nan], [0.0, 0.0]], False),
+    ([[1e300, -1e300], [0.0, 0.0]], False)])
+def test_matmul_path_only_within_the_bound(trans, matmul):
+    """The gradient takes _scaled only while the transitions spread by at
+    most _MATMUL_SPREAD, and _log_space beyond it or for non-finite ones."""
+    m = tiny_model(["O", "B-X"], 1)
+    m.transitions[...] = trans
+    with np.errstate(all="ignore"), forward_backward_paths() as taken:
+        nll_and_gradient(m, pack(enc([(0,), (), (0,)], [0, 1, 1])))
+    assert taken == {"_scaled" if matmul else "_log_space"}
+
+
+@pytest.mark.parametrize("low, path", [
+    (1.0 - crf_module._MATMUL_SPREAD, "_scaled"), (-660.0, "_log_space"),
+    (-900.0, "_log_space")])
+def test_low_transition_column_outweighed_by_emissions(low, path):
+    """Every transition into tag 1 lies |low| below the rest, and an emission
+    of 1000 still makes the edge into tag 1 the likely one.  Within the bound
+    (_MATMUL_SPREAD - 1) the matmul path is exact; beyond it (660, and 900,
+    where exp(low) underflows) the log-sum-exp path keeps the result exact."""
+    m = tiny_model(["O", "B-X"], 1)
+    m.transitions[:, 1] = low
+    m.emissions[0, 1] = 1000.0
+    e = enc([(), (0,), ()], [0, 1, 0])
+    inst = TinyInstance(m, e)
+    with forward_backward_paths() as taken:
+        assert abs(log_partition(m, e) - enumerate_logZ(inst)) <= TOL * 1e3
+        for got, ref in zip(marginals(m, e), enumerate_marginals(inst)):
+            assert np.max(np.abs(got - ref)) <= TOL * 1e3
+        grad = nll_and_gradient(m, pack(e))[1]
+    assert np.max(np.abs(grad - naive_nll_and_gradient(m, pack(e))[1])) <= TOL * 1e3
+    assert taken == {path}
+
+
+def exact_against_enumeration(model, e):
+    """log Z, node and edge marginals and the gradient of one sentence agree
+    with enumeration to TOL * max(1, |log Z|), with warnings as errors."""
+    inst = TinyInstance(model, e)
+    ref = enumerate_logZ(inst)
+    tol = TOL * max(1.0, abs(ref))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(log_partition(model, e) - ref) <= tol
+        for got, want in zip(marginals(model, e), enumerate_marginals(inst)):
+            assert got.size == 0 or np.max(np.abs(got - want)) <= tol
+        grad = nll_and_gradient(model, pack(e))[1]
+    assert np.max(np.abs(grad - naive_nll_and_gradient(model, pack(e))[1])) <= tol
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -805,17 +810,17 @@ def test_interior_rival_past_underflow_stays_scaled(k, attrs, deficit, into, out
     ([(0,), (), ()], 1600.0, 0.0, 0.0, 0.0),  # the same at the first token, through start
     ([(0,)], 400.0, 1600.0, 0.0, 0.0),        # one token: start, emission and end at once
     # O lies 720 (exp subnormal) or 760 (exp 0) below B-X; at a last or first
-    # token the transitions on O's one side repay 655 of it
-    ([(), (), (0,)], 0.0, 1520.0, 655.0, 0.0), ([(), (), (0,)], 0.0, 1560.0, 655.0, 0.0),
-    ([(0,), (), ()], 1520.0, 0.0, 0.0, 655.0), ([(0,), (), ()], 1560.0, 0.0, 0.0, 655.0),
+    # token the transitions on O's one side repay 310 of it
+    ([(), (), (0,)], 0.0, 1520.0, 310.0, 0.0), ([(), (), (0,)], 0.0, 1560.0, 310.0, 0.0),
+    ([(0,), (), ()], 1520.0, 0.0, 0.0, 310.0), ([(0,), (), ()], 1560.0, 0.0, 0.0, 310.0),
     ([(0,)], 400.0, 1130.0, 0.0, 0.0), ([(0,)], 400.0, 1160.0, 0.0, 0.0)])
 def test_start_and_end_traps_match_enumeration(attrs, start, end, into, out):
     """Start and end weights, whose spread is unbounded, enter the scaled
-    recursion as emissions of the first and last rows, which are not gated:
-    exp(em - max em) rounds the O emission's rivals to 0 there, or O itself
-    to a subnormal or 0 when start or end make B-X the likely tag, with
-    transitions into or out of O (into, out) up to 655, and the results stay
-    exact."""
+    recursion as emissions of the first and last rows, which, like every
+    row's, are not bounded: exp(em - max em) rounds the O emission's rivals
+    to 0 there, or O itself to a subnormal or 0 when start or end make B-X
+    the likely tag, with transitions into or out of O (into, out) up to 310,
+    and the results stay exact."""
     m = tiny_model(["O", "B-X", "I-X"], 1)
     m.transitions[...] = [[0.5, -1.0, 0.2], [0.3, 2.0, -0.7], [1.1, 0.0, 0.4]]
     m.transitions[:, 0] += into
@@ -823,23 +828,24 @@ def test_start_and_end_traps_match_enumeration(attrs, start, end, into, out):
     m.emissions[0, 0] = 800.0
     m.start[1], m.end[1] = start, end
     e = enc(attrs, [1] * len(attrs))
-    with patch.object(crf_module, "_edges", wraps=crf_module._edges) as edges:
+    with forward_backward_paths() as taken:
         exact_against_enumeration(m, e)
-    assert not edges.called  # the scaled path ran
+    assert taken == {"_scaled"}
 
 
 def test_interior_emission_deficit_repaid_by_transitions():
     """B-X at the middle token lies 800 below O in emission, and the
     transitions into and out of it are worth 600 each, so it is the likely
-    tag.  exp(-800) underflows, so the scaled recursion would drop it:
-    _forward_backward must take the log-space path, and stay exact."""
+    tag.  exp(-800) underflows, so the scaled recursion would drop it; but
+    the transitions spread by 600, beyond _MATMUL_SPREAD, so
+    _forward_backward takes the log-space path, and stays exact."""
     m = tiny_model(["O", "B-X"], 2)
     m.transitions[...] = [[0.0, 600.0], [600.0, 0.0]]
     m.emissions[:, 0] = [2000.0, 800.0]
     e = enc([(0,), (1,), (0,)], [0, 1, 0])
-    with patch.object(crf_module, "_edges", wraps=crf_module._edges) as edges:
+    with forward_backward_paths() as taken:
         exact_against_enumeration(m, e)
-    assert edges.called
+    assert taken == {"_log_space"}
     assert marginals(m, e)[0][1, 1] > 0.5
 
 
@@ -859,7 +865,7 @@ def long_batches(draw):
     model.weights[...] = rng.normal(0.0, 1.0, model.weights.size)
     model.start[...], model.end[...] = rng.uniform(-1e3, 1e3, (2, k))
     bound = crf_module._MATMUL_SPREAD
-    lo, hi = draw(st.sampled_from([(0.0, 2.0), (200.0, 400.0), (bound - 1.0, bound)]))
+    lo, hi = draw(st.sampled_from([(0.0, 2.0), (150.0, 300.0), (bound - 1.0, bound)]))
     t = model.transitions
     t[...] = (t - t.min()) * (draw(st.floats(lo, hi)) / np.ptp(t)) - hi / 2
     lengths = draw(st.lists(st.integers(1, 200), min_size=1, max_size=6))
@@ -876,10 +882,10 @@ def test_long_sentences_through_the_renormalisation_property(case):
     log-sum-exp path to 1e-9 relative."""
     model, corpus = case
     p = crf_module._packed(model, corpus)
-    with patch.object(crf_module, "_edges", wraps=crf_module._edges) as edges:
+    with forward_backward_paths() as taken:
         node, _, log_z = crf_module._forward_backward(model, p)
         loss, grad = nll_and_gradient(model, corpus)
-    assert not edges.called  # the scaled path ran
+    assert taken == {"_scaled"}
     with patch.object(crf_module, "_MATMUL_SPREAD", -1.0):  # log-sum-exp only
         lse_node, _, lse_log_z = crf_module._forward_backward(model, p)
         lse_loss, lse_grad = nll_and_gradient(model, corpus)
