@@ -794,8 +794,8 @@ def test_interior_rival_past_underflow_stays_scaled(k, attrs, deficit, into, out
     (into, out).  Every path through it is worth less than 2**-114 of the
     same path through O, so _scaled runs, and the results stay exact."""
     m = tiny_model(["O", "B-X", "I-X"][:k], 2)
-    m.transitions[0, 1], m.transitions[1, 0] = (
-        into * (crf_module._MATMUL_SPREAD - 1.0), out * (crf_module._MATMUL_SPREAD - 1.0))
+    worth = crf_module._MATMUL_SPREAD - 1.0
+    m.transitions[0, 1], m.transitions[1, 0] = into * worth, out * worth
     m.emissions[0, 0] = deficit  # attribute 0: the interior token
     m.emissions[1, 0] = 20.0  # attribute 1: a neighbour
     e = enc(attrs, [0] * len(attrs))
@@ -817,10 +817,10 @@ def test_interior_rival_past_underflow_stays_scaled(k, attrs, deficit, into, out
 def test_start_and_end_traps_match_enumeration(attrs, start, end, into, out):
     """Start and end weights, whose spread is unbounded, enter the scaled
     recursion as emissions of the first and last rows, which, like every
-    row's, are not bounded: exp(em - max em) rounds the O emission's rivals
-    to 0 there, or O itself to a subnormal or 0 when start or end make B-X
-    the likely tag, with transitions into or out of O (into, out) up to 310,
-    and the results stay exact."""
+    row's emissions, are not bounded: exp(em - max em) rounds the O
+    emission's rivals to 0 there, or O itself to a subnormal or 0 when start
+    or end make B-X the likely tag, with transitions into or out of O (into,
+    out) up to 310, and the results stay exact."""
     m = tiny_model(["O", "B-X", "I-X"], 1)
     m.transitions[...] = [[0.5, -1.0, 0.2], [0.3, 2.0, -0.7], [1.1, 0.0, 0.4]]
     m.transitions[:, 0] += into
