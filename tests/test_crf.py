@@ -166,6 +166,29 @@ class TestMarginals:
         node, edge = marginals(m, enc([(0,)], [0]))
         assert node.shape == (1, 2) and edge.shape == (0, 2, 2)
 
+    def test_marginals_are_the_training_statistic(self):
+        """On instances drawn as run_verification draws them, every other
+        one's weights scaled by 200, 400 or 800 so that both paths run, the
+        summed edges less the gold transition counts are the gradient's
+        transitions block, and the first node row less the first gold tag's
+        one-hot is its start block, bit for bit."""
+        rng = random.Random(25)
+        with forward_backward_paths() as taken:
+            for trial in range(400):
+                inst = random_instance(rng)
+                model, e = inst.model, inst.sentence
+                if trial % 2:
+                    model.weights *= (200.0, 400.0, 800.0)[trial // 2 % 3]
+                k, gold = model.num_tags, e.tag_ids
+                pairs = np.zeros((k, k), np.intp)
+                for a, b in zip(gold, gold[1:]):
+                    pairs[a, b] += 1
+                node, edge = marginals(model, e)
+                _, transitions, start, _ = views(model, nll_and_gradient(model, pack(e), 0.0)[1])
+                assert np.array_equal(edge - pairs, transitions)
+                assert np.array_equal(node[0] - np.eye(k)[gold[0]], start)
+        assert taken == {"_scaled", "_log_space"}
+
 
 class TestNll:
     def test_zero_weight_loss_is_t_log_k(self):
