@@ -214,21 +214,14 @@ _MATMUL_SPREAD = 454 * math.log(2)
 _GROWTH = 1023 * math.log(2)  # the log of the largest rise allowed between divisions
 
 
-def _edges(a: np.ndarray, trans: np.ndarray, b: np.ndarray, log_z: np.ndarray) -> np.ndarray:
-    """Edge marginals exp(a[j, r] + trans[j, k] + b[k, r] - log_z[r]), from
-    (K, rows) arrays of alpha at each row's predecessor and of em + beta at
-    the row: an (rows, K, K) array built in place."""
-    edge = a.T[:, :, None] + trans
-    edge += b.T[:, None] - log_z[:, None, None]
-    return np.exp(edge, out=edge)
-
-
-def _log_space(model: CrfModel, p: _Packed, per_row: bool):
+def _log_space(model: CrfModel, p: _Packed):
     """_forward_backward in log space, for transitions beyond the bound of
     _scaled (non-finite or spread wider than _MATMUL_SPREAD): log-sum-exp
-    steps over a K x K x rows array, and edges from _edges.  Runaway weights
-    (say 1e300) spread the transitions far beyond the bound, so they come
-    here, overflow in the marginals and stop train on its non-finite loss."""
+    steps over a K x K x rows array.  Each edge marginal is exp(alpha at the
+    row's predecessor + trans + em + beta at the row - log Z), built in place
+    as a (rows, K, K) array and summed over the rows.  Runaway weights (say
+    1e300) spread the transitions far beyond the bound, so they come here,
+    overflow in the marginals and stop train on its non-finite loss."""
     trans, em = model.transitions, p.em
     alpha = _forward(p, em[:, :p.b], lambda a, t, rows: _logsumexp(
         a[:, None] + trans[:, :, None], 0) + em[:, rows])
@@ -238,11 +231,12 @@ def _log_space(model: CrfModel, p: _Packed, per_row: bool):
         beta[:, plo:plo + size] = _logsumexp(
             trans[:, :, None] + (em[:, lo:lo + size] + beta[:, lo:lo + size]), 1)
     node = np.exp(alpha + beta - log_z[p.rank_of_row])
-    edges = _edges(alpha[:, p.prev], trans, (em + beta)[:, p.b:], log_z[p.rank_of_row[p.b:]])
-    return node, edges if per_row else edges.sum(axis=0), log_z
+    edge = alpha[:, p.prev].T[:, :, None] + trans
+    edge += (em + beta)[:, p.b:].T[:, None] - log_z[p.rank_of_row[p.b:], None, None]
+    return node, np.exp(edge, out=edge).sum(axis=0), log_z
 
 
-def _scaled(model: CrfModel, p: _Packed, per_row: bool):
+def _scaled(model: CrfModel, p: _Packed):
     """_forward_backward in probability space, the scaled recursion of
     Rabiner (1989), also in Sutton & McCallum, An Introduction to CRFs
     (2012), section 4, every row alike, with no exp or log per step.  x holds
@@ -250,12 +244,12 @@ def _scaled(model: CrfModel, p: _Packed, per_row: bool):
     E = exp(T - min T) the forward step is u = (u_prev @ E) * q and the
     backward step v = w_next @ E^T, w = v * q, on row-major (rows, K) arrays
     so that a step's rows are one contiguous block; every r steps a row is
-    divided by its maximum.  Node and edge
-    marginals sum to 1 per row, so they are normalised per row, on (K, rows)
-    copies; summed over the batch, the edge marginals are one (K x rows) @
-    (rows x K) product, with no per-row edge array.  log Z is the log of a
-    last row's sum of u plus its sentence's offsets, summed by np.bincount:
-    each row's top and log divisor, and min T per step."""
+    divided by its maximum.  Node and edge marginals sum to 1 per row, so
+    they are normalised per row, on (K, rows) copies; summed over the batch,
+    the edge marginals are one (K x rows) @ (rows x K) product, with no
+    per-row edge array.  log Z is the log of a last row's sum of u plus its
+    sentence's offsets, summed by np.bincount: each row's top and log
+    divisor, and min T per step."""
     trans, b = model.transitions, p.b
     top = p.em.max(axis=0)
     x = p.em - top
@@ -302,20 +296,19 @@ def _scaled(model: CrfModel, p: _Packed, per_row: bool):
     wmax = w.max(axis=0)
     w /= wmax
     edge *= wmax / (vmax[p.prev] * norm[p.prev])
-    edges = edge.T[:, :, None] * e * w.T[:, None] if per_row else (edge @ w.T) * e
-    return node, edges, log_z
+    return node, (edge @ w.T) * e, log_z
 
 
-def _forward_backward(model: CrfModel, p: _Packed, per_row: bool = False):
+def _forward_backward(model: CrfModel, p: _Packed):
     """Node marginals per row as a (K, rows) array; the edge marginals of the
     rows after each sentence's first, summed over the batch into a (K, K)
-    array, or per row as (rows - sentences, K, K) if per_row; and log Z per
-    rank.  _scaled where the transitions spread by at most _MATMUL_SPREAD,
-    whatever the emissions, and _log_space otherwise."""
+    array whose [j, k] is the expected count of transition j -> k; and log Z
+    per rank.  _scaled where the transitions spread by at most
+    _MATMUL_SPREAD, whatever the emissions, and _log_space otherwise."""
     trans = model.transitions
     if trans.max() - trans.min() <= _MATMUL_SPREAD:  # not taken for nan and inf
-        return _scaled(model, p, per_row)
-    return _log_space(model, p, per_row)
+        return _scaled(model, p)
+    return _log_space(model, p)
 
 
 def _one(enc: EncodedSentence) -> EncodedCorpus:
@@ -342,11 +335,13 @@ def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
 
 
 def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior tag distributions (node, edge): node[t, k] = P(y_t = k) with
-    shape (T, K), and edge[t, j, k] = P(y_t = j, y_{t+1} = k), shape (T-1, K, K),
-    from the forward-backward that nll_and_gradient runs."""
-    node, edges, _ = _forward_backward(model, _packed(model, _one(enc)), per_row=True)
-    return node.T, edges
+    """Posterior marginals (node, edge): node[t, k] = P(y_t = k) with shape
+    (T, K), and edge[j, k] = sum_t P(y_t = j, y_{t+1} = k) with shape (K, K),
+    the expected count of transition j -> k (zeros for one token).  Both come
+    from the forward-backward that nll_and_gradient runs, and are the
+    statistics it reads."""
+    node, edge, _ = _forward_backward(model, _packed(model, _one(enc)))
+    return node.T, edge
 
 
 def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,

@@ -84,17 +84,20 @@ def enumerate_best(inst: TinyInstance) -> tuple[list[int], float]:
 
 
 def enumerate_marginals(inst: TinyInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Node and edge posteriors by summing probability over all sequences."""
+    """Node posteriors (T, K) and edge posteriors summed over positions
+    (K, K), the expected count of each transition, as crf.marginals returns
+    them: each sequence's probability is added to every node and every
+    transition on it."""
     t_len, k = _check_size(inst)
     log_z = enumerate_logZ(inst)
     node = np.zeros((t_len, k))
-    edge = np.zeros((t_len - 1, k, k))
+    edge = np.zeros((k, k))
     for y in itertools.product(range(k), repeat=t_len):
         p = math.exp(naive_sequence_score(inst.model, inst.sentence, y) - log_z)
         for t, tag in enumerate(y):
             node[t, tag] += p
             if t > 0:
-                edge[t - 1, y[t - 1], tag] += p
+                edge[y[t - 1], tag] += p
     return node, edge
 
 
@@ -221,7 +224,7 @@ def run_verification(trials: int, seed: int) -> list[CheckResult]:
         node, edge = crf.marginals(model, enc)
         ref_node, ref_edge = enumerate_marginals(inst)
         diff = max(float(np.max(np.abs(node - ref_node))),
-                   float(np.max(np.abs(edge - ref_edge))) if edge.size else 0.0)
+                   float(np.max(np.abs(edge - ref_edge))))
         record("marginals", diff <= TOL, inst,
                f"trial {trial}: marginal differs by {diff:.3e}")
 

@@ -67,8 +67,7 @@ def test_enumeration_agreement_bulk():
         node, edge = marginals(inst.model, inst.sentence)
         ref_node, ref_edge = enumerate_marginals(inst)
         assert np.max(np.abs(node - ref_node)) <= 1e-9
-        if edge.size:
-            assert np.max(np.abs(edge - ref_edge)) <= 1e-9
+        assert np.max(np.abs(edge - ref_edge)) <= 1e-9
     assert time.monotonic() - started <= 10.0
 
 
