@@ -186,6 +186,21 @@ class TestDriver:
         assert check.failed > 0 and "instance" in check.detail
 
 
+def test_verify_checks_the_decode_layout(monkeypatch):
+    """verify's viterbi check runs the layout that tag and train decode
+    through: a fault planted only in _Packed's selection branch, the one
+    caller of crf._ranges, which here reverses each run index, is caught."""
+    import mixner.features as features_module
+
+    def reversed_runs(starts, counts):
+        index, offsets = features_module._ranges(starts, counts)
+        return index[::-1], offsets
+
+    monkeypatch.setattr(crf_module, "_ranges", reversed_runs)
+    check = next(r for r in run_verification(20, 7) if r.name == "viterbi")
+    assert check.failed > 0 and "instance" in check.detail
+
+
 @st.composite
 def tiny_training_runs(draw):
     """A training set of 1..6 sentences of 1..5 tokens over 2..4 tags, a dev
