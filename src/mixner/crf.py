@@ -6,7 +6,7 @@
 Layouts: CrfModel (the weights), _Packed (a batch), _chunks (decoding).
 Forward-backward: _forward_backward picks _scaled when the transitions'
 spread is at most _MATMUL_SPREAD, proved exact in the comment above it, and
-_log_space otherwise.  Viterbi: _best_paths.
+_log_space otherwise.  Viterbi: _best_paths, only through _decode_paths.
 Training: nll_and_gradient and train.  Persistence: save_model, load_model.
 """
 
@@ -318,8 +318,8 @@ def _one(enc: EncodedSentence) -> EncodedCorpus:
 def sequence_score(model: CrfModel, enc: EncodedSentence,
                    tags: tuple[int, ...] | list[int]) -> float:
     """Unnormalized log score of one tag sequence.  It runs Viterbi's forward
-    recursion with the given previous tag in place of the maximum, so the
-    decoder's returned score is bitwise equal to rescoring its path."""
+    recursion with the given previous tag in place of the maximum, adding the
+    same terms in the same order, so no sequence outscores Viterbi's, exactly."""
     if len(tags) != enc.length:
         raise ValueError("tag sequence length does not match the sentence")
     _check_range(np.asarray(tags, np.intp), model.num_tags, "tag", "position {}".format)
@@ -372,34 +372,33 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     return loss, grad
 
 
-def _best_paths(model: CrfModel, p: _Packed) -> tuple[np.ndarray, np.ndarray]:
-    """Each token's tag on its sentence's best path, in batch order, and
-    each sentence's best score; ties go to the lower tag id (argmax).
-    The forward step keeps only the max over the previous tag and stores no
-    back pointers.  The backtrace recovers each pointer for the one tag the
-    path follows, as the first argmax of alpha at the predecessor row plus
-    the transitions into that tag: the sums the max was taken over, under
-    the same first-maximum rule.  A sentence's rows meet no other sentence's,
-    so its path and score do not depend on the rest of the batch."""
+def _best_paths(model: CrfModel, p: _Packed) -> np.ndarray:
+    """Each token's tag on its sentence's best path, in batch order; ties go
+    to the lower tag id (argmax).  The forward step keeps only the max over
+    the previous tag and stores no back pointers.  The backtrace recovers
+    each pointer for the one tag the path follows, as the first argmax of
+    alpha at the predecessor row plus the transitions into that tag: the
+    sums the max was taken over, under the same first-maximum rule.  A
+    sentence's rows meet no other sentence's, so its path does not depend
+    on the rest of the batch."""
     trans = model.transitions
     alpha = _forward(p, p.em[:, :p.b], lambda a, t, rows: (
         a[:, None] + trans[:, :, None]).max(axis=0) + p.em[:, rows])
-    final = alpha[:, p.last]
-    cur = final.argmax(axis=0)
-    scores = final[cur, np.arange(p.b)][p.rank]
+    cur = alpha[:, p.last].argmax(axis=0)
     tags = np.empty(p.n, np.intp)
     for lo, size, plo in reversed(p.steps):
         tags[lo:lo + size] = cur[:size]
         cur[:size] = (alpha[:, plo:plo + size] + trans[:, cur[:size]]).argmax(axis=0)
     tags[:p.b] = cur
-    return tags[p.rows], scores
+    return tags[p.rows]
 
 
 def viterbi(model: CrfModel, enc: EncodedSentence) -> tuple[list[int], float]:
-    """Best tag sequence and its score, from _best_paths on the one-sentence
-    corpus; ties go to the lower tag id."""
-    tags, scores = _best_paths(model, _packed(model, _one(enc)))
-    return tags.tolist(), scores.item()
+    """Best tag sequence and its score; ties go to the lower tag id.  The
+    path is _decode_paths's on the one-sentence corpus, the way tag and
+    train decode, and the score is sequence_score's of that path."""
+    path = _decode_paths(model, _one(enc)).tolist()
+    return path, sequence_score(model, enc, path)
 
 
 def _chunks(model: CrfModel, encoded: EncodedCorpus) -> Iterator[_Packed]:
@@ -420,11 +419,11 @@ def _chunks(model: CrfModel, encoded: EncodedCorpus) -> Iterator[_Packed]:
 
 
 def _decode_paths(model: CrfModel, encoded: EncodedCorpus, chunks=None) -> np.ndarray:
-    """Every token's best tag id, aligned with encoded.tags, from the chunks of
-    _chunks(model, encoded) or from chunks, a list of them made already."""
+    """Every token's best tag id, aligned with encoded.tags: _best_paths, called from
+    here alone, on the chunks of _chunks(model, encoded) or on chunks made already."""
     paths = np.empty(len(encoded.tags), np.intp)
     for p in _chunks(model, encoded) if chunks is None else chunks:
-        paths[p.tokens] = _best_paths(model, p.weigh(model))[0]
+        paths[p.tokens] = _best_paths(model, p.weigh(model))
         del p.em, p  # free the emission sums, and a chunk of _chunks, before the next
     return paths
 

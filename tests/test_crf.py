@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -54,11 +55,13 @@ def pack(*sentences):
 
 
 def best_paths(model, corpus):
-    """crf._best_paths on the whole corpus, cut into one (path, score) pair
-    per sentence."""
-    tags, scores = crf_module._best_paths(model, crf_module._packed(model, corpus))
-    return list(zip((p.tolist() for p in np.split(tags, corpus.offsets[1:-1])),
-                    scores.tolist()))
+    """crf._best_paths on the whole corpus packed as one batch, cut into one
+    (path, emission sums) pair per sentence: its path, and the bytes of the
+    (K, T) sums p.em[:, p.rows] that its Viterbi pass reads."""
+    p = crf_module._packed(model, corpus)
+    cuts = corpus.offsets[1:-1]
+    return [(path.tolist(), sums.tobytes()) for path, sums in zip(
+        np.split(crf_module._best_paths(model, p), cuts), np.split(p.em[:, p.rows], cuts, 1))]
 
 
 class TestWeightVector:
@@ -651,18 +654,34 @@ def test_packed_nll_matches_single_sentence_sum(case, data):
 @settings(max_examples=60, deadline=None)
 @given(ragged_batches(), st.integers(1, 4))
 def test_packed_viterbi_and_decode_match_single_sentence(case, chunk):
-    """Packed Viterbi equals one call per sentence view, and _decode_paths in
-    any chunk size gives those paths."""
+    """Packed Viterbi gives every sentence the path, and reads the emission
+    sums, bit for bit, of a one-sentence batch; viterbi, and _decode_paths in
+    any chunk size, give those paths."""
     model, corpus = case
-    singles = [viterbi(model, e) for e in corpus]
+    singles = [best_paths(model, corpus[i:i + 1])[0] for i in range(len(corpus))]
     assert best_paths(model, corpus) == singles
-    assert [best_paths(model, corpus[i:i + 1])[0] for i in range(len(corpus))] == singles
-    for e, (path, score) in zip(corpus, singles):
-        assert score == sequence_score(model, e, path)
+    paths = [path for path, _ in singles]
+    assert [viterbi(model, e)[0] for e in corpus] == paths
     with patch.object(crf_module, "DECODE_CHUNK", chunk):
-        paths = crf_module._decode_paths(model, corpus)
-    assert [p.tolist() for p in np.split(paths, corpus.offsets[1:-1])] == \
-           [path for path, _ in singles]
+        decoded = crf_module._decode_paths(model, corpus)
+    assert [p.tolist() for p in np.split(decoded, corpus.offsets[1:-1])] == paths
+
+
+@settings(max_examples=30, deadline=None)
+@given(ragged_batches(max_len=4), st.integers(1, 4))
+def test_decoded_paths_outscore_every_sequence_exactly(case, chunk):
+    """The property the benchmark's tag-eval check reads: no tag sequence has
+    a higher sequence_score than a path _decode_paths returns, in chunks of
+    any size, compared exactly.  Weights are drawn, scaled by 400 and rounded
+    to integers, so that ties are common."""
+    model, corpus = case
+    model.weights[...] = np.rint(model.weights * 400)
+    with patch.object(crf_module, "DECODE_CHUNK", chunk):
+        paths = np.split(crf_module._decode_paths(model, corpus), corpus.offsets[1:-1])
+    for e, path in zip(corpus, paths):
+        best = sequence_score(model, e, path.tolist())
+        assert all(sequence_score(model, e, tags) <= best for tags in
+                   itertools.product(range(model.num_tags), repeat=e.length))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1069,7 +1088,8 @@ def test_decode_chunks_are_bounded_property(case, chunk):
 
 def test_every_forward_pass_runs_the_one_forward_recursion(monkeypatch):
     """The sum-product pass, Viterbi and sequence_score have no loop of their
-    own: wrapping mixner.crf._forward sees one call from each entry point."""
+    own: wrapping mixner.crf._forward sees one call from each entry point but
+    viterbi, and two from viterbi: its max pass and sequence_score's."""
     model = tiny_model(["O", "B-X", "I-X"], 4)
     model.weights[...] = np.random.default_rng(3).normal(0.0, 1.0, model.weights.size)
     sentence = enc([[0, 1], [2], [3, 0]], [1, 2, 0])
@@ -1089,7 +1109,7 @@ def test_every_forward_pass_runs_the_one_forward_recursion(monkeypatch):
                       ("sequence_score", lambda: sequence_score(model, sentence, [1, 2, 0]))]:
         calls.clear()
         run()
-        assert len(calls) == 1, name
+        assert len(calls) == (2 if name == "viterbi" else 1), name
 
 
 def test_same_model_under_one_and_two_blas_threads(tmp_path):
