@@ -1060,8 +1060,8 @@ def test_decode_takes_long_sentences_together(monkeypatch):
     corpus = pack(*(enc([(0, 1)] * n, [0] * n) for n in lengths))
     real, steps = crf_module._forward, []
 
-    def counting(p, first, step, out=None):
-        return real(p, first, lambda *args: steps.append(1) or step(*args), out)
+    def counting(p, first, step):
+        return real(p, first, lambda *args: steps.append(1) or step(*args))
 
     monkeypatch.setattr(crf_module, "_forward", counting)
     paths = crf_module._decode_paths(model, corpus)
@@ -1086,10 +1086,13 @@ def test_decode_chunks_are_bounded_property(case, chunk):
     assert all(p.b <= chunk and (p.n <= cap or p.b == 1) for p in chunks)
 
 
-def test_every_forward_pass_runs_the_one_forward_recursion(monkeypatch):
-    """The sum-product pass, Viterbi and sequence_score have no loop of their
+@pytest.mark.parametrize("log_space", [False, True])
+def test_every_tag_major_pass_runs_the_one_forward_recursion(monkeypatch, log_space):
+    """_log_space, Viterbi and sequence_score have no forward loop of their
     own: wrapping mixner.crf._forward sees one call from each entry point but
-    viterbi, and two from viterbi: its max pass and sequence_score's."""
+    viterbi, and two from viterbi: its max pass and sequence_score's.  _scaled
+    runs its own row-major loops, so on the scaled path the sum-product
+    entries call _forward not at all."""
     model = tiny_model(["O", "B-X", "I-X"], 4)
     model.weights[...] = np.random.default_rng(3).normal(0.0, 1.0, model.weights.size)
     sentence = enc([[0, 1], [2], [3, 0]], [1, 2, 0])
@@ -1101,15 +1104,19 @@ def test_every_forward_pass_runs_the_one_forward_recursion(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(crf_module, "_forward", counting)
-    for name, run in [("log_partition", lambda: log_partition(model, sentence)),
-                      ("marginals", lambda: marginals(model, sentence)),
-                      ("nll_and_gradient", lambda: nll_and_gradient(model, corpus, 1e-4)),
-                      ("viterbi", lambda: viterbi(model, sentence)),
-                      ("_decode_paths", lambda: crf_module._decode_paths(model, corpus)),
-                      ("sequence_score", lambda: sequence_score(model, sentence, [1, 2, 0]))]:
+    if log_space:
+        monkeypatch.setattr(crf_module, "_MATMUL_SPREAD", -1.0)
+    sum_product = 1 if log_space else 0
+    for name, run, expected in [
+            ("log_partition", lambda: log_partition(model, sentence), sum_product),
+            ("marginals", lambda: marginals(model, sentence), sum_product),
+            ("nll_and_gradient", lambda: nll_and_gradient(model, corpus, 1e-4), sum_product),
+            ("viterbi", lambda: viterbi(model, sentence), 2),
+            ("_decode_paths", lambda: crf_module._decode_paths(model, corpus), 1),
+            ("sequence_score", lambda: sequence_score(model, sentence, [1, 2, 0]), 1)]:
         calls.clear()
         run()
-        assert len(calls) == (2 if name == "viterbi" else 1), name
+        assert len(calls) == expected, name
 
 
 def test_same_model_under_one_and_two_blas_threads(tmp_path):
