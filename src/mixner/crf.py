@@ -4,10 +4,12 @@
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
 Layouts: CrfModel (the weights), _Packed (a batch), _chunks (decoding).
-Forward-backward: _forward_backward picks _scaled when the transitions'
-spread is at most _MATMUL_SPREAD, proved exact in the comment above it, and
-_log_space otherwise.  Viterbi: _best_paths, only through _decode_paths.
-Training: nll_and_gradient and train.  Persistence: save_model, load_model.
+Forward-backward: _forward_backward picks _scaled, with its own row-major
+loops, when the transitions' spread is at most _MATMUL_SPREAD, proved exact
+in the comment above it, and _log_space otherwise.  Viterbi: _best_paths,
+only through _decode_paths.  _forward is the tag-major forward recursion of
+_log_space, _best_paths and sequence_score.  Training: nll_and_gradient and
+train.  Persistence: save_model, load_model.
 """
 
 import math
@@ -166,14 +168,13 @@ def _packed(model: CrfModel, batch: EncodedCorpus) -> _Packed:
     return _Packed(batch).weigh(model)
 
 
-def _forward(p: _Packed, first: np.ndarray, step, out=None) -> np.ndarray:
-    """The one forward recursion, as a (K, rows) array, out if given: the
-    first rows are first, and the rows of step t, a slice rows, are step(x,
-    t, rows) for x the rows of step t - 1 that precede them.  The steps are
-    _scaled's matmul, _log_space's log-sum-exp, Viterbi's max over the
-    previous tag and sequence_score's row of the given tag."""
-    if out is None:
-        out = np.empty((len(first), p.n))
+def _forward(p: _Packed, first: np.ndarray, step) -> np.ndarray:
+    """The tag-major forward recursion, as a (K, rows) array: the first rows
+    are first, and the rows of step t, a slice rows, are step(x, t, rows) for
+    x the rows of step t - 1 that precede them.  The steps are _log_space's
+    log-sum-exp, Viterbi's max over the previous tag and sequence_score's
+    row of the given tag."""
+    out = np.empty((len(first), p.n))
     out[:, :p.b] = first
     for t, (lo, size, plo) in enumerate(p.steps, 1):
         out[:, lo:lo + size] = step(out[:, plo:plo + size], t, slice(lo, lo + size))
@@ -189,11 +190,11 @@ def _forward(p: _Packed, first: np.ndarray, step, out=None) -> np.ndarray:
 #   with maximum M every entry of u @ E (and of w @ E^T) lies in [M, K e**S M].
 #   As q <= 1, with q = 1 at each row's best tag, a row's maximum, 1 at the
 #   first rows (the last, backward) and after a division, never falls and
-#   rises at most K e**S < 2**485 per step.  r = max(1, floor(_GROWTH /
-#   (S + ln K))) >= 2 steps after a division by the maximum it is below
-#   2**1023, half the largest float, which leaves room for rounding.  A row's
-#   sum lies in [M, K M]: if the row is not divided, below K (K e**S)**(r - 1)
-#   <= 2**1023, so log Z's logs are finite.
+#   rises at most K e**S < 2**485 per step.  r = floor(_GROWTH / (S + ln K))
+#   >= 2 steps after a division by the maximum it is below 2**1023, half the
+#   largest float, which leaves room for rounding.  A row's sum lies in
+#   [M, K M]: if the row is not divided, below K (K e**S)**(r - 1) <= 2**1023,
+#   so log Z's logs are finite.
 # - Underflow.  An entry (u @ E)[k] q[k] with q[k] >= 2**-1022, the least
 #   normal float, is at least M q[k] >= 2**-1022, as M >= 1: it keeps full
 #   relative precision.  A rival whose q falls below 2**-1022 lies more than
@@ -239,49 +240,47 @@ def _log_space(model: CrfModel, p: _Packed):
 def _scaled(model: CrfModel, p: _Packed):
     """_forward_backward in probability space, the scaled recursion of
     Rabiner (1989), also in Sutton & McCallum, An Introduction to CRFs
-    (2012), section 4, every row alike, with no exp or log per step.  x holds
-    em less its row maxima top; it is overwritten with q = exp(x).  With
-    E = exp(T - min T) the forward step is u = (u_prev @ E) * q and the
-    backward step v = w_next @ E^T, w = v * q, on row-major (rows, K) arrays
-    so that a step's rows are one contiguous block; every r steps a row is
-    divided by its maximum.  Node and edge marginals sum to 1 per row, so
-    they are normalised per row, on (K, rows) copies; summed over the batch,
-    the edge marginals are one (K x rows) @ (rows x K) product, with no
-    per-row edge array.  log Z is the log of a last row's sum of u plus its
-    sentence's offsets, summed by np.bincount: each row's top and log
-    divisor, and min T per step."""
+    (2012), section 4, every row alike, with no exp or log per step.  With
+    q = exp(em less its row maxima top) and E = exp(T - min T), the forward
+    step is u = (u_prev @ E) * q and the backward step v = w_next @ E^T,
+    w = v * q, on row-major (rows, K) arrays so that a step's rows are one
+    contiguous block; both loops divide step t's rows by their maxima when
+    t % r == 0.  Node and edge marginals sum to 1 per row, so they are
+    normalised per row, on (K, rows) copies; summed over the batch, the edge
+    marginals are one (K x rows) @ (rows x K) product, with no per-row edge
+    array.  log Z is the log of a last row's sum of u plus its sentence's
+    offsets, summed by np.bincount: each row's top and log divisor, and
+    min T per step."""
     trans, b = model.transitions, p.b
     top = p.em.max(axis=0)
-    x = p.em - top
     low = trans.min()
     e = np.exp(trans - low)
     growth = float(trans.max() - low) + math.log(len(trans))  # log of a row's largest rise
-    r = max(1, int(_GROWTH // growth)) if growth else p.n  # one tag: rows never grow
+    r = int(_GROWTH // growth) if growth else p.n  # one tag: rows never grow
     scale = np.ones(p.n)
-    q = _rows(np.exp(x, out=x))
-
-    def forward(prev, t, rows):  # prev.T and the result's .T are (size, K) blocks
-        u = np.dot(prev.T, e)
-        u *= q[rows]
+    q = _rows(np.exp(p.em - top))
+    u = np.empty_like(q)
+    u[:b] = q[:b]
+    for t, (lo, size, plo) in enumerate(p.steps, 1):
+        ut = u[lo:lo + size]
+        np.dot(u[plo:plo + size], e, out=ut)
+        ut *= q[lo:lo + size]
         if t % r == 0:
-            scale[rows] = s = u.max(axis=1)
-            u /= s[:, None]
-        return u.T
-
-    u = _forward(p, x[:, :b], forward, np.empty_like(q).T).T
+            scale[lo:lo + size] = s = ut.max(axis=1)
+            ut /= s[:, None]
     offsets = top + np.log(scale)
     offsets[b:] += low
     log_z = np.log(u[p.last].sum(axis=1)) + np.bincount(p.rank_of_row, offsets, b)
 
     et = np.ascontiguousarray(e.T)
-    v, w = np.empty_like(u), q  # w = v * q overwrites q row by row; at last rows w = q
+    v, w = np.empty_like(u), q  # w = v * q overwrites q row by row, not at the first rows
     v[p.last] = 1.0
     for t, (lo, size, plo) in zip(range(len(p.steps), 0, -1), reversed(p.steps)):
-        vp, wp = v[plo:plo + size], w[plo:plo + size]
-        np.dot(w[lo:lo + size], et, out=vp)
-        wp *= vp
-        if (t - 1) % r == 0:
-            wp /= wp.max(axis=1, keepdims=True)
+        wt = w[lo:lo + size]  # at last rows v = 1 and max q = 1: exact
+        wt *= v[lo:lo + size]
+        if t % r == 0:
+            wt /= wt.max(axis=1, keepdims=True)
+        np.dot(wt, et, out=v[plo:plo + size])
 
     node = u = _rows(u)
     u /= u.max(axis=0)

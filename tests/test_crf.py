@@ -914,13 +914,21 @@ def long_batches(draw):
                          for n in lengths))
 
 
+def test_renormalisation_interval_is_at_least_two_steps():
+    """_scaled divides its rows by their maxima when t % r == 0, with
+    r = floor(_GROWTH / (S + ln K)): at the largest spread S it takes and any
+    K < 2**31 tags, r is at least 2, so t % r never divides by zero."""
+    growth = crf_module._MATMUL_SPREAD + math.log(2**31 - 1)
+    assert int(crf_module._GROWTH // growth) >= 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(long_batches())
 def test_long_sentences_through_the_renormalisation_property(case):
     """Sentences too long for enumeration, with transitions up to the bound,
-    where a row is divided by its maximum every step (r = 1) or rarely: the
-    scaled path's loss, gradient, log Z and node marginals agree with the
-    log-sum-exp path to 1e-9 relative."""
+    where a row is divided by its maximum every other step (r = 2) or
+    rarely: the scaled path's loss, gradient, log Z and node marginals agree
+    with the log-sum-exp path to 1e-9 relative."""
     model, corpus = case
     p = crf_module._packed(model, corpus)
     with forward_backward_paths() as taken:
