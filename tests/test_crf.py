@@ -1150,6 +1150,33 @@ def test_same_model_under_one_and_two_blas_threads(tmp_path):
     assert models[0] == models[1]
 
 
+def test_same_loss_under_one_and_two_blas_threads():
+    """nll_and_gradient's loss is bit-equal with one and with two BLAS
+    threads.  The model has 52,195 weights and l2 = 1, so the penalty
+    ||w||^2 sums a vector far longer than the 10,000 or so elements at
+    which OpenBLAS splits a dot product across threads."""
+    script = (
+        "import numpy as np\n"
+        "from mixner.corpus import TagSet\n"
+        "from mixner.crf import CrfModel, nll_and_gradient\n"
+        "from mixner.features import EncodedCorpus, EncodedSentence, FeatureIndex\n"
+        f"tags = {THIRTEEN_TAGS!r}\n"
+        "model = CrfModel.zeros(FeatureIndex([f'a{i}' for i in range(4000)], TagSet(tags)))\n"
+        "rng = np.random.default_rng(29)\n"
+        "model.weights[...] = rng.normal(0.0, 0.5, model.weights.size)\n"
+        "batch = EncodedCorpus.from_sentences([EncodedSentence(\n"
+        "    tuple(map(tuple, rng.integers(0, 4000, (n, 4)).tolist())),\n"
+        "    tuple(rng.integers(0, 13, n).tolist())) for n in rng.integers(1, 25, 16)])\n"
+        "print(nll_and_gradient(model, batch, 1.0)[0].hex())\n")
+    losses = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        losses.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                     capture_output=True, text=True, timeout=120).stdout)
+    assert losses[0] == losses[1]
+
+
 @st.composite
 def small_datasets(draw):
     """1..6 sentences of 1..6 tokens over five surfaces, tagged from four
