@@ -3,7 +3,7 @@
     score(y) = start[y_1] + sum_i sum_{a in attrs(i)} W_e[a, y_i]
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
-Layouts: CrfModel (the weights), _Packed (a batch), _chunks (decoding).
+Layouts: CrfModel (the weights), _Packed (a weighed batch), _chunks (decoding).
 Forward-backward: _forward_backward picks _scaled, with its own row-major
 loops, when the transitions' spread is at most _MATMUL_SPREAD, proved exact
 in the comment above it, and _log_space otherwise.  Viterbi: _best_paths,
@@ -116,20 +116,20 @@ def _check_ids(model: CrfModel, corpus: EncodedCorpus) -> None:
 
 
 class _Packed:
-    """The weight-free layout of a batch, the sentences sel of a corpus (all if
+    """A batch weighed under model, the sentences sel of a corpus (all if
     None), whose tokens sit at corpus indices tokens: time-major and packed by
     length, sentences ranked longest first (ties in batch order), step t holding
     the sentences longer than t in rows offsets[t] + rank, a prefix of step t - 1.
     That is the layout of PyTorch's pack_padded_sequence, with no padding.  The
     tokens and attributes are gathered from the corpus by sentence number, so
-    no new corpus is built.  em, set by weigh, is like alpha and beta a (K, rows)
-    array, tags outer and packed rows contiguous, so every step loops over the
-    batch's sentences, not over K tags.  em[:, row] sums W_e over the row's
+    no new corpus is built.  em is like alpha and beta a (K, rows) array, tags
+    outer and packed rows contiguous, so every step loops over the batch's
+    sentences, not over K tags.  em[:, row] sums W_e over the row's
     attributes in listed order, then adds start at a first row and end at a
     last row, so it is bit for bit the same whatever batch the sentence is in:
     the corpus keeps that order, and _scatter adds in it."""
 
-    def __init__(self, corpus: EncodedCorpus, sel: np.ndarray | None = None):
+    def __init__(self, model: CrfModel, corpus: EncodedCorpus, sel: np.ndarray | None = None):
         lengths = corpus.lengths if sel is None else corpus.lengths[sel]
         self.b = b = len(lengths)
         if not b:
@@ -154,18 +154,15 @@ class _Packed:
         counts = corpus.attr_offsets[1:][self.tokens] - starts
         self.attrs = corpus.attrs if sel is None else corpus.attrs[_ranges(starts, counts)[0]]
         self.attr_rows = np.repeat(self.rows, counts)
-
-    def weigh(self, model: CrfModel) -> "_Packed":
-        self.em = em = _scatter(self.attr_rows, model.emissions.T, self.attrs, self.n)
-        em[:, :self.b] += model.start[:, None]
+        self.em = em = _scatter(self.attr_rows, model.emissions.T, self.attrs, n)
+        em[:, :b] += model.start[:, None]
         em[:, self.last] += model.end[:, None]
-        return self
 
 
 def _packed(model: CrfModel, batch: EncodedCorpus) -> _Packed:
-    """The whole batch's layout weighed under model, once its ids are checked."""
+    """The whole batch weighed under model, once its ids are checked."""
     _check_ids(model, batch)
-    return _Packed(batch).weigh(model)
+    return _Packed(model, batch)
 
 
 def _forward(p: _Packed, first: np.ndarray, step) -> np.ndarray:
@@ -365,8 +362,8 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     transitions[...] = edges - pairs
     start[...] = node[:, :p.b].sum(axis=1)
     end[...] = node[:, p.last].sum(axis=1)
-    if l2:
-        loss += 0.5 * l2 * float(model.weights @ model.weights)
+    if l2:  # ||w||^2 by einsum, not a BLAS dot, whose last bits vary with its threads
+        loss += 0.5 * l2 * float(np.einsum("i,i", model.weights, model.weights))
         grad += l2 * model.weights
     return loss, grad
 
@@ -413,17 +410,17 @@ def _chunks(model: CrfModel, encoded: EncodedCorpus) -> Iterator[_Packed]:
     cap, lo = DECODE_CHUNK * -(-ends[-1] // max(len(order), 1)), 0
     while lo < len(order):
         hi = max(lo + 1, min(lo + DECODE_CHUNK, ends.searchsorted(ends[lo] + cap, "right") - 1))
-        yield _Packed(encoded, order[lo:hi])
+        yield _Packed(model, encoded, order[lo:hi])
         lo = hi
 
 
-def _decode_paths(model: CrfModel, encoded: EncodedCorpus, chunks=None) -> np.ndarray:
+def _decode_paths(model: CrfModel, encoded: EncodedCorpus) -> np.ndarray:
     """Every token's best tag id, aligned with encoded.tags: _best_paths, called from
-    here alone, on the chunks of _chunks(model, encoded) or on chunks made already."""
+    here alone, on the chunks of _chunks(model, encoded)."""
     paths = np.empty(len(encoded.tags), np.intp)
-    for p in _chunks(model, encoded) if chunks is None else chunks:
-        paths[p.tokens] = _best_paths(model, p.weigh(model))
-        del p.em, p  # free the emission sums, and a chunk of _chunks, before the next
+    for p in _chunks(model, encoded):
+        paths[p.tokens] = _best_paths(model, p)
+        del p  # free a chunk before _chunks builds the next
     return paths
 
 
@@ -474,17 +471,16 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
     """Fit a CRF by mini-batch AdaGrad with early stopping on dev entity F1.
 
     Both datasets are encoded under index, the training set first.  Weights
-    start at zero.  The dev set's decode chunks are packed once, before the
-    first epoch, and only weighed again each epoch.  After every epoch the dev
-    set is decoded to flat tag ids and scored against its gold ids by the span
-    rule eval uses, with no tag strings built, so its F1 is the one eval
+    start at zero.  After every epoch the dev set is decoded by _decode_paths,
+    as tag decodes, to flat tag ids and scored against its gold ids by the
+    span rule eval uses, with no tag strings built, so its F1 is the one eval
     reports for the decoded dev set.  When weighted F1 fails to improve by
     more than MIN_DELTA for more than `patience` consecutive epochs, training
-    stops.  The returned model
-    carries the weights of the best epoch (first occurrence on ties), and the
-    whole procedure is reproducible bit for bit from the seed.  A batch loss
-    that is not finite stops training with a ValueError naming the epoch and
-    batch, and numpy's floating-point warnings are muted as it reports them.
+    stops.  The returned model carries the weights of the best epoch (first
+    occurrence on ties), and the whole procedure is reproducible bit for bit
+    from the seed.  A batch loss that is not finite stops training with a
+    ValueError naming the epoch and batch, and numpy's floating-point
+    warnings are muted as it reports them.
     """
     if not len(train_set) or not len(dev):
         raise ValueError("empty training or dev set")
@@ -495,7 +491,6 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
         raise ValueError(f"dev {exc}") from None
 
     model = CrfModel.zeros(index)
-    dev_chunks = list(_chunks(model, dev_encoded))  # packed once, weighed every epoch
     accum = np.zeros_like(model.weights)
     rng = random.Random(cfg.seed)
     order = list(range(len(encoded_train)))
@@ -523,7 +518,7 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
                 accum += grad * grad
                 model.weights -= cfg.learning_rate * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
         f1 = _class_scores(*_span_counts(dev_encoded.tags, _decode_paths(
-            model, dev_encoded, dev_chunks), dev_encoded.offsets, index.tagset.tags))[1]
+            model, dev_encoded), dev_encoded.offsets, index.tagset.tags))[1]
         records.append(EpochRecord(epoch, epoch_loss, f1, time.monotonic() - started))
         if f1 > best_f1:
             best_f1 = f1

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -518,27 +519,6 @@ class TestTrain:
         assert [(r.epoch, r.train_nll, r.dev_f1) for r in history.records] == \
                [(r.epoch, r.train_nll, r.dev_f1) for r in expected.records]
         assert history.best_epoch == expected.best_epoch
-
-    def test_dev_chunks_are_packed_once(self, monkeypatch):
-        """train builds the layout of each dev chunk once, before the first
-        epoch, and only weighs it again after each: two more epochs build
-        one layout per training batch each, and none for dev."""
-        train_ds, dev_ds = make_separable_corpus(300, 41), make_separable_corpus(700, 42)
-        index = build_index(train_ds)
-        real, built = crf_module._Packed.__init__, []
-
-        def counting(self, *args):
-            built.append(1)
-            real(self, *args)
-
-        def builds(epochs):
-            built.clear()
-            cfg = TrainConfig(epochs=epochs, batch_size=64, patience=3, seed=6)
-            assert len(train(train_ds, dev_ds, cfg, index)[1].records) == epochs
-            return len(built)
-
-        monkeypatch.setattr(crf_module._Packed, "__init__", counting)
-        assert builds(3) - builds(1) == 2 * math.ceil(300 / 64)
 
     def test_patience_zero_stops_at_first_plateau(self):
         cfg = TrainConfig(epochs=40, batch_size=16, patience=0, seed=3)
@@ -1075,6 +1055,24 @@ def test_decode_takes_long_sentences_together(monkeypatch):
     paths = crf_module._decode_paths(model, corpus)
     assert len(steps) == 39
     assert paths.tolist() == [k for e in corpus for k in viterbi(model, e)[0]]
+
+
+def test_decode_holds_one_chunk_at_a_time(monkeypatch):
+    """_decode_paths drops each chunk before _chunks builds the next, so
+    working memory stays flat: when a _Packed is built, no earlier one is
+    alive.  With DECODE_CHUNK at 4, the 14 sentences make at least 3 chunks."""
+    model, corpus = thirteen_tag_case(17, 14)
+    real, built = crf_module._Packed.__init__, []
+
+    def tracking(self, *args):
+        assert all(ref() is None for ref in built), "an earlier chunk is still alive"
+        real(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(crf_module._Packed, "__init__", tracking)
+    monkeypatch.setattr(crf_module, "DECODE_CHUNK", 4)
+    crf_module._decode_paths(model, corpus)
+    assert len(built) >= 3
 
 
 @settings(max_examples=60, deadline=None)
