@@ -1,0 +1,62 @@
+"""scripts/record_bench.py's aggregation, on canned bench/run.py results:
+no benchmark is run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "record_bench.py"
+_spec = importlib.util.spec_from_file_location("record_bench", SCRIPT)
+record_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record_bench)
+
+ENV = {"nproc": 2, "cpus_usable": 2, "machine": "x86_64", "python": "3.11.7",
+       "numpy": "2.4.6", "blas": {"name": "scipy-openblas", "version": "0.3.31"},
+       "blas_threads": 2, "git_sha": "abc123", "src_lines": 1718}
+
+
+def result(workload, seed, trace, values, attempted=10, failed=0, missing=(), load=0.5):
+    """A results dict with the fields bench/run.py writes that the recorder reads."""
+    return {"workload": workload, "seed": seed, "seconds": 30.0, "trace": trace,
+            "attempted": attempted, "failed": failed, "untraced_wrappers": list(missing),
+            "values": values,
+            "env": dict(ENV, loadavg_start=[load, 0.4, 0.3], loadavg_end=[load + 1, 0.5, 0.3])}
+
+
+def test_quartiles_of_several_values_and_of_one():
+    assert record_bench.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == \
+           {"median": 3.0, "q1": 2.0, "q3": 4.0, "n": 5}
+    assert record_bench.quartiles([0.25]) == {"median": 0.25, "q1": 0.25, "q3": 0.25, "n": 1}
+
+
+def test_groups_by_workload_and_trace():
+    runs = [result("mix-train", s, 0, {"req_p50_s": 0.05 + s / 100, "dev_f1": 0.6},
+                   attempted=100 + s, failed=s % 2, load=s)
+            for s in (3, 1, 2)]
+    runs += [result("mix-train", s, 1, {"cli.self_s": float(s)}, missing=[m])
+             for s, m in [(1, "mixner.cli.viterbi"), (2, "mixner.crf.score_entities")]]
+    runs.append(result("tag-eval", 1, 0, {"req_p50_s": 0.053}))
+    record = record_bench.aggregate(runs)
+    assert record["env"] == ENV
+    assert sorted(record["groups"]) == ["mix-train-trace0", "mix-train-trace1", "tag-eval-trace0"]
+    plain = record["groups"]["mix-train-trace0"]
+    assert (plain["workload"], plain["trace"], plain["seeds"]) == ("mix-train", 0, [1, 2, 3])
+    assert (plain["attempted"], plain["failed"], plain["seconds"]) == (306, 2, [30.0])
+    assert plain["metrics"]["req_p50_s"] == pytest.approx(
+        {"median": 0.07, "q1": 0.065, "q3": 0.075, "n": 3})
+    assert plain["metrics"]["dev_f1"] == {"median": 0.6, "q1": 0.6, "q3": 0.6, "n": 3}
+    assert [load[0] for load in plain["loadavg_start"]] == [1, 2, 3]
+    traced = record["groups"]["mix-train-trace1"]
+    assert traced["untraced_wrappers"] == ["mixner.cli.viterbi", "mixner.crf.score_entities"]
+    assert traced["metrics"] == {"cli.self_s": {"median": 1.5, "q1": 1.25, "q3": 1.75, "n": 2}}
+    assert record["groups"]["tag-eval-trace0"]["metrics"]["req_p50_s"]["n"] == 1
+    json.dumps(record, allow_nan=False)
+
+
+def test_runs_from_different_commits_are_refused():
+    other = result("mix-train", 2, 0, {"req_p50_s": 0.05})
+    other["env"]["git_sha"] = "def456"
+    with pytest.raises(ValueError, match="git_sha"):
+        record_bench.aggregate([result("mix-train", 1, 0, {"req_p50_s": 0.05}), other])
