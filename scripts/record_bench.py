@@ -1,17 +1,18 @@
 """Record the benchmark as BENCH_<pr>.json.
 
-    python3 scripts/record_bench.py --pr N [--seconds S] [--seeds 1 2 3 4 5] \
-        [--workloads mix-train tag-eval verify]
+    python3 scripts/record_bench.py --pr N [--seconds S]
 
-For every seed, workload (mix-train, tag-eval, verify) and trace setting (0
-and 1) it runs ``python3 bench/run.py`` in this checkout, for BENCHMARK.json's
-run_seconds unless --seconds says otherwise, and reads the run's
+For every seed (1 to 5), workload (mix-train, tag-eval, verify) and trace
+setting (0 and 1) it runs ``python3 bench/run.py`` in this checkout, for
+BENCHMARK.json's run_seconds unless --seconds says otherwise, and reads the run's
 ``.bench_work/results/<workload>-seed<s>-trace<t>.json``.  Per workload and
 trace setting, BENCH_<pr>.json holds the median and quartiles of every metric
 in the runs' ``values``, the summed ``attempted`` and ``failed`` requests, the
 tracer's ``untraced_wrappers`` and each run's load average; beside them, the
 environment the runs share: git SHA, ``src_lines``, nproc, Python, numpy and
-BLAS.  It uses the standard library only; the 30 runs of the default settings
+BLAS.  It refuses to run while ``src/`` or ``bench/`` differ from the
+checked-out commit, so the recorded git SHA names the code that was measured.
+It uses the standard library only; the 30 runs of the default settings
 take about 25 minutes at 30 s a run.
 """
 
@@ -84,19 +85,21 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="the N of BENCH_<N>.json")
     parser.add_argument("--seconds", type=float,
                         help="seconds per run (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
+    changed = subprocess.run(["git", "status", "--porcelain", "--", "src", "bench"], cwd=ROOT,
+                             check=True, capture_output=True, text=True).stdout
+    if changed:
+        parser.error("src/ or bench/ differ from the checked-out commit:\n" + changed)
     seconds = args.seconds or json.loads(
         (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     results = []
-    for seed in args.seeds:
-        for workload in args.workloads:
+    for seed in SEEDS:
+        for workload in WORKLOADS:
             for trace in TRACES:
                 print(f"{workload} seed {seed} trace {trace} ({seconds} s)", file=sys.stderr)
                 results.append(run_one(workload, seed, trace, seconds))
-    record = {"settings": {"seconds": seconds, "seeds": args.seeds,
-                           "workloads": args.workloads, "traces": list(TRACES)},
+    record = {"settings": {"seconds": seconds, "seeds": list(SEEDS),
+                           "workloads": list(WORKLOADS), "traces": list(TRACES)},
               **aggregate(results)}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
