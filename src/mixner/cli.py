@@ -73,6 +73,8 @@ def cmd_train(args) -> int:
     rows.extend(f"{r.epoch}\t{r.train_nll:.6f}\t{r.dev_f1:.6f}\t{r.seconds:.3f}"
                 for r in history.records)
     history_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    print(f"stopped: patience ran out at epoch {len(history.records)}"
+          if history.patience_ran_out else "stopped: epochs used up")
     best = history.records[history.best_epoch - 1]
     print(f"best epoch {history.best_epoch}  dev weighted_f1 {best.dev_f1:.4f}")
     print(f"model written to {args.out}")

@@ -24,6 +24,7 @@ import numpy as np
 from .corpus import Dataset, TagSet, _offsets
 from .eval import _class_scores, _span_counts
 from .features import EncodedCorpus, EncodedSentence, FeatureIndex, _ranges, encode_dataset
+from .shortest import format_rows
 
 MODEL_HEADER = "MIXNER-CRF v1"
 _SECTIONS = ("tags", "attributes", "start", "end", "transitions", "emissions")
@@ -464,6 +465,7 @@ class EpochRecord:
 class TrainHistory:
     records: list[EpochRecord]
     best_epoch: int
+    patience_ran_out: bool = False  # True when dev F1 stalled past `patience`, else every epoch ran
 
 
 def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
@@ -476,7 +478,7 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
     span rule eval uses, with no tag strings built, so its F1 is the one eval
     reports for the decoded dev set.  When weighted F1 fails to improve by
     more than MIN_DELTA for more than `patience` consecutive epochs, training
-    stops.  The returned model carries the weights of the best epoch (first
+    stops, and the history's patience_ran_out says so.  The returned model carries the weights of the best epoch (first
     occurrence on ties), and the whole procedure is reproducible bit for bit
     from the seed.  A batch loss that is not finite stops training with a
     ValueError naming the epoch and batch, and numpy's floating-point
@@ -533,25 +535,25 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
                 break
 
     model.weights[...] = best_weights
-    return model, TrainHistory(records, best_epoch)
+    return model, TrainHistory(records, best_epoch, bad_epochs > cfg.patience)
 
 
 def save_model(model: CrfModel, path: str | Path) -> None:
     """Write the model as versioned UTF-8 text, each weight as its float's
-    repr, which reads back bit for bit.  A block's rows come from one chain
-    of C-level iterators: memoryview yields the block's floats in row-major
-    order, and zip deals them out `width` to a row.  Nothing is opened
-    before every row is formatted."""
+    repr, which reads back bit for bit.  shortest.format_rows writes each
+    block's rows: repr's shortest round-trip digits come from Schubfach in
+    exact uint64 arithmetic, for a slice of weights at once, and the bytes
+    are pinned against tests/helpers.model_text_reference, which calls repr
+    row by row.  Nothing is opened before every row is formatted."""
     if not np.isfinite(model.weights).all():
         raise ValueError("refusing to save a model with non-finite weights")
     lines = [MODEL_HEADER, "[tags]", *model.tagset.tags,
              "[attributes]", *model.index.attributes()]
     for name in _SECTIONS[2:]:
         block = getattr(model, name)
-        width = block.shape[1] if block.ndim == 2 else 1  # start and end: one weight a line
-        weights = map(repr, memoryview(block.reshape(-1)))
         lines.append(f"[{name}]")
-        lines.extend(map(" ".join, zip(*[weights] * width)))
+        if block.size:  # start and end, 1-D, are written one weight a line
+            lines.append(format_rows(block.reshape(len(block), -1)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

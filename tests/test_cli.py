@@ -100,6 +100,19 @@ class TestTrain:
         assert "--seed 42" in printed
         assert model_path.exists()
 
+    def test_stop_line_when_epochs_are_used_up(self, corpus_files, tmp_path, capsys):
+        code, _ = self.run_train(corpus_files, tmp_path, "--epochs", "2", "--patience", "2")
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1] == "stopped: epochs used up"
+
+    def test_stop_line_when_patience_runs_out(self, corpus_files, tmp_path, capsys):
+        code, _ = self.run_train(corpus_files, tmp_path, "--epochs", "30", "--patience", "0")
+        assert code == 0
+        epochs = len((tmp_path / "model.txt.history.tsv").read_text().splitlines()) - 1
+        assert epochs < 30
+        assert capsys.readouterr().out.splitlines()[1] == \
+            f"stopped: patience ran out at epoch {epochs}"
+
     def test_history_log_one_row_per_epoch(self, corpus_files, tmp_path):
         code, model_path = self.run_train(corpus_files, tmp_path, "--epochs", "1")
         assert code == 0

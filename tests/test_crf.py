@@ -529,6 +529,18 @@ class TestTrain:
             assert r.dev_f1 > ref + MIN_DELTA
             ref = r.dev_f1
         assert history.records[-1].dev_f1 <= ref + MIN_DELTA
+        assert history.patience_ran_out
+
+    def test_patience_ran_out_at_the_last_epoch(self):
+        """A stall that exhausts patience on the final epoch still counts as
+        patience running out; a run that never stalls past it does not."""
+        stalled = TrainConfig(epochs=40, batch_size=16, patience=0, seed=3)
+        _, history, *_ = self.fit(stalled)
+        n = len(history.records)
+        _, last, *_ = self.fit(TrainConfig(epochs=n, batch_size=16, patience=0, seed=3))
+        assert len(last.records) == n and last.patience_ran_out
+        _, short, *_ = self.fit(TrainConfig(epochs=n - 1, batch_size=16, patience=0, seed=3))
+        assert len(short.records) == n - 1 and not short.patience_ran_out
 
     def test_deterministic_given_seed(self, tmp_path):
         cfg = TrainConfig(epochs=5, batch_size=16, seed=4)
