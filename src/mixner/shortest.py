@@ -103,10 +103,14 @@ def _tables() -> _Tables:
     h = q + ((-k * 913124641741) >> 38) + 2  # 2 to 5 wherever a finite double lands
     g1, g0 = _g_table()
     rows = np.clip(k - _K_MIN, 0, len(g1) - 1)
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10  # (10000, 4)
+    chars = np.full((10000, 8), ord("."), dtype=np.uint8)
+    chars[:, 0::2] = digits + ord("0")
+    last = ((digits != 0) * np.arange(1, 5)).max(axis=1).astype(np.int8)
+    last[0] = -20
     return _Tables(
         g1[rows], g0[rows], k, (h + 2).astype(np.uint64), 10 ** np.arange(18, dtype=np.uint64),
-        _words(".".join(f"{v:04d}") + "." for v in range(10000)),
-        np.array([-20] + [len(f"{v:04d}".rstrip("0")) for v in range(1, 10000)], dtype=np.int8),
+        chars.view("<u8").reshape(-1), last,
         np.array([_keep(a, b) for a in range(-12, 18) for b in range(-12, 21)], dtype=np.uint64),
         _words(["", "0.", "0.0", "0.00", "0.000"]) << _U(8),
         _words([""] + [f"e{e:+03d}" for e in range(1 - _E_OFF, _E_OFF)]) << _U(8))
