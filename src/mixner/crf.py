@@ -547,14 +547,14 @@ def save_model(model: CrfModel, path: str | Path) -> None:
     row by row.  Nothing is opened before every row is formatted."""
     if not np.isfinite(model.weights).all():
         raise ValueError("refusing to save a model with non-finite weights")
-    lines = [MODEL_HEADER, "[tags]", *model.tagset.tags,
-             "[attributes]", *model.index.attributes()]
+    lines = ["\n".join([MODEL_HEADER, "[tags]", *model.tagset.tags,
+                        "[attributes]", *model.index.attributes()]).encode("utf-8")]
     for name in _SECTIONS[2:]:
         block = getattr(model, name)
-        lines.append(f"[{name}]")
+        lines.append(f"[{name}]".encode("ascii"))
         if block.size:  # start and end, 1-D, are written one weight a line
             lines.append(format_rows(block.reshape(len(block), -1)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_bytes(b"\n".join([*lines, b""]))
 
 
 # The characters str.splitlines ends a line at: a "[" after one starts a line.

@@ -1,8 +1,8 @@
 """The text repr gives a block of float64 weights, computed for the whole
 block at once in numpy.
 
-format_rows(block) returns "\\n".join(" ".join(map(repr, row)) for row in
-block) for a 2-D float64 block of finite weights, byte for byte.
+format_rows(block) returns the ASCII bytes of "\\n".join(" ".join(map(repr,
+row)) for row in block) for a 2-D float64 block of finite weights.
 
 Digits.  repr writes the shortest decimal that reads back to the same float,
 and of those the closest to it.  These come from Schubfach (R. Giulietti,
@@ -216,15 +216,18 @@ def _format_slice(x: np.ndarray, tables: _Tables, separators: np.ndarray,
     return buf.translate(None, b"\0")
 
 
-def format_rows(block: np.ndarray) -> str:
-    """"\\n".join(" ".join(map(repr, row)) for row in block), byte for byte,
-    for a 2-D float64 block of finite weights with at least one column."""
+def format_rows(block: np.ndarray) -> bytes:
+    """The ASCII bytes of "\\n".join(" ".join(map(repr, row)) for row in
+    block), for a 2-D float64 block of finite weights with at least one
+    column."""
     tables = _tables()
     rows, width = block.shape
     step = max(1, SLICE // width)
     separators = np.full((step, width), ord(" ") << 48, dtype=np.uint64)  # byte 6 of word 5
     separators[:, -1] = ord("\n") << 48
     buf = bytearray(separators.size * _FRAME)
-    text = b"".join(_format_slice(block[lo:lo + step], tables, separators.reshape(-1), buf)
-                    for lo in range(0, rows, step))
-    return text[:-1].decode("ascii")
+    parts = [_format_slice(block[lo:lo + step], tables, separators.reshape(-1), buf)
+             for lo in range(0, rows, step)]
+    if parts:
+        del parts[-1][-1]  # the last row's "\n"
+    return b"".join(parts)

@@ -15,8 +15,8 @@ from mixner.shortest import format_rows
 WIDTHS = (1, 7, 13)
 
 
-def repr_rows(block: np.ndarray) -> str:
-    return "\n".join(" ".join(map(repr, row)) for row in block.tolist())
+def repr_rows(block: np.ndarray) -> bytes:
+    return "\n".join(" ".join(map(repr, row)) for row in block.tolist()).encode("ascii")
 
 
 def as_block(values, width: int) -> np.ndarray:
