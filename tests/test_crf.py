@@ -280,6 +280,20 @@ class TestIdRange:
             with pytest.raises(ValueError, match=re.escape(message)):
                 call()
 
+    @pytest.mark.parametrize("tag, attr, bad", [(-1, 0, "tag id -1 is out of range for 3 tags"),
+                                                (3, 0, "tag id 3 is out of range for 3 tags"),
+                                                (0, -1, "attribute id -1 is out of range"),
+                                                (0, 2, "attribute id 2 is out of range")])
+    def test_packed_selection_out_of_range(self, tag, attr, bad):
+        """A _Packed checks the sentences it packs, with no check run by its
+        caller first, and names a bad id by its sentence and position in the
+        corpus it was given, not by its place in the selection."""
+        m = self.model()
+        corpus = pack(enc([(0,)], [0]), enc([(1,)], [1]), enc([(), (0,), (1, attr)], [0, 1, tag]))
+        with pytest.raises(ValueError, match=re.escape(f"sentence 2, position 2: {bad}")):
+            crf_module._Packed(m, corpus, np.array([1, 2]))
+        assert crf_module._Packed(m, corpus, np.array([1, 0])).b == 2  # the bad one not packed
+
     @pytest.mark.parametrize("tag", [-1, 3])
     def test_scored_tag_out_of_range(self, tag):
         m = self.model()
