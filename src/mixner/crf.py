@@ -3,7 +3,8 @@
     score(y) = start[y_1] + sum_i sum_{a in attrs(i)} W_e[a, y_i]
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
-Layouts: CrfModel (the weights), _Packed (a weighed batch), _chunks (decoding).
+Layouts: CrfModel (the weights), _Packed (a weighed, checked batch), _chunks
+(decoding).
 Forward-backward: _forward_backward picks _scaled, with its own row-major
 loops, when the transitions' spread is at most _MATMUL_SPREAD, proved exact
 in the comment above it, and _log_space otherwise.  Viterbi: _best_paths,
@@ -106,16 +107,6 @@ def _check_range(ids: np.ndarray, limit: int, what: str, where) -> None:
                          f"for {limit} {what}s")
 
 
-def _check_ids(model: CrfModel, corpus: EncodedCorpus) -> None:
-    """Reject ids outside the model, naming the first one's place in corpus:
-    run once per batch (_packed) or per decoded corpus (_chunks), so an id
-    of -1 is an error that names its sentence's number there."""
-    where = "sentence {}, position {}".format
-    _check_range(corpus.tags, model.num_tags, "tag", lambda j: where(*corpus.locate(j)))
-    _check_range(corpus.attrs, model.index.num_attributes, "attribute", lambda j: where(
-        *corpus.locate(np.searchsorted(corpus.attr_offsets, j, "right") - 1)))
-
-
 class _Packed:
     """A batch weighed under model, the sentences sel of a corpus (all if
     None), whose tokens sit at corpus indices tokens: time-major and packed by
@@ -128,7 +119,10 @@ class _Packed:
     sentences, not over K tags.  em[:, row] sums W_e over the row's
     attributes in listed order, then adds start at a first row and end at a
     last row, so it is bit for bit the same whatever batch the sentence is in:
-    the corpus keeps that order, and _scatter adds in it."""
+    the corpus keeps that order, and _scatter adds in it.  The tag and
+    attribute ids of the packed sentences are checked against model as they
+    are gathered: one outside it raises ValueError naming its sentence and
+    position in corpus, so an id of -1 never reads as the last."""
 
     def __init__(self, model: CrfModel, corpus: EncodedCorpus, sel: np.ndarray | None = None):
         lengths = corpus.lengths if sel is None else corpus.lengths[sel]
@@ -149,21 +143,23 @@ class _Packed:
         pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         self.rows = offsets[pos] + np.repeat(self.rank, lengths)
         self.tokens = slice(None) if sel is None else _ranges(corpus.offsets[sel], lengths)[0]
+
+        def where(i: int) -> str:  # packed token i's place in corpus, found on the error path
+            return "sentence {}, position {}".format(
+                *corpus.locate(i if sel is None else self.tokens[i]))
+
         self.tags = np.empty(n, np.intp)
-        self.tags[self.rows] = corpus.tags[self.tokens]
+        self.tags[self.rows] = tags = corpus.tags[self.tokens]
+        _check_range(tags, model.num_tags, "tag", where)
         starts = corpus.attr_offsets[:-1][self.tokens]
         counts = corpus.attr_offsets[1:][self.tokens] - starts
         self.attrs = corpus.attrs if sel is None else corpus.attrs[_ranges(starts, counts)[0]]
+        _check_range(self.attrs, model.index.num_attributes, "attribute",
+                     lambda j: where(np.cumsum(counts).searchsorted(j, "right")))
         self.attr_rows = np.repeat(self.rows, counts)
         self.em = em = _scatter(self.attr_rows, model.emissions.T, self.attrs, n)
         em[:, :b] += model.start[:, None]
         em[:, self.last] += model.end[:, None]
-
-
-def _packed(model: CrfModel, batch: EncodedCorpus) -> _Packed:
-    """The whole batch weighed under model, once its ids are checked."""
-    _check_ids(model, batch)
-    return _Packed(model, batch)
 
 
 def _forward(p: _Packed, first: np.ndarray, step) -> np.ndarray:
@@ -296,16 +292,20 @@ def _scaled(model: CrfModel, p: _Packed):
     return node, (edge @ w.T) * e, log_z
 
 
+def _takes_scaled(model: CrfModel) -> bool:
+    """Whether _forward_backward takes _scaled for model: its transitions
+    spread by at most _MATMUL_SPREAD, which nan and inf never do."""
+    trans = model.transitions
+    return bool(trans.max() - trans.min() <= _MATMUL_SPREAD)
+
+
 def _forward_backward(model: CrfModel, p: _Packed):
     """Node marginals per row as a (K, rows) array; the edge marginals of the
     rows after each sentence's first, summed over the batch into a (K, K)
     array whose [j, k] is the expected count of transition j -> k; and log Z
-    per rank.  _scaled where the transitions spread by at most
-    _MATMUL_SPREAD, whatever the emissions, and _log_space otherwise."""
-    trans = model.transitions
-    if trans.max() - trans.min() <= _MATMUL_SPREAD:  # not taken for nan and inf
-        return _scaled(model, p)
-    return _log_space(model, p)
+    per rank.  _scaled where _takes_scaled, whatever the emissions, and
+    _log_space otherwise."""
+    return (_scaled if _takes_scaled(model) else _log_space)(model, p)
 
 
 def _one(enc: EncodedSentence) -> EncodedCorpus:
@@ -320,7 +320,7 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
     if len(tags) != enc.length:
         raise ValueError("tag sequence length does not match the sentence")
     _check_range(np.asarray(tags, np.intp), model.num_tags, "tag", "position {}".format)
-    p = _packed(model, _one(enc))
+    p = _Packed(model, _one(enc))
     alpha = _forward(p, p.em[:, :1], lambda a, t, rows: (  # the given previous tag's row
         a[tags[t - 1]] + model.transitions[tags[t - 1], :, None] + p.em[:, rows]))
     return float(alpha[tags[-1], -1])
@@ -328,7 +328,7 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
 
 def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
     """log Z, from the forward-backward that nll_and_gradient runs."""
-    return float(_forward_backward(model, _packed(model, _one(enc)))[2][0])
+    return float(_forward_backward(model, _Packed(model, _one(enc)))[2][0])
 
 
 def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +337,7 @@ def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.nda
     the expected count of transition j -> k (zeros for one token).  Both come
     from the forward-backward that nll_and_gradient runs, and are the
     statistics it reads."""
-    node, edge, _ = _forward_backward(model, _packed(model, _one(enc)))
+    node, edge, _ = _forward_backward(model, _Packed(model, _one(enc)))
     return node.T, edge
 
 
@@ -350,7 +350,7 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     expected minus empirical feature counts plus l2 * w, summed over the
     packed batch.
     """
-    p = _packed(model, batch)
+    p = _Packed(model, batch)
     node, edges, log_z = _forward_backward(model, p)
     k, tags, prev = model.num_tags, p.tags, p.tags[p.prev]
     gold = p.em[tags, np.arange(p.n)].sum() + model.transitions[prev, tags[p.b:]].sum()
@@ -399,13 +399,12 @@ def viterbi(model: CrfModel, enc: EncodedSentence) -> tuple[list[int], float]:
 
 
 def _chunks(model: CrfModel, encoded: EncodedCorpus) -> Iterator[_Packed]:
-    """The chunks _decode_paths decodes, once encoded's ids are checked: sentences
-    longest first (ties in input order), DECODE_CHUNK at most per chunk and, unless
-    one is longer, DECODE_CHUNK times the mean length, rounded up, in tokens.  A
-    chunk takes as many Viterbi steps as its first sentence is long, and none
-    holds much more than the tokens of DECODE_CHUNK sentences of mean length,
-    so working memory stays flat however the lengths are spread."""
-    _check_ids(model, encoded)
+    """The chunks _decode_paths decodes: sentences longest first (ties in input
+    order), DECODE_CHUNK at most per chunk and, unless one is longer,
+    DECODE_CHUNK times the mean length, rounded up, in tokens.  A chunk takes as
+    many Viterbi steps as its first sentence is long, and none holds much more
+    than the tokens of DECODE_CHUNK sentences of mean length, so working memory
+    stays flat however the lengths are spread."""
     order = np.argsort(-encoded.lengths, kind="stable")
     ends = _offsets(encoded.lengths[order])  # tokens before each sentence of order
     cap, lo = DECODE_CHUNK * -(-ends[-1] // max(len(order), 1)), 0

@@ -10,6 +10,8 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,21 +174,41 @@ class CheckResult:
         return self.failed == 0
 
 
-def run_verification(trials: int, seed: int) -> list[CheckResult]:
-    """Compare the fast implementations against the oracles on random tiny
-    instances; returns one result per check (logZ, viterbi, marginals,
-    gradient), keeping the first failing instance for reproduction.
-
-    Every fourth trial's weights are scaled by 200, 400 or 800 in turn.
-    Drawn in [-2, 2], the transitions spread by at most 4, far inside
-    crf._MATMUL_SPREAD; scaled, most spread past it, so the checks reach
-    crf._log_space as well as crf._scaled.  The scale is a function of the
-    trial number, so the random stream, and every other trial, is the same
-    as with no scaling."""
-    from . import crf
-
+def _trial_instances(trials: int, seed: int) -> Iterator[TinyInstance]:
+    """run_verification's instances, one per trial.  Every fourth trial's
+    weights are scaled by 200, 400 or 800 in turn.  Drawn in [-2, 2], the
+    transitions spread by at most 4, far inside crf._MATMUL_SPREAD; scaled,
+    most spread past it, so the checks reach crf._log_space as well as
+    crf._scaled.  The scale is a function of the trial number, so the random
+    stream, and every other trial, is the same as with no scaling."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    rng = random.Random(seed)
+    scales = (200.0, 400.0, 800.0)
+    for trial in range(trials):
+        inst = random_instance(rng)
+        if trial % 4 == 3:
+            inst.model.weights *= scales[trial // 4 % len(scales)]
+        yield inst
+
+
+def path_counts(trials: int, seed: int) -> Counter:
+    """How many of run_verification's trials have a model whose
+    forward-backward takes crf._scaled and how many crf._log_space, by
+    crf._takes_scaled, the test that crf._forward_backward makes."""
+    from . import crf
+
+    return Counter("_scaled" if crf._takes_scaled(inst.model) else "_log_space"
+                   for inst in _trial_instances(trials, seed))
+
+
+def run_verification(trials: int, seed: int) -> list[CheckResult]:
+    """Compare the fast implementations against the oracles on random tiny
+    instances, those of _trial_instances; returns one result per check
+    (logZ, viterbi, marginals, gradient), keeping the first failing instance
+    for reproduction."""
+    from . import crf
+
     results = {name: CheckResult(name, 0, 0) for name in
                ("logZ", "viterbi", "marginals", "gradient")}
 
@@ -199,15 +221,9 @@ def run_verification(trials: int, seed: int) -> list[CheckResult]:
             if r.detail is None:
                 r.detail = f"{message}\ninstance: {serialize_instance(inst)}"
 
-    rng = random.Random(seed)
     l2_cycle = (0.0, 1e-4, 1e-2)
-    scales = (200.0, 400.0, 800.0)
-    for trial in range(trials):
-        inst = random_instance(rng)
+    for trial, inst in enumerate(_trial_instances(trials, seed)):
         model, enc = inst.model, inst.sentence
-        if trial % 4 == 3:
-            model.weights *= scales[trial // 4 % len(scales)]
-
         diff = abs(crf.log_partition(model, enc) - enumerate_logZ(inst))
         record("logZ", diff <= TOL, inst, f"trial {trial}: logZ differs by {diff:.3e}")
 

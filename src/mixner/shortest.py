@@ -26,8 +26,9 @@ comes from a table lookup, every character a weight does not write is a
 NUL, and one bytes.translate deletes the NULs.
 
 Blocks are formatted SLICE weights at a time, in whole rows, so the
-temporaries stay small.  Every uint64 array meets only uint64 arrays and
-np.uint64 scalars: numpy 1.x promotes uint64 with int64 to float64.
+temporaries stay small, and a smaller block gets buffers of its own size.
+Every uint64 array meets only uint64 arrays and np.uint64 scalars: numpy 1.x
+promotes uint64 with int64 to float64.
 """
 
 import functools
@@ -222,7 +223,7 @@ def format_rows(block: np.ndarray) -> bytes:
     column."""
     tables = _tables()
     rows, width = block.shape
-    step = max(1, SLICE // width)
+    step = max(1, min(rows, SLICE // width))  # rows a slice holds, no more than the block has
     separators = np.full((step, width), ord(" ") << 48, dtype=np.uint64)  # byte 6 of word 5
     separators[:, -1] = ord("\n") << 48
     buf = bytearray(separators.size * _FRAME)

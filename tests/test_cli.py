@@ -410,6 +410,18 @@ class TestVerify:
         assert main(["verify", "--trials", "20", "--seed", "1000115"]) == 0
         assert "viterbi    20/20 pass" in capsys.readouterr().out
 
+    def test_reports_forward_backward_path_counts(self, capsys):
+        """After its checks verify writes to stderr how many trials' models
+        take each forward-backward path; both are reached at 8 trials."""
+        assert main(["verify", "--trials", "8", "--seed", "7"]) == 0
+        captured = capsys.readouterr()
+        found = re.fullmatch(r"forward-backward: (\d+) trials _scaled, (\d+) _log_space\n",
+                             captured.err)
+        assert found, captured.err
+        scaled, log_space = map(int, found.groups())
+        assert scaled > 0 and log_space > 0 and scaled + log_space == 8
+        assert "forward-backward" not in captured.out
+
     def test_zero_trials_warns(self, capsys):
         assert main(["verify", "--trials", "0"]) == 0
         assert "no checks run" in capsys.readouterr().out

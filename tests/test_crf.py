@@ -59,7 +59,7 @@ def best_paths(model, corpus):
     """crf._best_paths on the whole corpus packed as one batch, cut into one
     (path, emission sums) pair per sentence: its path, and the bytes of the
     (K, T) sums p.em[:, p.rows] that its Viterbi pass reads."""
-    p = crf_module._packed(model, corpus)
+    p = crf_module._Packed(model, corpus)
     cuts = corpus.offsets[1:-1]
     return [(path.tolist(), sums.tobytes()) for path, sums in zip(
         np.split(crf_module._best_paths(model, p), cuts), np.split(p.em[:, p.rows], cuts, 1))]
@@ -262,7 +262,7 @@ class TestIdRange:
         batch = pack(enc([(0,)], [0]), enc([(0,), (1,), ()], [0, 2, tag]))
         message = f"sentence 1, position 2: tag id {tag} is out of range for 3 tags"
         for call in (lambda: nll_and_gradient(m, batch),
-                     lambda: crf_module._packed(m, batch),
+                     lambda: crf_module._Packed(m, batch),
                      lambda: crf_module._decode_paths(m, batch)):
             with pytest.raises(ValueError, match=re.escape(message)):
                 call()
@@ -936,7 +936,7 @@ def test_long_sentences_through_the_renormalisation_property(case):
     rarely: the scaled path's loss, gradient, log Z and node marginals agree
     with the log-sum-exp path to 1e-9 relative."""
     model, corpus = case
-    p = crf_module._packed(model, corpus)
+    p = crf_module._Packed(model, corpus)
     with forward_backward_paths() as taken:
         node, _, log_z = crf_module._forward_backward(model, p)
         loss, grad = nll_and_gradient(model, corpus)
@@ -964,7 +964,7 @@ def test_time_reversal_property(case, log_space):
                            for lo, hi in zip(corpus.offsets[:-1], corpus.offsets[1:])])
     results = []
     for m, c in ((model, corpus), (mirror, mirrored)):
-        p = crf_module._packed(m, c)
+        p = crf_module._Packed(m, c)
         with patch.object(crf_module, "_MATMUL_SPREAD",
                           -1.0 if log_space else crf_module._MATMUL_SPREAD):
             node, _, log_z = crf_module._forward_backward(m, p)
@@ -1240,7 +1240,7 @@ def test_scatter_and_gather_bit_equal_to_add_at_property(case, bare):
     if bare:
         corpus = EncodedCorpus([], np.zeros(len(corpus.tags) + 1, np.intp),
                                corpus.tags, corpus.offsets)
-    p = crf_module._packed(model, corpus)
+    p = crf_module._Packed(model, corpus)
     em = np.zeros((p.n, model.num_tags))
     np.add.at(em, p.attr_rows, model.emissions[p.attrs])
     em[:p.b] += model.start

@@ -25,10 +25,10 @@ from mixner.crf import (CrfModel, TrainConfig, load_model, log_partition, margin
                         nll_and_gradient, train, viterbi)
 from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset)
-from mixner.oracle import (TOL, TinyInstance, enumerate_best, enumerate_logZ,
-                           enumerate_marginals, fd_gradient, gradient_error,
-                           naive_sequence_score, random_instance, run_verification,
-                           serialize_instance)
+from mixner.oracle import (TOL, TinyInstance, _trial_instances, enumerate_best,
+                           enumerate_logZ, enumerate_marginals, fd_gradient, gradient_error,
+                           naive_sequence_score, path_counts, random_instance,
+                           run_verification, serialize_instance)
 
 
 def zero_instance(tags, t_len, num_attrs=1):
@@ -162,6 +162,21 @@ class TestDriver:
         results = run_verification(300, 7)
         assert all(r.ok and r.passed == 300 for r in results)
         assert calls["_scaled"] > 0 and calls["_log_space"] > 0
+
+    def test_path_counts_are_the_paths_taken(self, monkeypatch):
+        """path_counts counts, per trial, the path that crf.log_partition on
+        that trial's model runs."""
+        taken = []
+        for name in ("_scaled", "_log_space"):
+            def recording(*args, _real=getattr(crf_module, name), _name=name):
+                taken.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(crf_module, name, recording)
+        for inst in _trial_instances(300, 7):
+            log_partition(inst.model, inst.sentence)
+        assert path_counts(300, 7) == Counter(taken)
+        assert len(taken) == 300 and set(taken) == {"_scaled", "_log_space"}
 
     def test_failure_carries_instance(self, monkeypatch):
         # run_verification reads log_partition off the crf module, so a fault

@@ -60,3 +60,31 @@ def test_runs_from_different_commits_are_refused():
     other["env"]["git_sha"] = "def456"
     with pytest.raises(ValueError, match="git_sha"):
         record_bench.aggregate([result("mix-train", 1, 0, {"req_p50_s": 0.05}), other])
+
+
+BENCH_FILES = sorted(SCRIPT.parents[1].glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_committed_bench_files_have_the_recorded_layout(path):
+    """Every BENCH_<pr>.json at the root has the layout the recorder writes:
+    its settings, the env of ENV_KEYS, and one group per workload and trace
+    setting with the fields aggregate writes, whose metrics each hold a
+    median between their quartiles."""
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert list(record) == ["settings", "env", "groups"]
+    settings = record["settings"]
+    assert sorted(settings) == ["seconds", "seeds", "traces", "workloads"]
+    assert sorted(record["env"]) == sorted(record_bench.ENV_KEYS)
+    fields = sorted(record_bench.aggregate([result("mix-train", 1, 0, {})])["groups"]
+                    ["mix-train-trace0"])
+    assert sorted(record["groups"]) == sorted(
+        f"{w}-trace{t}" for w in settings["workloads"] for t in settings["traces"])
+    for name, group in record["groups"].items():
+        assert sorted(group) == fields, name
+        assert f"{group['workload']}-trace{group['trace']}" == name
+        assert group["seeds"] == settings["seeds"], name
+        assert 0 <= group["failed"] <= group["attempted"], name
+        for metric, q in group["metrics"].items():
+            assert sorted(q) == ["median", "n", "q1", "q3"], (name, metric)
+            assert q["q1"] <= q["median"] <= q["q3"] and q["n"] >= 1, (name, metric)

@@ -4,6 +4,7 @@ bit patterns rarely draw."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,21 @@ def test_random_bit_patterns_match_repr(width):
 def test_rows_wider_than_a_slice():
     block = np.random.default_rng(3).standard_normal((3, shortest.SLICE + 5))
     assert format_rows(block) == repr_rows(block)
+
+
+def test_small_block_buffers_fit_the_block():
+    """A block smaller than a slice gets a frame buffer and separators of its
+    own size, not a whole slice's (393 KB for one column)."""
+    block = np.random.default_rng(4).standard_normal((13, 1))
+    shortest._tables()  # built once per process, not part of a call's cost
+    tracemalloc.start()
+    try:
+        text = format_rows(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == repr_rows(block)
+    assert peak < 64 * 1024
 
 
 def test_tables_are_built_on_first_use():
