@@ -11,13 +11,19 @@ in the runs' ``values``, the summed ``attempted`` and ``failed`` requests, the
 tracer's ``untraced_wrappers`` and each run's load average; beside them, the
 environment the runs share: git SHA, ``src_lines``, nproc, Python, numpy and
 BLAS.  It refuses to run while ``src/`` or ``bench/`` differ from the
-checked-out commit, so the recorded git SHA names the code that was measured.
-It uses the standard library only; the 30 runs of the default settings
-take about 25 minutes at 30 s a run.
+checked-out commit, so the recorded git SHA names the code that was measured,
+and while a ``__pycache__`` exists under either, since bytecode left by an
+earlier command makes ``setup_s`` read low; the runs themselves write none
+(``PYTHONDONTWRITEBYTECODE=1``).  Each run's stderr goes to
+``.bench_work/logs/<workload>-seed<s>-trace<t>.log``, so the terminal shows only
+the recorder's progress lines, and the log's name when a run fails.  It uses
+the standard library only; the 30 runs of the default settings take about 25
+minutes at 30 s a run.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -71,12 +77,20 @@ def aggregate(results: list[dict]) -> dict:
 
 
 def run_one(workload: str, seed: int, trace: int, seconds: float) -> dict:
-    """Run bench/run.py once and return the result file it wrote."""
-    path = ROOT / ".bench_work" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
+    """Run bench/run.py once, its stderr to a log, and return the result file
+    it wrote.  Exits naming the log if the run fails."""
+    name = f"{workload}-seed{seed}-trace{trace}"
+    path = ROOT / ".bench_work" / "results" / f"{name}.json"
+    log = ROOT / ".bench_work" / "logs" / f"{name}.log"
     path.unlink(missing_ok=True)
-    subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-                   cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+    log.parent.mkdir(parents=True, exist_ok=True)
+    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    with log.open("w", encoding="utf-8") as err:
+        rc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.DEVNULL, stderr=err,
+                            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1")).returncode
+    if rc:
+        sys.exit(f"{name} failed with exit code {rc}; its stderr is in {log}")
     return json.loads(path.read_text(encoding="utf-8"))
 
 
@@ -86,6 +100,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float,
                         help="seconds per run (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
+    caches = sorted(str(p.relative_to(ROOT)) for top in ("src", "bench")
+                    for p in (ROOT / top).rglob("__pycache__"))
+    if caches:
+        parser.error("bytecode caches would make setup_s read low; remove "
+                     + ", ".join(caches))
     changed = subprocess.run(["git", "status", "--porcelain", "--", "src", "bench"], cwd=ROOT,
                              check=True, capture_output=True, text=True).stdout
     if changed:

@@ -14,7 +14,7 @@ from .corpus import (Dataset, ParseError, mix_datasets, parse_conll,
 from .crf import TrainConfig, decode, load_model, save_model, train
 from .features import build_index
 from .eval import render_report, score_entities
-from .oracle import path_counts, run_verification
+from .oracle import run_verification
 
 DEFAULT_SEED = 42
 
@@ -111,7 +111,7 @@ def cmd_verify(args) -> int:
     if args.trials == 0:
         print("warning: no checks run (--trials 0)")
         return 0
-    results = run_verification(args.trials, args.seed)
+    results, paths = run_verification(args.trials, args.seed)
     failed = False
     for r in results:
         status = "pass" if r.ok else "FAIL"
@@ -119,7 +119,6 @@ def cmd_verify(args) -> int:
         if not r.ok:
             failed = True
             print(r.detail, file=sys.stderr)
-    paths = path_counts(args.trials, args.seed)
     print(f"forward-backward: {paths['_scaled']} trials _scaled, "
           f"{paths['_log_space']} _log_space", file=sys.stderr)
     return 1 if failed else 0

@@ -546,8 +546,13 @@ def save_model(model: CrfModel, path: str | Path) -> None:
     row by row.  Nothing is opened before every row is formatted."""
     if not np.isfinite(model.weights).all():
         raise ValueError("refusing to save a model with non-finite weights")
+    attributes = model.index.attributes()
+    joined = "".join(attributes)  # load_model reads back none with a line break or a leading "["
+    if "\n[" in "\n".join(["", *attributes]) or any(c in joined for c in _LINE_BREAKS):
+        bad = next(a for a in attributes if a[:1] == "[" or any(c in a for c in _LINE_BREAKS))
+        raise ValueError(f"refusing to save attribute {bad!r}: it would not load back")
     lines = ["\n".join([MODEL_HEADER, "[tags]", *model.tagset.tags,
-                        "[attributes]", *model.index.attributes()]).encode("utf-8")]
+                        "[attributes]", *attributes]).encode("utf-8")]
     for name in _SECTIONS[2:]:
         block = getattr(model, name)
         lines.append(f"[{name}]".encode("ascii"))

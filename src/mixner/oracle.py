@@ -192,21 +192,13 @@ def _trial_instances(trials: int, seed: int) -> Iterator[TinyInstance]:
         yield inst
 
 
-def path_counts(trials: int, seed: int) -> Counter:
-    """How many of run_verification's trials have a model whose
-    forward-backward takes crf._scaled and how many crf._log_space, by
-    crf._takes_scaled, the test that crf._forward_backward makes."""
-    from . import crf
-
-    return Counter("_scaled" if crf._takes_scaled(inst.model) else "_log_space"
-                   for inst in _trial_instances(trials, seed))
-
-
-def run_verification(trials: int, seed: int) -> list[CheckResult]:
+def run_verification(trials: int, seed: int) -> tuple[list[CheckResult], Counter]:
     """Compare the fast implementations against the oracles on random tiny
-    instances, those of _trial_instances; returns one result per check
+    instances, those of _trial_instances.  Returns one result per check
     (logZ, viterbi, marginals, gradient), keeping the first failing instance
-    for reproduction."""
+    for reproduction, and how many trials' models take forward-backward's
+    crf._scaled and how many crf._log_space, by crf._takes_scaled, the test
+    that crf._forward_backward makes."""
     from . import crf
 
     results = {name: CheckResult(name, 0, 0) for name in
@@ -221,9 +213,11 @@ def run_verification(trials: int, seed: int) -> list[CheckResult]:
             if r.detail is None:
                 r.detail = f"{message}\ninstance: {serialize_instance(inst)}"
 
+    paths = Counter()
     l2_cycle = (0.0, 1e-4, 1e-2)
     for trial, inst in enumerate(_trial_instances(trials, seed)):
         model, enc = inst.model, inst.sentence
+        paths["_scaled" if crf._takes_scaled(model) else "_log_space"] += 1
         diff = abs(crf.log_partition(model, enc) - enumerate_logZ(inst))
         record("logZ", diff <= TOL, inst, f"trial {trial}: logZ differs by {diff:.3e}")
 
@@ -251,4 +245,4 @@ def run_verification(trials: int, seed: int) -> list[CheckResult]:
         record("gradient", err <= GRAD_TOL, inst,
                f"trial {trial}: gradient relative error {err:.3e} (l2={l2})")
 
-    return list(results.values())
+    return list(results.values()), paths

@@ -422,6 +422,16 @@ class TestVerify:
         assert scaled > 0 and log_space > 0 and scaled + log_space == 8
         assert "forward-backward" not in captured.out
 
+    def test_draws_each_trial_once(self, monkeypatch, capsys):
+        """The path counts come from the trials just checked: verify draws
+        each instance once, not a second time to count paths."""
+        import mixner.oracle as oracle_module
+        drawn = Mock(side_effect=oracle_module.random_instance)
+        monkeypatch.setattr(oracle_module, "random_instance", drawn)
+        assert main(["verify", "--trials", "8", "--seed", "7"]) == 0
+        assert drawn.call_count == 8
+        assert "8/8 pass" in capsys.readouterr().out
+
     def test_zero_trials_warns(self, capsys):
         assert main(["verify", "--trials", "0"]) == 0
         assert "no checks run" in capsys.readouterr().out

@@ -464,6 +464,47 @@ class TestPersistence:
             save_model(m, tmp_path / "model.txt")
         assert not (tmp_path / "model.txt").exists()
 
+    @staticmethod
+    def attribute_model(attributes):
+        model = CrfModel.zeros(FeatureIndex(attributes, TagSet(("O", "B-X"))))
+        model.weights[:] = np.arange(model.weights.size) / 8
+        return model
+
+    @pytest.mark.parametrize("attributes", [["[x"], ["a", "[b]"], ["a\x0cb", "c"], ["a\u2028b"],
+                                            ["a\r", "b"], ["x\n"], ["a\r\nb"], ["\x1c"]])
+    def test_attribute_that_does_not_read_back_not_saved(self, tmp_path, attributes):
+        """load_model ends a line at every str.splitlines break and starts a
+        section at every line that starts with "[", so an attribute holding
+        either would not load back; save_model refuses it, writing nothing."""
+        with pytest.raises(ValueError, match="refusing to save attribute"):
+            save_model(self.attribute_model(attributes), tmp_path / "model.txt")
+        assert not (tmp_path / "model.txt").exists()
+
+    @pytest.mark.parametrize("attributes", [[""], [" "], ["x[y"], ["a\tb"], ["a\x1fb", "\ufeff"],
+                                            ["b", "w0=[x", "w-1=]", "w+1=a[b"]])
+    def test_unusual_attributes_round_trip(self, tmp_path, attributes):
+        model = self.attribute_model(attributes)
+        save_model(model, tmp_path / "model.txt")
+        loaded = load_model(tmp_path / "model.txt")
+        assert loaded.index.attributes() == attributes
+        assert np.array_equal(loaded.weights, model.weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(st.sampled_from("a [\t\n\r\x0b\x0c\x1c\x1f\x85\u2028\ufeff"),
+                            max_size=4), max_size=4, unique=True))
+    def test_saved_attributes_read_back_property(self, attributes):
+        """Either save_model refuses the attributes, exactly when one holds a
+        line break or starts with "[", or load_model reads them back."""
+        unreadable = any(a[:1] == "[" or len((a + "x").splitlines()) > 1 for a in attributes)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "model.txt"
+            try:
+                save_model(self.attribute_model(attributes), path)
+            except ValueError:
+                assert unreadable and not path.exists()
+                return
+            assert not unreadable and load_model(path).index.attributes() == attributes
+
     def test_decoding_survives_round_trip(self, tmp_path):
         m = self.trained_like_model()
         e = enc([(0, 1), (2,), (3, 4)], [0, 1, 2])

@@ -27,7 +27,7 @@ from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build
                              encode_dataset)
 from mixner.oracle import (TOL, TinyInstance, _trial_instances, enumerate_best,
                            enumerate_logZ, enumerate_marginals, fd_gradient, gradient_error,
-                           naive_sequence_score, path_counts, random_instance,
+                           naive_sequence_score, random_instance,
                            run_verification, serialize_instance)
 
 
@@ -144,7 +144,7 @@ class TestGradient:
 
 class TestDriver:
     def test_all_checks_pass(self):
-        results = run_verification(trials=25, seed=5)
+        results, _ = run_verification(trials=25, seed=5)
         assert [r.name for r in results] == ["logZ", "viterbi", "marginals",
                                              "gradient"]
         assert all(r.ok and r.passed == 25 for r in results)
@@ -159,13 +159,14 @@ class TestDriver:
                 return _real(*args)
 
             monkeypatch.setattr(crf_module, name, counting)
-        results = run_verification(300, 7)
+        results, _ = run_verification(300, 7)
         assert all(r.ok and r.passed == 300 for r in results)
         assert calls["_scaled"] > 0 and calls["_log_space"] > 0
 
     def test_path_counts_are_the_paths_taken(self, monkeypatch):
-        """path_counts counts, per trial, the path that crf.log_partition on
-        that trial's model runs."""
+        """run_verification's tally counts, per trial, the path that
+        crf.log_partition on that trial's model runs."""
+        _, paths = run_verification(300, 7)
         taken = []
         for name in ("_scaled", "_log_space"):
             def recording(*args, _real=getattr(crf_module, name), _name=name):
@@ -175,7 +176,7 @@ class TestDriver:
             monkeypatch.setattr(crf_module, name, recording)
         for inst in _trial_instances(300, 7):
             log_partition(inst.model, inst.sentence)
-        assert path_counts(300, 7) == Counter(taken)
+        assert paths == Counter(taken)
         assert len(taken) == 300 and set(taken) == {"_scaled", "_log_space"}
 
     def test_failure_carries_instance(self, monkeypatch):
@@ -185,7 +186,7 @@ class TestDriver:
         real = log_partition
         monkeypatch.setattr(crf_module, "log_partition",
                             lambda m, e: real(m, e) + 1e-6)
-        results = run_verification(trials=3, seed=5)
+        results, _ = run_verification(trials=3, seed=5)
         logz = next(r for r in results if r.name == "logZ")
         assert not logz.ok
         assert "instance" in logz.detail
@@ -196,7 +197,7 @@ class TestDriver:
         real = viterbi
         monkeypatch.setattr(crf_module, "viterbi",
                             lambda m, e: ([0] * e.length, real(m, e)[1]))
-        results = run_verification(trials=20, seed=1000115)
+        results, _ = run_verification(trials=20, seed=1000115)
         check = next(r for r in results if r.name == "viterbi")
         assert check.failed > 0 and "instance" in check.detail
 
@@ -212,7 +213,7 @@ def test_verify_checks_the_decode_layout(monkeypatch):
         return index[::-1], offsets
 
     monkeypatch.setattr(crf_module, "_ranges", reversed_runs)
-    check = next(r for r in run_verification(20, 7) if r.name == "viterbi")
+    check = next(r for r in run_verification(20, 7)[0] if r.name == "viterbi")
     assert check.failed > 0 and "instance" in check.detail
 
 

@@ -88,3 +88,79 @@ def test_committed_bench_files_have_the_recorded_layout(path):
         for metric, q in group["metrics"].items():
             assert sorted(q) == ["median", "n", "q1", "q3"], (name, metric)
             assert q["q1"] <= q["median"] <= q["q3"] and q["n"] >= 1, (name, metric)
+
+
+class FakeRuns:
+    """A stand-in for subprocess.run in the loaded recorder: git status finds
+    nothing changed, and a bench/run.py run writes a canned result file and
+    a forward-backward line to its stderr, or fails with `fail_rc`."""
+
+    def __init__(self, root, fail_rc=0):
+        self.root, self.fail_rc, self.envs = root, fail_rc, []
+
+    def __call__(self, cmd, **kwargs):
+        if cmd[0] == "git":
+            return record_bench.subprocess.CompletedProcess(cmd, 0, stdout="")
+        self.envs.append(kwargs["env"])
+        opt = dict(zip(cmd[2::2], cmd[3::2]))
+        kwargs["stderr"].write("forward-backward: 7 trials _scaled, 1 _log_space\n")
+        name = f"{opt['--workload']}-seed{opt['--seed']}-trace{opt['--trace']}"
+        out = self.root / ".bench_work" / "results" / f"{name}.json"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(result(opt["--workload"], int(opt["--seed"]),
+                                         int(opt["--trace"]), {"req_p50_s": 0.05})))
+        return record_bench.subprocess.CompletedProcess(cmd, self.fail_rc)
+
+
+@pytest.fixture
+def tree(tmp_path, monkeypatch):
+    """A temporary checkout root with src/mixner and bench, no bytecode."""
+    (tmp_path / "src" / "mixner").mkdir(parents=True)
+    (tmp_path / "bench").mkdir()
+    monkeypatch.setattr(record_bench, "ROOT", tmp_path)
+    return tmp_path
+
+
+def test_runs_stderr_goes_to_logs(tree, monkeypatch, capsys):
+    """The terminal shows the recorder's progress lines only; each run's
+    stderr is in its own log, and no run writes bytecode."""
+    runs = FakeRuns(tree)
+    monkeypatch.setattr(record_bench.subprocess, "run", runs)
+    assert record_bench.main(["--pr", "99", "--seconds", "1"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"{w} seed {s} trace {t} (1.0 s)" for s in record_bench.SEEDS
+                   for w in record_bench.WORKLOADS for t in record_bench.TRACES] + \
+        ["wrote BENCH_99.json"]
+    logs = sorted((tree / ".bench_work" / "logs").iterdir())
+    assert len(logs) == len(runs.envs) == 30
+    assert all(log.read_text() == "forward-backward: 7 trials _scaled, 1 _log_space\n"
+               for log in logs)
+    assert all(env["PYTHONDONTWRITEBYTECODE"] == "1" for env in runs.envs)
+
+
+def test_failed_run_names_its_log(tree, monkeypatch):
+    monkeypatch.setattr(record_bench.subprocess, "run", FakeRuns(tree, fail_rc=3))
+    with pytest.raises(SystemExit) as exc:
+        record_bench.main(["--pr", "99", "--seconds", "1"])
+    log = tree / ".bench_work" / "logs" / "mix-train-seed1-trace0.log"
+    assert exc.value.code == f"mix-train-seed1-trace0 failed with exit code 3; " \
+                             f"its stderr is in {log}"
+    assert "forward-backward" in log.read_text()
+    assert not (tree / "BENCH_99.json").exists()
+
+
+def test_refuses_to_start_with_bytecode_caches(tree, monkeypatch, capsys):
+    """A __pycache__ under src/ or bench/ makes setup_s read low, so the
+    recorder exits 2 naming each one, before any run."""
+    for cache in ("src/mixner/__pycache__", "bench/__pycache__"):
+        (tree / cache).mkdir()
+    runs = FakeRuns(tree)
+    monkeypatch.setattr(record_bench.subprocess, "run", runs)
+    with pytest.raises(SystemExit) as exc:
+        record_bench.main(["--pr", "99", "--seconds", "1"])
+    assert exc.value.code == 2 and not runs.envs
+    err = capsys.readouterr().err
+    assert "bench/__pycache__" in err and "src/mixner/__pycache__" in err
+    (tree / "bench/__pycache__").rmdir()
+    (tree / "src/mixner/__pycache__").rmdir()
+    assert record_bench.main(["--pr", "99", "--seconds", "1"]) == 0
