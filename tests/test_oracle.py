@@ -25,10 +25,10 @@ from mixner.crf import (CrfModel, TrainConfig, load_model, log_partition, margin
                         nll_and_gradient, train, viterbi)
 from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset)
-from mixner.oracle import (TOL, TinyInstance, _trial_instances, enumerate_best,
-                           enumerate_logZ, enumerate_marginals, fd_gradient, gradient_error,
-                           naive_sequence_score, random_instance,
-                           run_verification, serialize_instance)
+from mixner.oracle import (TOL, TinyInstance, enumerate_best, enumerate_logZ,
+                           enumerate_marginals, fd_gradient, gradient_error,
+                           naive_sequence_score, random_instance, run_verification,
+                           serialize_instance)
 
 
 def zero_instance(tags, t_len, num_attrs=1):
@@ -149,33 +149,28 @@ class TestDriver:
                                              "gradient"]
         assert all(r.ok and r.passed == 25 for r in results)
 
-    def test_checks_reach_both_forward_backward_paths(self, monkeypatch):
-        """The scaled trials take crf._log_space and the others crf._scaled,
-        and every check passes on both."""
-        calls = Counter()
+    def test_checks_reach_both_paths_and_tally_them(self, monkeypatch):
+        """In one 300-trial run, every check passes on both forward-backward
+        paths, and the returned tally counts, per trial, the path that
+        crf.log_partition on that trial's model runs."""
+        calls, taken = Counter(), []
         for name in ("_scaled", "_log_space"):
             def counting(*args, _real=getattr(crf_module, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
 
             monkeypatch.setattr(crf_module, name, counting)
-        results, _ = run_verification(300, 7)
+
+        def recording(*args, _real=log_partition):
+            before = calls.copy()
+            result = _real(*args)
+            taken.extend((calls - before).elements())
+            return result
+
+        monkeypatch.setattr(crf_module, "log_partition", recording)
+        results, paths = run_verification(300, 7)
         assert all(r.ok and r.passed == 300 for r in results)
         assert calls["_scaled"] > 0 and calls["_log_space"] > 0
-
-    def test_path_counts_are_the_paths_taken(self, monkeypatch):
-        """run_verification's tally counts, per trial, the path that
-        crf.log_partition on that trial's model runs."""
-        _, paths = run_verification(300, 7)
-        taken = []
-        for name in ("_scaled", "_log_space"):
-            def recording(*args, _real=getattr(crf_module, name), _name=name):
-                taken.append(_name)
-                return _real(*args)
-
-            monkeypatch.setattr(crf_module, name, recording)
-        for inst in _trial_instances(300, 7):
-            log_partition(inst.model, inst.sentence)
         assert paths == Counter(taken)
         assert len(taken) == 300 and set(taken) == {"_scaled", "_log_space"}
 
