@@ -364,6 +364,29 @@ class TestTagAndEval:
         assert "non-finite" in capsys.readouterr().err
         assert not pred_path.exists()
 
+    def test_tag_rejects_a_model_whose_path_scores_overflow(self, tmp_path, capsys):
+        """Weights near the largest float are finite, so save_model writes
+        them and load_model reads them, but they overflow a path's score: tag
+        exits 2 with one error line naming a sentence, writes nothing, and
+        no numpy warning precedes it, here raised as an error."""
+        train_path, model_path = tmp_path / "train.conll", tmp_path / "model.txt"
+        train_path.write_text("a\tB-X\nb\tI-X\n\nc\tO\n")
+        assert main(["train", "--train", str(train_path), "--dev", str(train_path),
+                     "--epochs", "1", "-o", str(model_path)]) == 0
+        model = load_model(model_path)
+        assert model.weights.size == 39
+        model.weights[...] = np.random.default_rng(0).uniform(-1, 1, 39) * 1.7e308
+        save_model(model, model_path)
+        capsys.readouterr()
+        pred_path = tmp_path / "pred.conll"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tag", "--model", str(model_path), "--input", str(train_path),
+                         "-o", str(pred_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(r"error: sentence \d+: best path score is .+", err[0])
+        assert not pred_path.exists()
+
 
 @pytest.mark.parametrize("command, work", [
     ("mix", "mix_datasets"), ("tag", "decode"), ("eval", "score_entities")])

@@ -236,6 +236,21 @@ class TestViterbi:
             path, score = viterbi(inst.model, inst.sentence)
             assert score == sequence_score(inst.model, inst.sentence, path)
 
+    def test_overflowing_path_score_names_the_sentence(self):
+        """Finite weights whose best path score overflows make decoding raise
+        ValueError naming the sentence, with no numpy warning: viterbi, and
+        _decode_paths past the first DECODE_CHUNK sentences, where only the
+        last sentence holds attribute 1 twice."""
+        m = tiny_model(["O", "B-X", "I-X"], 2)
+        m.emissions[1] = 1e308
+        n = crf_module.DECODE_CHUNK + 44
+        corpus = pack(*[enc([(0,), (1,)], [0, 1])] * (n - 1), enc([(1,), (1,)], [0, 0]))
+        for call, sentence in ((lambda: viterbi(m, corpus[n - 1]), 0),
+                               (lambda: crf_module._decode_paths(m, corpus), n - 1)):
+            with pytest.raises(ValueError, match=f"^sentence {sentence}: best path score is inf"):
+                call()
+        assert viterbi(m, corpus[0])[1] == 1e308
+
 
 class TestIdRange:
     """Ids outside the model are rejected where the corpus meets it, with
