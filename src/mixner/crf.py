@@ -142,11 +142,14 @@ class _Packed:
         # Packed row of every token, sentence by sentence in batch order.
         pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         self.rows = offsets[pos] + np.repeat(self.rank, lengths)
-        self.tokens = slice(None) if sel is None else _ranges(corpus.offsets[sel], lengths)[0]
+        self.tokens = tokens = (slice(None) if sel is None
+                                else _ranges(corpus.offsets[sel], lengths)[0])
+        # Packed token i's (sentence, position) in corpus, read on error paths.  It holds
+        # no reference to self, so a dropped chunk is freed at once.
+        self.locate = locate = lambda i: corpus.locate(i if sel is None else tokens[i])
 
-        def where(i: int) -> str:  # packed token i's place in corpus, found on the error path
-            return "sentence {}, position {}".format(
-                *corpus.locate(i if sel is None else self.tokens[i]))
+        def where(i: int) -> str:
+            return "sentence {}, position {}".format(*locate(i))
 
         self.tags = np.empty(n, np.intp)
         self.tags[self.rows] = tags = corpus.tags[self.tokens]
@@ -377,11 +380,20 @@ def _best_paths(model: CrfModel, p: _Packed) -> np.ndarray:
     alpha at the predecessor row plus the transitions into that tag: the
     sums the max was taken over, under the same first-maximum rule.  A
     sentence's rows meet no other sentence's, so its path does not depend
-    on the rest of the batch."""
+    on the rest of the batch.  A best score that is not finite, a sum that
+    overflowed (nan from inf - inf included), raises ValueError naming the
+    sentence in the corpus p was packed from."""
     trans = model.transitions
     alpha = _forward(p, p.em[:, :p.b], lambda a, t, rows: (
         a[:, None] + trans[:, :, None]).max(axis=0) + p.em[:, rows])
-    cur = alpha[:, p.last].argmax(axis=0)
+    last = alpha[:, p.last]
+    best = last.max(axis=0)
+    if not np.isfinite(best).all():  # row r, r < b, is the first of the sentence ranked r
+        r = int(np.flatnonzero(~np.isfinite(best))[0])
+        sentence = p.locate(int(np.flatnonzero(p.rows == r)[0]))[0]
+        raise ValueError(f"sentence {sentence}: best path score is {best[r]}; "
+                         "the model's weights overflow it")
+    cur = last.argmax(axis=0)
     tags = np.empty(p.n, np.intp)
     for lo, size, plo in reversed(p.steps):
         tags[lo:lo + size] = cur[:size]
@@ -416,11 +428,14 @@ def _chunks(model: CrfModel, encoded: EncodedCorpus) -> Iterator[_Packed]:
 
 def _decode_paths(model: CrfModel, encoded: EncodedCorpus) -> np.ndarray:
     """Every token's best tag id, aligned with encoded.tags: _best_paths, called from
-    here alone, on the chunks of _chunks(model, encoded)."""
+    here alone, on the chunks of _chunks(model, encoded).  numpy's floating-point
+    warnings are muted: an overflow shows as a best score that is not finite,
+    which _best_paths rejects."""
     paths = np.empty(len(encoded.tags), np.intp)
-    for p in _chunks(model, encoded):
-        paths[p.tokens] = _best_paths(model, p)
-        del p  # free a chunk before _chunks builds the next
+    with np.errstate(all="ignore"):
+        for p in _chunks(model, encoded):
+            paths[p.tokens] = _best_paths(model, p)
+            del p  # free a chunk before _chunks builds the next
     return paths
 
 
