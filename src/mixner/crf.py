@@ -165,14 +165,14 @@ class _Packed:
         em[:, self.last] += model.end[:, None]
 
 
-def _forward(p: _Packed, first: np.ndarray, step) -> np.ndarray:
+def _forward(p: _Packed, step) -> np.ndarray:
     """The tag-major forward recursion, as a (K, rows) array: the first rows
-    are first, and the rows of step t, a slice rows, are step(x, t, rows) for
-    x the rows of step t - 1 that precede them.  The steps are _log_space's
-    log-sum-exp, Viterbi's max over the previous tag and sequence_score's
-    row of the given tag."""
-    out = np.empty((len(first), p.n))
-    out[:, :p.b] = first
+    are p.em's, and the rows of step t, a slice rows, are step(x, t, rows)
+    for x the rows of step t - 1 that precede them.  The steps are
+    _log_space's log-sum-exp, Viterbi's max over the previous tag and
+    sequence_score's row of the given tag."""
+    out = np.empty_like(p.em)
+    out[:, :p.b] = p.em[:, :p.b]
     for t, (lo, size, plo) in enumerate(p.steps, 1):
         out[:, lo:lo + size] = step(out[:, plo:plo + size], t, slice(lo, lo + size))
     return out
@@ -221,7 +221,7 @@ def _log_space(model: CrfModel, p: _Packed):
     1e300) spread the transitions far beyond the bound, so they come here,
     overflow in the marginals and stop train on its non-finite loss."""
     trans, em = model.transitions, p.em
-    alpha = _forward(p, em[:, :p.b], lambda a, t, rows: _logsumexp(
+    alpha = _forward(p, lambda a, t, rows: _logsumexp(
         a[:, None] + trans[:, :, None], 0) + em[:, rows])
     log_z = _logsumexp(alpha[:, p.last], 0)
     beta = np.zeros_like(em)  # 0 at the last rows
@@ -324,7 +324,7 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
         raise ValueError("tag sequence length does not match the sentence")
     _check_range(np.asarray(tags, np.intp), model.num_tags, "tag", "position {}".format)
     p = _Packed(model, _one(enc))
-    alpha = _forward(p, p.em[:, :1], lambda a, t, rows: (  # the given previous tag's row
+    alpha = _forward(p, lambda a, t, rows: (  # the given previous tag's row
         a[tags[t - 1]] + model.transitions[tags[t - 1], :, None] + p.em[:, rows]))
     return float(alpha[tags[-1], -1])
 
@@ -384,7 +384,7 @@ def _best_paths(model: CrfModel, p: _Packed) -> np.ndarray:
     overflowed (nan from inf - inf included), raises ValueError naming the
     sentence in the corpus p was packed from."""
     trans = model.transitions
-    alpha = _forward(p, p.em[:, :p.b], lambda a, t, rows: (
+    alpha = _forward(p, lambda a, t, rows: (
         a[:, None] + trans[:, :, None]).max(axis=0) + p.em[:, rows])
     last = alpha[:, p.last]
     best = last.max(axis=0)

@@ -1130,8 +1130,8 @@ def test_decode_takes_long_sentences_together(monkeypatch):
     corpus = pack(*(enc([(0, 1)] * n, [0] * n) for n in lengths))
     real, steps = crf_module._forward, []
 
-    def counting(p, first, step):
-        return real(p, first, lambda *args: steps.append(1) or step(*args))
+    def counting(p, step):
+        return real(p, lambda *args: steps.append(1) or step(*args))
 
     monkeypatch.setattr(crf_module, "_forward", counting)
     paths = crf_module._decode_paths(model, corpus)
