@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import crf
 from .corpus import TagSet
 from .crf import CrfModel, nll_and_gradient
 from .features import EncodedCorpus, EncodedSentence, FeatureIndex
@@ -175,20 +176,27 @@ class CheckResult:
 
 
 def _trial_instances(trials: int, seed: int) -> Iterator[TinyInstance]:
-    """run_verification's instances, one per trial.  Every fourth trial's
-    weights are scaled by 200, 400 or 800 in turn.  Drawn in [-2, 2], the
-    transitions spread by at most 4, far inside crf._MATMUL_SPREAD; scaled,
-    most spread past it, so the checks reach crf._log_space as well as
-    crf._scaled.  The scale is a function of the trial number, so the random
-    stream, and every other trial, is the same as with no scaling."""
+    """run_verification's instances, one per trial.  Drawn in [-2, 2], the
+    transitions spread by at most 4, far inside crf._MATMUL_SPREAD, and
+    crf._scaled never divides its rows by their maxima on sentences of at
+    most 6 tokens.  So two fourths of the trials are scaled.  Trials 3 mod 4
+    are scaled by 200, 400 or 800 in turn: most spread past the bound, so
+    the checks reach crf._log_space.  Trials 1 mod 4 whose transitions
+    spread by at least 1 are scaled to spread 0.9 of the bound: they stay on
+    crf._scaled, and its divisions run.  A scale is a function of the trial
+    number and the drawn instance, so the random stream, and every other
+    trial, is the same as with no scaling."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     rng = random.Random(seed)
     scales = (200.0, 400.0, 800.0)
     for trial in range(trials):
         inst = random_instance(rng)
+        spread = float(np.ptp(inst.model.transitions))
         if trial % 4 == 3:
             inst.model.weights *= scales[trial // 4 % len(scales)]
+        elif trial % 4 == 1 and spread >= 1:
+            inst.model.weights *= 0.9 * crf._MATMUL_SPREAD / spread
         yield inst
 
 
@@ -199,8 +207,6 @@ def run_verification(trials: int, seed: int) -> tuple[list[CheckResult], Counter
     for reproduction, and how many trials' models take forward-backward's
     crf._scaled and how many crf._log_space, by crf._takes_scaled, the test
     that crf._forward_backward makes."""
-    from . import crf
-
     results = {name: CheckResult(name, 0, 0) for name in
                ("logZ", "viterbi", "marginals", "gradient")}
 
