@@ -182,8 +182,9 @@ def _trial_instances(trials: int, seed: int) -> Iterator[TinyInstance]:
     most 6 tokens.  So two fourths of the trials are scaled.  Trials 3 mod 4
     are scaled by 200, 400 or 800 in turn: most spread past the bound, so
     the checks reach crf._log_space.  Trials 1 mod 4 whose transitions
-    spread by at least 1 are scaled to spread 0.9 of the bound: they stay on
-    crf._scaled, and its divisions run.  A scale is a function of the trial
+    spread by at least 1, so that no weight grows past about 570, are scaled
+    to spread 0.9 of the bound: they stay on crf._scaled, and its divisions
+    run.  A scale is a function of the trial
     number and the drawn instance, so the random stream, and every other
     trial, is the same as with no scaling."""
     if trials < 0:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import os
@@ -31,7 +32,8 @@ from mixner.eval import score_entities
 from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset)
 from mixner.oracle import (TOL, TinyInstance, enumerate_best, enumerate_logZ,
-                           enumerate_marginals, naive_sequence_score, random_instance)
+                           enumerate_marginals, naive_sequence_score, random_instance,
+                           run_verification)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -950,6 +952,28 @@ def test_interior_emission_deficit_repaid_by_transitions():
         exact_against_enumeration(m, e)
     assert taken == {"_log_space"}
     assert marginals(m, e)[0][1, 1] > 0.5
+
+
+@pytest.mark.parametrize("line, fault", [
+    ("ut /= s[:, None]", "ut /= 2 * s[:, None]"),  # divides by twice the maximum it records
+    ("ut /= s[:, None]", "pass"),  # the forward skips its division
+    ("wt /= wt.max(axis=1, keepdims=True)", "pass")],  # the backward skips its division
+    ids=["forward-halved", "forward-undivided", "backward-undivided"])
+def test_verify_checks_the_scaled_renormalisation(monkeypatch, line, fault):
+    """A fault planted in a renormalisation of crf._scaled, the branches its
+    loops take when t % r == 0, fails run_verification within 6 trials at
+    seed 7: trial 5, scaled so that its transitions spread 0.9 of the bound,
+    has 3 tags, 6 tokens and r = 2.  An undivided row overflows, so numpy's
+    warnings are muted for the fault to show as a failed check.  (Halving
+    the backward's division is no fault: it cancels in the per-row
+    normalisation.)"""
+    source = inspect.getsource(crf_module._scaled)
+    assert source.count(line) == 1
+    planted = {}
+    exec(source.replace(line, fault), vars(crf_module), planted)
+    monkeypatch.setattr(crf_module, "_scaled", planted["_scaled"])
+    with np.errstate(all="ignore"):
+        assert not all(r.ok for r in run_verification(6, 7)[0])
 
 
 THIRTEEN_TAGS = ["O"] + sorted(f"{p}-{c}" for c in "ABCDEF" for p in "BI")
