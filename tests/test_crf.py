@@ -67,6 +67,16 @@ def best_paths(model, corpus):
         np.split(crf_module._best_paths(model, p), cuts), np.split(p.em[:, p.rows], cuts, 1))]
 
 
+def overflow_at_first_token(tag):
+    """A 2-tag model with one attribute whose emission sum at tag for the
+    first token, -1.7e308 plus start's -1e308, overflows to -inf, and the
+    2-token sentence with the attribute at its first token."""
+    m = tiny_model(["O", "B-X"], 1)
+    m.emissions[0, tag] = -1.7e308
+    m.start[tag] = -1e308
+    return m, enc([(0,), ()], [0, 0])
+
+
 class TestWeightVector:
     def test_blocks_are_views_in_layout_order(self):
         m = tiny_model(["O", "B-X", "I-X"], 2)
@@ -121,6 +131,16 @@ class TestSequenceScore:
         m = tiny_model(["O"], 1)
         with pytest.raises(ValueError):
             sequence_score(m, enc([(0,)], [0]), [0, 0])
+
+    def test_overflowed_path_score_rejected(self):
+        """A path whose score overflows to -inf raises ValueError, with no
+        numpy warning, instead of returning -inf; viterbi takes the other
+        first tag and scores its path."""
+        m, e = overflow_at_first_token(0)
+        with pytest.raises(ValueError,
+                           match="^path score is -inf; the model's weights overflow it$"):
+            sequence_score(m, e, [0, 0])
+        assert viterbi(m, e) == ([1, 0], 0.0)
 
 
 class TestLogPartition:
@@ -252,6 +272,23 @@ class TestViterbi:
             with pytest.raises(ValueError, match=f"^sentence {sentence}: best path score is inf"):
                 call()
         assert viterbi(m, corpus[0])[1] == 1e308
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda m, e: viterbi(m, e), ([0, 0], 0.0)),
+    (lambda m, e: sequence_score(m, e, [0, 0]), 0.0),
+    (lambda m, e: log_partition(m, e), math.log(2)),
+    (lambda m, e: [a.tolist() for a in marginals(m, e)],
+     [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, 0.0]]]),
+    (lambda m, e: (lambda loss, grad: (loss, grad.tolist()))(*nll_and_gradient(m, pack(e))),
+     (math.log(2), [0.0, 0.0, -0.5, 0.5, 0.0, 0.0, 0.0, 0.0, -0.5, 0.5])),
+], ids=["viterbi", "sequence_score", "log_partition", "marginals", "nll_and_gradient"])
+def test_overflow_off_every_path_is_quiet(call, expected):
+    """An emission sum that overflows to -inf at a tag whose paths weigh
+    nothing leaves every entry's result finite and exact, and no entry
+    warns about it: pytest's filterwarnings turns a numpy warning into a
+    failure."""
+    assert call(*overflow_at_first_token(1)) == expected
 
 
 class TestIdRange:
@@ -769,8 +806,18 @@ def test_exact_ties_follow_enumeration_property(case, chunk):
 @given(ragged_batches(), st.data())
 def test_packed_results_independent_of_input_order(case, data):
     """Reordering the corpus, or taking any subset of it by index, leaves
-    every sentence's decoded path and score as they were."""
+    every sentence's decoded path and score as they were.  _Packed's default
+    selection, the whole corpus, packs as the index array of every sentence
+    does, and a slice as the index array of its sentences: a slice must not
+    read the offset past its last sentence."""
     model, corpus = case
+    lo = data.draw(st.integers(0, len(corpus) - 1))
+    cut = lo, data.draw(st.integers(lo + 1, len(corpus)))
+    for sel, same in (((), np.arange(len(corpus))), ((slice(*cut),), np.arange(*cut))):
+        p, q = crf_module._Packed(model, corpus, *sel), crf_module._Packed(model, corpus, same)
+        for name in ("tokens", "rows", "tags", "attrs", "attr_rows"):
+            assert np.array_equal(getattr(p, name), getattr(q, name)), name
+        assert p.em.tobytes() == q.em.tobytes()
     perm = data.draw(st.permutations(range(len(corpus))))
     shuffled = corpus[perm]
     decoded = best_paths(model, corpus)

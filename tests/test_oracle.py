@@ -198,9 +198,11 @@ class TestDriver:
 
 
 def test_verify_checks_the_decode_layout(monkeypatch):
-    """verify's viterbi check runs the layout that tag and train decode
-    through: a fault planted only in _Packed's selection branch, the one
-    caller of crf._ranges, which here reverses each run index, is caught."""
+    """verify's checks run the layout that tag and train pack every batch
+    in: a fault planted in crf._ranges, through which _Packed gathers every
+    batch's tokens and attributes, here reversing each run index, fails the
+    logZ, viterbi and marginals checks.  The gradient check cannot catch it:
+    its finite differences run the same packed loss as the gradient."""
     import mixner.features as features_module
 
     def reversed_runs(starts, counts):
@@ -208,8 +210,9 @@ def test_verify_checks_the_decode_layout(monkeypatch):
         return index[::-1], offsets
 
     monkeypatch.setattr(crf_module, "_ranges", reversed_runs)
-    check = next(r for r in run_verification(20, 7)[0] if r.name == "viterbi")
-    assert check.failed > 0 and "instance" in check.detail
+    results = {r.name: r for r in run_verification(20, 7)[0]}
+    for name in ("logZ", "viterbi", "marginals"):
+        assert results[name].failed > 0 and "instance" in results[name].detail, name
 
 
 @st.composite
