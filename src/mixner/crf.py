@@ -3,8 +3,8 @@
     score(y) = start[y_1] + sum_i sum_{a in attrs(i)} W_e[a, y_i]
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
 
-Layouts: CrfModel (the weights), _Packed (a weighed, checked batch), _chunks
-(decoding).
+Layouts: CrfModel (the weights), _Packed (a weighed, checked batch, every
+batch gathered the one way), _chunks (decoding).
 Forward-backward: _forward_backward picks _scaled, with its own row-major
 loops, when the transitions' spread is at most _MATMUL_SPREAD, proved exact
 in the comment above it, and _log_space otherwise.  Viterbi: _best_paths,
@@ -108,24 +108,27 @@ def _check_range(ids: np.ndarray, limit: int, what: str, where) -> None:
 
 
 class _Packed:
-    """A batch weighed under model, the sentences sel of a corpus (all if
-    None), whose tokens sit at corpus indices tokens: time-major and packed by
-    length, sentences ranked longest first (ties in batch order), step t holding
-    the sentences longer than t in rows offsets[t] + rank, a prefix of step t - 1.
-    That is the layout of PyTorch's pack_padded_sequence, with no padding.  The
-    tokens and attributes are gathered from the corpus by sentence number, so
-    no new corpus is built.  em is like alpha and beta a (K, rows) array, tags
-    outer and packed rows contiguous, so every step loops over the batch's
-    sentences, not over K tags.  em[:, row] sums W_e over the row's
-    attributes in listed order, then adds start at a first row and end at a
-    last row, so it is bit for bit the same whatever batch the sentence is in:
-    the corpus keeps that order, and _scatter adds in it.  The tag and
+    """A batch weighed under model, the sentences sel (an index array or a
+    slice, all by default) of a corpus, whose tokens sit at corpus indices
+    tokens: time-major and packed by length, sentences ranked longest first
+    (ties in batch order), step t holding the sentences longer than t in rows
+    offsets[t] + rank, a prefix of step t - 1: PyTorch's pack_padded_sequence
+    with no padding.  Every batch, whole corpus or not, gathers its tokens and
+    attributes from the corpus through _ranges, so no new corpus is built.
+    em is like alpha and beta a (K, rows) array, tags outer and packed rows
+    contiguous, so every step loops over the batch's sentences, not over K
+    tags.  em[:, row] sums W_e over the row's attributes in listed order, then
+    adds start at a first row and end at a last row, so it is bit for bit the
+    same whatever batch the sentence is in: the corpus keeps that order, and
+    _scatter adds in it.  A sum that overflows does so without a numpy
+    warning: one that no path takes is harmless, and _best_paths and
+    sequence_score reject a path score that is not finite.  The tag and
     attribute ids of the packed sentences are checked against model as they
     are gathered: one outside it raises ValueError naming its sentence and
     position in corpus, so an id of -1 never reads as the last."""
 
-    def __init__(self, model: CrfModel, corpus: EncodedCorpus, sel: np.ndarray | None = None):
-        lengths = corpus.lengths if sel is None else corpus.lengths[sel]
+    def __init__(self, model: CrfModel, corpus: EncodedCorpus, sel=slice(None)):
+        lengths = corpus.lengths[sel]
         self.b = b = len(lengths)
         if not b:
             raise ValueError("empty batch")
@@ -142,27 +145,27 @@ class _Packed:
         # Packed row of every token, sentence by sentence in batch order.
         pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         self.rows = offsets[pos] + np.repeat(self.rank, lengths)
-        self.tokens = tokens = (slice(None) if sel is None
-                                else _ranges(corpus.offsets[sel], lengths)[0])
+        self.tokens = tokens = _ranges(corpus.offsets[:-1][sel], lengths)[0]
         # Packed token i's (sentence, position) in corpus, read on error paths.  It holds
         # no reference to self, so a dropped chunk is freed at once.
-        self.locate = locate = lambda i: corpus.locate(i if sel is None else tokens[i])
+        self.locate = locate = lambda i: corpus.locate(tokens[i])
 
         def where(i: int) -> str:
             return "sentence {}, position {}".format(*locate(i))
 
         self.tags = np.empty(n, np.intp)
-        self.tags[self.rows] = tags = corpus.tags[self.tokens]
+        self.tags[self.rows] = tags = corpus.tags[tokens]
         _check_range(tags, model.num_tags, "tag", where)
-        starts = corpus.attr_offsets[:-1][self.tokens]
-        counts = corpus.attr_offsets[1:][self.tokens] - starts
-        self.attrs = corpus.attrs if sel is None else corpus.attrs[_ranges(starts, counts)[0]]
+        starts = corpus.attr_offsets[:-1][tokens]
+        counts = corpus.attr_offsets[1:][tokens] - starts
+        self.attrs = corpus.attrs[_ranges(starts, counts)[0]]
         _check_range(self.attrs, model.index.num_attributes, "attribute",
                      lambda j: where(np.cumsum(counts).searchsorted(j, "right")))
         self.attr_rows = np.repeat(self.rows, counts)
-        self.em = em = _scatter(self.attr_rows, model.emissions.T, self.attrs, n)
-        em[:, :b] += model.start[:, None]
-        em[:, self.last] += model.end[:, None]
+        with np.errstate(over="ignore"):
+            self.em = em = _scatter(self.attr_rows, model.emissions.T, self.attrs, n)
+            em[:, :b] += model.start[:, None]
+            em[:, self.last] += model.end[:, None]
 
 
 def _forward(p: _Packed, step) -> np.ndarray:
@@ -319,14 +322,20 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
                    tags: tuple[int, ...] | list[int]) -> float:
     """Unnormalized log score of one tag sequence.  It runs Viterbi's forward
     recursion with the given previous tag in place of the maximum, adding the
-    same terms in the same order, so no sequence outscores Viterbi's, exactly."""
+    same terms in the same order, so no sequence outscores Viterbi's, exactly.
+    Sums off the path may overflow, so numpy's warnings are muted; a path
+    score that is not finite, a sum that overflowed, raises ValueError."""
     if len(tags) != enc.length:
         raise ValueError("tag sequence length does not match the sentence")
     _check_range(np.asarray(tags, np.intp), model.num_tags, "tag", "position {}".format)
     p = _Packed(model, _one(enc))
-    alpha = _forward(p, lambda a, t, rows: (  # the given previous tag's row
-        a[tags[t - 1]] + model.transitions[tags[t - 1], :, None] + p.em[:, rows]))
-    return float(alpha[tags[-1], -1])
+    with np.errstate(all="ignore"):
+        alpha = _forward(p, lambda a, t, rows: (  # the given previous tag's row
+            a[tags[t - 1]] + model.transitions[tags[t - 1], :, None] + p.em[:, rows]))
+    score = float(alpha[tags[-1], -1])
+    if not math.isfinite(score):
+        raise ValueError(f"path score is {score}; the model's weights overflow it")
+    return score
 
 
 def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
