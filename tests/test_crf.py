@@ -67,13 +67,14 @@ def best_paths(model, corpus):
         np.split(crf_module._best_paths(model, p), cuts), np.split(p.em[:, p.rows], cuts, 1))]
 
 
-def overflow_at_first_token(tag):
+def overflow_at_first_token(tag, sign=-1):
     """A 2-tag model with one attribute whose emission sum at tag for the
-    first token, -1.7e308 plus start's -1e308, overflows to -inf, and the
-    2-token sentence with the attribute at its first token."""
+    first token, sign * 1.7e308 plus start's sign * 1e308, overflows to
+    sign * inf, and the 2-token sentence with the attribute at its first
+    token."""
     m = tiny_model(["O", "B-X"], 1)
-    m.emissions[0, tag] = -1.7e308
-    m.start[tag] = -1e308
+    m.emissions[0, tag] = sign * 1.7e308
+    m.start[tag] = sign * 1e308
     return m, enc([(0,), ()], [0, 0])
 
 
@@ -289,6 +290,30 @@ def test_overflow_off_every_path_is_quiet(call, expected):
     warns about it: pytest's filterwarnings turns a numpy warning into a
     failure."""
     assert call(*overflow_at_first_token(1)) == expected
+
+
+@pytest.mark.parametrize("spread", [0.0, 1000.0], ids=["_scaled", "_log_space"])
+class TestOverflowedLogZ:
+    """An emission sum that overflows to +inf at a tag that paths take
+    makes log Z overflow, on either forward-backward path.  No entry warns
+    about it, and none returns nan."""
+
+    def model(self, spread):
+        m, e = overflow_at_first_token(1, sign=1)
+        m.transitions[0, 1] = spread
+        assert crf_module._takes_scaled(m) == (not spread)
+        return m, e
+
+    @pytest.mark.parametrize("call", [log_partition, marginals])
+    def test_rejected(self, spread, call):
+        with pytest.raises(ValueError, match="^log Z is inf; the model's weights overflow it$"):
+            call(*self.model(spread))
+
+    def test_loss_not_finite(self, spread):
+        """nll_and_gradient returns the loss, which train rejects naming
+        the epoch and batch."""
+        m, e = self.model(spread)
+        assert nll_and_gradient(m, pack(e))[0] == math.inf
 
 
 class TestIdRange:
