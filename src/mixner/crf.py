@@ -77,8 +77,10 @@ class CrfModel:
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis.  An infinite maximum m comes back as the
+    result: fmin drops the nan of m - m for 0, as _scaled's q does."""
     m = a.max(axis=axis, keepdims=True)
-    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
+    return np.log(np.exp(np.fmin(a - m, 0.0)).sum(axis=axis)) + m.squeeze(axis)
 
 
 def _scatter(index: np.ndarray, columns: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
@@ -250,7 +252,9 @@ def _scaled(model: CrfModel, p: _Packed):
     marginals are one (K x rows) @ (rows x K) product, with no per-row edge
     array.  log Z is the log of a last row's sum of u plus its sentence's
     offsets, summed by np.bincount: each row's top and log divisor, and
-    min T per step."""
+    min T per step.  An emission sum that overflowed makes a row's top
+    infinite: q is 1 at the entries equal to it, as fmin drops the nan of
+    inf - inf for 0, and the top carries the infinity into log Z."""
     trans, b = model.transitions, p.b
     top = p.em.max(axis=0)
     low = trans.min()
@@ -258,7 +262,7 @@ def _scaled(model: CrfModel, p: _Packed):
     growth = float(trans.max() - low) + math.log(len(trans))  # log of a row's largest rise
     r = int(_GROWTH // growth) if growth else p.n  # one tag: rows never grow
     scale = np.ones(p.n)
-    q = _rows(np.exp(p.em - top))
+    q = _rows(np.exp(np.fmin(p.em - top, 0.0)))
     u = np.empty_like(q)
     u[:b] = q[:b]
     for t, (lo, size, plo) in enumerate(p.steps, 1):
@@ -310,7 +314,8 @@ def _forward_backward(model: CrfModel, p: _Packed):
     rows after each sentence's first, summed over the batch into a (K, K)
     array whose [j, k] is the expected count of transition j -> k; and log Z
     per rank.  _scaled where _takes_scaled, whatever the emissions, and
-    _log_space otherwise."""
+    _log_space otherwise.  Callers mute numpy's warnings: an overflow shows
+    as a log Z that is not finite."""
     return (_scaled if _takes_scaled(model) else _log_space)(model, p)
 
 
@@ -338,9 +343,20 @@ def sequence_score(model: CrfModel, enc: EncodedSentence,
     return score
 
 
+def _sentence_forward_backward(model: CrfModel, enc: EncodedSentence):
+    """_forward_backward on one sentence, with numpy's warnings muted.  A log
+    Z that is not finite, a sum that overflowed, raises ValueError."""
+    with np.errstate(all="ignore"):
+        node, edge, log_z = _forward_backward(model, _Packed(model, _one(enc)))
+    if not math.isfinite(log_z[0]):
+        raise ValueError(f"log Z is {log_z[0]}; the model's weights overflow it")
+    return node, edge, float(log_z[0])
+
+
 def log_partition(model: CrfModel, enc: EncodedSentence) -> float:
-    """log Z, from the forward-backward that nll_and_gradient runs."""
-    return float(_forward_backward(model, _Packed(model, _one(enc)))[2][0])
+    """log Z, from the forward-backward that nll_and_gradient runs.  A log Z
+    that overflows raises ValueError."""
+    return _sentence_forward_backward(model, enc)[2]
 
 
 def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.ndarray]:
@@ -348,8 +364,8 @@ def marginals(model: CrfModel, enc: EncodedSentence) -> tuple[np.ndarray, np.nda
     (T, K), and edge[j, k] = sum_t P(y_t = j, y_{t+1} = k) with shape (K, K),
     the expected count of transition j -> k (zeros for one token).  Both come
     from the forward-backward that nll_and_gradient runs, and are the
-    statistics it reads."""
-    node, edge, _ = _forward_backward(model, _Packed(model, _one(enc)))
+    statistics it reads.  A log Z that overflows raises ValueError."""
+    node, edge, _ = _sentence_forward_backward(model, enc)
     return node.T, edge
 
 
@@ -360,24 +376,26 @@ def nll_and_gradient(model: CrfModel, batch: EncodedCorpus,
     loss = sum_s (log Z_s - score(y_gold_s)) + (l2 / 2) * ||w||^2 over the
     whole weight vector; the gradient, a vector in the same layout, is
     expected minus empirical feature counts plus l2 * w, summed over the
-    packed batch.
+    packed batch.  numpy's warnings are muted: a sum that overflows shows as
+    a loss that is not finite, which train rejects.
     """
-    p = _Packed(model, batch)
-    node, edges, log_z = _forward_backward(model, p)
-    k, tags, prev = model.num_tags, p.tags, p.tags[p.prev]
-    gold = p.em[tags, np.arange(p.n)].sum() + model.transitions[prev, tags[p.b:]].sum()
-    loss = float(log_z.sum() - gold)
-    node[tags, np.arange(p.n)] -= 1.0  # now expected minus empirical counts per row
-    pairs = np.bincount(prev * k + tags[p.b:], minlength=k * k).reshape(k, k)
-    grad = np.zeros_like(model.weights)
-    emissions, transitions, start, end = _views(grad, k)
-    emissions[...] = _scatter(p.attrs, node, p.attr_rows, len(emissions)).T
-    transitions[...] = edges - pairs
-    start[...] = node[:, :p.b].sum(axis=1)
-    end[...] = node[:, p.last].sum(axis=1)
-    if l2:  # ||w||^2 by einsum, not a BLAS dot, whose last bits vary with its threads
-        loss += 0.5 * l2 * float(np.einsum("i,i", model.weights, model.weights))
-        grad += l2 * model.weights
+    with np.errstate(all="ignore"):
+        p = _Packed(model, batch)
+        node, edges, log_z = _forward_backward(model, p)
+        k, tags, prev = model.num_tags, p.tags, p.tags[p.prev]
+        gold = p.em[tags, np.arange(p.n)].sum() + model.transitions[prev, tags[p.b:]].sum()
+        loss = float(log_z.sum() - gold)
+        node[tags, np.arange(p.n)] -= 1.0  # now expected minus empirical counts per row
+        pairs = np.bincount(prev * k + tags[p.b:], minlength=k * k).reshape(k, k)
+        grad = np.zeros_like(model.weights)
+        emissions, transitions, start, end = _views(grad, k)
+        emissions[...] = _scatter(p.attrs, node, p.attr_rows, len(emissions)).T
+        transitions[...] = edges - pairs
+        start[...] = node[:, :p.b].sum(axis=1)
+        end[...] = node[:, p.last].sum(axis=1)
+        if l2:  # ||w||^2 by einsum, not a BLAS dot, whose last bits vary with its threads
+            loss += 0.5 * l2 * float(np.einsum("i,i", model.weights, model.weights))
+            grad += l2 * model.weights
     return loss, grad
 
 
@@ -540,8 +558,13 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
                                      f"training loss is {loss}; try a smaller learning rate")
                 epoch_loss += loss
                 grad *= 1.0 / len(batch)
+                # README's AdaGrad step in place, one weight-sized temporary at a time
                 accum += grad * grad
-                model.weights -= cfg.learning_rate * grad / (np.sqrt(accum) + _ADAGRAD_EPS)
+                root = np.sqrt(accum)
+                root += _ADAGRAD_EPS
+                grad *= cfg.learning_rate
+                grad /= root
+                model.weights -= grad
         f1 = _class_scores(*_span_counts(dev_encoded.tags, _decode_paths(
             model, dev_encoded), dev_encoded.offsets, index.tagset.tags))[1]
         records.append(EpochRecord(epoch, epoch_loss, f1, time.monotonic() - started))
@@ -567,7 +590,9 @@ def save_model(model: CrfModel, path: str | Path) -> None:
     block's rows: repr's shortest round-trip digits come from Schubfach in
     exact uint64 arithmetic, for a slice of weights at once, and the bytes
     are pinned against tests/helpers.model_text_reference, which calls repr
-    row by row.  Nothing is opened before every row is formatted."""
+    row by row.  Nothing is opened before every row is formatted, and the
+    rows are written in format_rows' parts, never joined, so the writer
+    holds one copy of the text."""
     if not np.isfinite(model.weights).all():
         raise ValueError("refusing to save a model with non-finite weights")
     attributes = model.index.attributes()
@@ -575,14 +600,15 @@ def save_model(model: CrfModel, path: str | Path) -> None:
     if "\n[" in "\n".join(["", *attributes]) or any(c in joined for c in _LINE_BREAKS):
         bad = next(a for a in attributes if a[:1] == "[" or any(c in a for c in _LINE_BREAKS))
         raise ValueError(f"refusing to save attribute {bad!r}: it would not load back")
-    lines = ["\n".join([MODEL_HEADER, "[tags]", *model.tagset.tags,
-                        "[attributes]", *attributes]).encode("utf-8")]
+    parts = ["\n".join([MODEL_HEADER, "[tags]", *model.tagset.tags,
+                        "[attributes]", *attributes, ""]).encode("utf-8")]
     for name in _SECTIONS[2:]:
         block = getattr(model, name)
-        lines.append(f"[{name}]".encode("ascii"))
+        parts.append(f"[{name}]\n".encode("ascii"))
         if block.size:  # start and end, 1-D, are written one weight a line
-            lines.append(format_rows(block.reshape(len(block), -1)))
-    Path(path).write_bytes(b"\n".join([*lines, b""]))
+            parts += [*format_rows(block.reshape(len(block), -1)), b"\n"]
+    with open(path, "wb") as f:
+        f.writelines(parts)
 
 
 # The characters str.splitlines ends a line at: a "[" after one starts a line.

@@ -2,7 +2,9 @@
 block at once in numpy.
 
 format_rows(block) returns the ASCII bytes of "\\n".join(" ".join(map(repr,
-row)) for row in block) for a 2-D float64 block of finite weights.
+row)) for row in block) for a 2-D float64 block of finite weights, in parts:
+a list of bytearrays, one per slice, that b"".join would put together.  A
+writer that writes the parts in turn never holds the block's text twice.
 
 Digits.  repr writes the shortest decimal that reads back to the same float,
 and of those the closest to it.  These come from Schubfach (R. Giulietti,
@@ -217,10 +219,11 @@ def _format_slice(x: np.ndarray, tables: _Tables, separators: np.ndarray,
     return buf.translate(None, b"\0")
 
 
-def format_rows(block: np.ndarray) -> bytes:
+def format_rows(block: np.ndarray) -> list[bytearray]:
     """The ASCII bytes of "\\n".join(" ".join(map(repr, row)) for row in
     block), for a 2-D float64 block of finite weights with at least one
-    column."""
+    column, as one part per slice, unjoined: each part holds whole rows, and
+    every row ends in "\\n" except the block's last."""
     tables = _tables()
     rows, width = block.shape
     step = max(1, min(rows, SLICE // width))  # rows a slice holds, no more than the block has
@@ -231,4 +234,4 @@ def format_rows(block: np.ndarray) -> bytes:
              for lo in range(0, rows, step)]
     if parts:
         del parts[-1][-1]  # the last row's "\n"
-    return b"".join(parts)
+    return parts

@@ -47,8 +47,8 @@ FAMILIES = {
 @pytest.mark.parametrize("family", FAMILIES)
 def test_families_match_repr(family, width):
     block = as_block(FAMILIES[family], width)
-    assert format_rows(block) == repr_rows(block)
-    assert format_rows(-block) == repr_rows(-block)
+    assert b"".join(format_rows(block)) == repr_rows(block)
+    assert b"".join(format_rows(-block)) == repr_rows(-block)
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -59,12 +59,12 @@ def test_random_bit_patterns_match_repr(width):
     values = bits.view(np.float64)
     block = as_block(values[np.isfinite(values)][:100_000], width)
     assert block.size > 10 * shortest.SLICE
-    assert format_rows(block) == repr_rows(block)
+    assert b"".join(format_rows(block)) == repr_rows(block)
 
 
 def test_rows_wider_than_a_slice():
     block = np.random.default_rng(3).standard_normal((3, shortest.SLICE + 5))
-    assert format_rows(block) == repr_rows(block)
+    assert b"".join(format_rows(block)) == repr_rows(block)
 
 
 def test_small_block_buffers_fit_the_block():
@@ -74,7 +74,7 @@ def test_small_block_buffers_fit_the_block():
     shortest._tables()  # built once per process, not part of a call's cost
     tracemalloc.start()
     try:
-        text = format_rows(block)
+        text = b"".join(format_rows(block))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
