@@ -123,8 +123,9 @@ class _Packed:
     adds start at a first row and end at a last row, so it is bit for bit the
     same whatever batch the sentence is in: the corpus keeps that order, and
     _scatter adds in it.  A sum that overflows does so without a numpy
-    warning: one that no path takes is harmless, and _best_paths and
-    sequence_score reject a path score that is not finite.  The tag and
+    warning: one that no path takes is harmless, _best_paths and
+    sequence_score reject a path score that is not finite, and log_partition
+    and marginals a log Z that is not finite.  The tag and
     attribute ids of the packed sentences are checked against model as they
     are gathered: one outside it raises ValueError naming its sentence and
     position in corpus, so an id of -1 never reads as the last."""
