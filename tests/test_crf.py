@@ -612,7 +612,7 @@ class TestPersistence:
 
     def test_save_holds_one_copy_of_the_text(self, tmp_path):
         """save_model's traced peak on a 13-tag model of 40,000 attributes,
-        520,195 weights and about 10.4 MB of text, stays below the file's size
+        520,195 weights and about 10.6 MB of text, stays below the file's size
         plus 5 MB for format_rows' slice temporaries: the text is written in
         its parts, never joined into a second copy."""
         index = FeatureIndex([f"a{i}" for i in range(40_000)], TagSet(tuple(THIRTEEN_TAGS)))
