@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import inspect
 import itertools
 import math
@@ -7,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -412,6 +415,18 @@ def test_encoded_views_read_by_benchmark(monkeypatch):
             naive_sequence_score(model, e, e.tag_ids), abs=1e-9)
 
 
+SIDECAR_MAGIC = b"MIXNER-CRF-CACHE v1\n"
+
+
+def big_model():
+    """A 13-tag model of 40,000 attributes and 520,195 weights, about 10.6 MB
+    of text."""
+    index = FeatureIndex([f"a{i}" for i in range(40_000)], TagSet(tuple(THIRTEEN_TAGS)))
+    m = CrfModel.zeros(index)
+    m.weights[...] = np.random.default_rng(13).normal(0.0, 0.5, m.weights.size)
+    return m
+
+
 class TestPersistence:
     def trained_like_model(self):
         rng = np.random.default_rng(9)
@@ -515,8 +530,12 @@ class TestPersistence:
     ])
     @pytest.mark.parametrize("section", ["start", "transitions", "emissions"])
     def test_damaged_weight_row_names_section(self, tmp_path, section, edit, message):
+        """The damaged text is written over the undamaged one after a load of
+        that, so it loads beside a stale sidecar, which changes no error."""
         path = tmp_path / "model.txt"
         save_model(self.trained_like_model(), path)
+        load_model(path)
+        assert (tmp_path / "model.txt.mixner-cache").exists()
         lines = path.read_text().splitlines()
         row = lines.index(f"[{section}]") + 2
         lines[row] = edit(lines[row])
@@ -615,9 +634,7 @@ class TestPersistence:
         520,195 weights and about 10.6 MB of text, stays below the file's size
         plus 5 MB for format_rows' slice temporaries: the text is written in
         its parts, never joined into a second copy."""
-        index = FeatureIndex([f"a{i}" for i in range(40_000)], TagSet(tuple(THIRTEEN_TAGS)))
-        m, path = CrfModel.zeros(index), tmp_path / "model.txt"
-        m.weights[...] = np.random.default_rng(13).normal(0.0, 0.5, m.weights.size)
+        m, path = big_model(), tmp_path / "model.txt"
         crf_module.format_rows(np.ones((1, 1)))  # its tables are built once per process
         tracemalloc.start()
         try:
@@ -627,6 +644,168 @@ class TestPersistence:
             tracemalloc.stop()
         assert m.weights.size == 520_195 and path.stat().st_size > 10_000_000
         assert peak < path.stat().st_size + 5 * 2 ** 20
+
+    def test_load_holds_one_copy_of_the_text(self, tmp_path):
+        """load_model's traced peaks on the 520,195-weight model of the test
+        above, a 10,638,554-byte file with a 4,161,612-byte sidecar.  Measured
+        with Python 3.11 and numpy 2.4, a cold load, which parses the text,
+        peaks at 36,188,945 bytes, against 36,188,947 before sidecars existed:
+        both hold the text while they split off [emissions] and split it into
+        rows, 3.4017 times the file.  It holds no second copy of the file: the
+        bytes are hashed, decoded and dropped before the parse, and the
+        sidecar is written from the weights' own buffer.  A warm load peaks
+        at 11,181,687 bytes, below the file plus the sidecar: it decodes only
+        the head, and drops the bytes before it reads the weights."""
+        path, sidecar = tmp_path / "model.txt", tmp_path / "model.txt.mixner-cache"
+        save_model(big_model(), path)
+        size = path.stat().st_size
+        load_model(path)  # one-time allocations of the parse, outside the trace
+        sidecar.unlink()
+        peaks = []
+        for _ in range(2):  # cold, then warm
+            tracemalloc.start()
+            try:
+                load_model(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        cold, warm = peaks
+        assert size > 10_000_000 and sidecar.stat().st_size == 8 * 520_195 + 52
+        assert cold <= 3.4017 * size
+        assert warm < size + sidecar.stat().st_size
+
+    def saved(self, tmp_path):
+        """A trained-like model saved to tmp_path / "model.txt", the path and
+        the path of its sidecar, which does not exist yet."""
+        m, path = self.trained_like_model(), tmp_path / "model.txt"
+        save_model(m, path)
+        return m, path, tmp_path / "model.txt.mixner-cache"
+
+    @staticmethod
+    def sidecar_bytes(m, path):
+        return SIDECAR_MAGIC + hashlib.sha256(path.read_bytes()).digest() + \
+            m.weights.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_warm_load_equals_cold_load(self, tmp_path, bom):
+        """A cold load writes the sidecar: the magic, the SHA-256 of the model
+        file's bytes and the weights as little-endian float64 in CrfModel's
+        layout.  A warm load, which parses no weight row, returns the same
+        model bit for bit, with writable weights whose blocks are views; with
+        a byte-order mark too."""
+        m, path, sidecar = self.saved(tmp_path)
+        path.write_bytes(bom + path.read_bytes())
+        cold = load_model(path)
+        assert sidecar.read_bytes() == self.sidecar_bytes(m, path)
+        with patch("numpy.loadtxt", side_effect=AssertionError("a weight row was parsed")):
+            warm = load_model(path)
+        for loaded in (cold, warm):
+            assert loaded.weights.tobytes() == m.weights.tobytes()
+            assert loaded.index.attributes() == m.index.attributes()
+            assert loaded.tagset == m.tagset
+        warm.weights[0] = 7.0
+        assert warm.emissions[0, 0] == 7.0 and warm.weights.dtype == np.float64
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:-8],  # one weight short
+        lambda b: b[:len(SIDECAR_MAGIC) + 20],  # cut inside the digest
+        lambda b: b"MIXNER-CRF-CACHE v2\n" + b[len(SIDECAR_MAGIC):],
+        lambda b: b[:len(SIDECAR_MAGIC)] + bytes(32) + b[len(SIDECAR_MAGIC) + 32:],
+        lambda b: b + bytes(8),  # one weight too many
+        lambda b: b[:-8] + np.array([math.nan], "<f8").tobytes(),
+        lambda b: b[:-8] + np.array([-math.inf], "<f8").tobytes(),
+    ], ids=["short", "cut-digest", "other-magic", "other-digest", "long", "nan", "inf"])
+    def test_bad_sidecar_ignored_and_rewritten(self, tmp_path, damage):
+        """A sidecar that fails a check is ignored: the load parses the text,
+        returns its weights and writes the sidecar anew."""
+        m, path, sidecar = self.saved(tmp_path)
+        load_model(path)
+        sidecar.write_bytes(damage(sidecar.read_bytes()))
+        assert load_model(path).weights.tobytes() == m.weights.tobytes()
+        assert sidecar.read_bytes() == self.sidecar_bytes(m, path)
+
+    def test_sidecar_of_other_bytes_ignored(self, tmp_path):
+        """A sidecar written for other bytes at the same path, a stale one, is
+        ignored and replaced, even when the model's shape is unchanged."""
+        m, path, sidecar = self.saved(tmp_path)
+        load_model(path)
+        m.weights *= 2.0
+        save_model(m, path)
+        assert load_model(path).weights.tobytes() == m.weights.tobytes()
+        assert sidecar.read_bytes() == self.sidecar_bytes(m, path)
+
+    @pytest.mark.parametrize("content", [b"", b"notes\n", b"MIXNER-CRF-CACHE", b"MIXNER-CRF v1\n"])
+    def test_other_file_at_sidecar_path_left(self, tmp_path, content):
+        """A file at the sidecar's path that does not start as every sidecar
+        does, with "MIXNER-CRF-CACHE v", is never read as one or written
+        over, even one cut inside that prefix."""
+        m, path, sidecar = self.saved(tmp_path)
+        sidecar.write_bytes(content)
+        for _ in range(2):
+            assert load_model(path).weights.tobytes() == m.weights.tobytes()
+        assert sidecar.read_bytes() == content
+
+    def test_directory_at_sidecar_path_left(self, tmp_path):
+        m, path, sidecar = self.saved(tmp_path)
+        sidecar.mkdir()
+        assert load_model(path).weights.tobytes() == m.weights.tobytes()
+        assert sidecar.is_dir() and not any(sidecar.iterdir())
+
+    @staticmethod
+    def failing_write(real_open):
+        """An open for mixner.crf whose files opened for writing fail on their
+        second write, the weights, after writing half of them."""
+        def opener(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            if "w" in mode:
+                calls, write = [], f.write
+
+                def failing(data):
+                    calls.append(data)
+                    if len(calls) == 2:
+                        view = memoryview(data).cast("B")
+                        write(view[:len(view) // 2])
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    return write(data)
+
+                f.write = failing
+            return f
+        return opener
+
+    @pytest.mark.parametrize("failure", ["unwritable directory", "write fails midway",
+                                         "replace fails"])
+    def test_failed_sidecar_write_leaves_no_file(self, tmp_path, failure):
+        """A sidecar that cannot be written leaves neither it nor its
+        temporary file, and the load returns normally.  An unwritable
+        directory is simulated by making the temporary file's creation raise
+        PermissionError, since the tests may run as root."""
+        m, path, _ = self.saved(tmp_path)
+        target, kwargs = {
+            "unwritable directory": ("mixner.crf.tempfile.mkstemp",
+                                     {"side_effect": PermissionError(errno.EACCES, "denied")}),
+            "write fails midway": ("mixner.crf.open",
+                                   {"new": self.failing_write(open), "create": True}),
+            "replace fails": ("mixner.crf.os.replace",
+                              {"side_effect": OSError(errno.EXDEV, "cross-device link")}),
+        }[failure]
+        with patch(target, **kwargs):
+            assert load_model(path).weights.tobytes() == m.weights.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_model_from_a_pipe_leaves_no_sidecar(self, tmp_path):
+        """A model path that is not a regular file, here a named pipe, loads
+        and leaves no sidecar or temporary file beside it."""
+        m, saved, _ = self.saved(tmp_path)
+        fifo = tmp_path / "pipe.txt"
+        os.mkfifo(fifo)
+        feeder = threading.Thread(target=fifo.write_bytes, args=(saved.read_bytes(),),
+                                  daemon=True)
+        feeder.start()
+        assert load_model(fifo).weights.tobytes() == m.weights.tobytes()
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.txt", "pipe.txt"]
 
 
 def with_stray_inside(ds):
@@ -1466,17 +1645,26 @@ def saved_model_lines(seed):
         return (Path(d) / "model.txt").read_text(encoding="utf-8").splitlines()
 
 
-def load_text(text):
+def load_text(text, stale=None):
+    """load_model on text saved in a fresh directory.  Given stale, the text
+    of a model that loads, the file first holds stale and is loaded, so that
+    text loads beside stale's sidecar."""
     with tempfile.TemporaryDirectory() as d:
-        (Path(d) / "model.txt").write_text(text, encoding="utf-8")
-        return load_model(Path(d) / "model.txt")
+        path = Path(d) / "model.txt"
+        if stale is not None:
+            path.write_text(stale, encoding="utf-8")
+            load_model(path)
+            assert Path(d, "model.txt.mixner-cache").exists()
+        path.write_text(text, encoding="utf-8")
+        return load_model(path)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10_000), st.data())
 def test_truncated_or_line_deleted_model_rejected_property(seed, data):
     """Cutting the file anywhere before its last line, or deleting any one
-    line, always leaves a file load_model rejects with ValueError."""
+    line, always leaves a file load_model rejects with ValueError, with the
+    intact file's sidecar beside it."""
     lines = saved_model_lines(seed)
     text = "\n".join(lines) + "\n"
     i = data.draw(st.integers(0, len(lines) - 1))
@@ -1484,7 +1672,7 @@ def test_truncated_or_line_deleted_model_rejected_property(seed, data):
         "\n".join(lines[:i] + lines[i + 1:]) + "\n",
         text[:data.draw(st.integers(0, len(text) - len(lines[-1]) - 1))]]))
     with pytest.raises(ValueError):
-        load_text(damaged)
+        load_text(damaged, stale=text)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1492,25 +1680,35 @@ def test_truncated_or_line_deleted_model_rejected_property(seed, data):
     ["[extra]\nhello world\n", "[tags]\n", "[", "\n", " ", "0.5\n"]))
 def test_appended_text_model_rejected_property(seed, extra):
     """The file ends after the [emissions] rows: any non-empty text
-    appended to a saved model makes load_model raise ValueError."""
+    appended to a saved model makes load_model raise ValueError, with the
+    intact file's sidecar beside it."""
+    text = "\n".join(saved_model_lines(seed)) + "\n"
     with pytest.raises(ValueError):
-        load_text("\n".join(saved_model_lines(seed)) + "\n" + extra)
+        load_text(text + extra, stale=text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10_000), st.data())
 def test_line_replaced_model_raises_only_value_error_property(seed, data):
     """Replacing any one line never makes load_model fail with anything but
-    ValueError.  The new line may still form a valid file (one weight for
-    another), so a successful load is allowed here."""
+    ValueError, with the intact file's sidecar beside it.  The new line may
+    still form a valid file (one weight for another), so a successful load
+    is allowed here, and it returns what a load of the same text in a fresh
+    directory returns."""
     lines = saved_model_lines(seed)
+    text = "\n".join(lines) + "\n"
     i = data.draw(st.integers(0, len(lines) - 1))
     lines[i] = data.draw(st.text(max_size=12) | st.sampled_from(lines) | st.sampled_from(
         ["", "O", "I-Z", "[tags]", "[end]", "nan", "-inf", "1e999", "0x10", "1_0", "1 2 3 4 5"]))
+    damaged = "\n".join(lines) + "\n"
     try:
-        load_text("\n".join(lines) + "\n")
+        loaded = load_text(damaged, stale=text)
     except ValueError:
-        pass
+        return
+    fresh = load_text(damaged)
+    assert loaded.weights.tobytes() == fresh.weights.tobytes()
+    assert loaded.index.attributes() == fresh.index.attributes()
+    assert loaded.tagset == fresh.tagset
 
 
 _FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
