@@ -10,11 +10,19 @@ loops, when the transitions' spread is at most _MATMUL_SPREAD, proved exact
 in the comment above it, and _log_space otherwise.  Viterbi: _best_paths,
 only through _decode_paths.  _forward is the tag-major forward recursion of
 _log_space, _best_paths and sequence_score.  Training: nll_and_gradient and
-train.  Persistence: save_model, load_model.
+train.  Persistence: save_model, load_model.  After parsing a model file's
+text, load_model writes the weights to a sidecar, <model>.mixner-cache, keyed
+by the SHA-256 of the file's bytes, and a later load of the same bytes parses
+only the header, [tags] and [attributes] and reads the weights from it.
 """
 
+import contextlib
+import hashlib
 import math
+import os
 import random
+import stat
+import tempfile
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -614,6 +622,15 @@ def save_model(model: CrfModel, path: str | Path) -> None:
 
 # The characters str.splitlines ends a line at: a "[" after one starts a line.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK_BYTES = tuple(c.encode("utf-8") for c in _LINE_BREAKS)
+
+_CACHE_SUFFIX = ".mixner-cache"
+_CACHE_KIND = b"MIXNER-CRF-CACHE v"  # the start of every version's sidecar
+# A sidecar's first bytes; the SHA-256 of the model file's bytes and the
+# weights, little-endian float64 in CrfModel's layout, follow.  Bump the
+# version whenever load_model's acceptance rules or the weight layout change,
+# so that no sidecar written under the old ones is read.
+_CACHE_MAGIC = _CACHE_KIND + b"1\n"
 
 
 def _blocks(text: str) -> list[list[str]]:
@@ -625,6 +642,25 @@ def _blocks(text: str) -> list[list[str]]:
             cuts.append(at)
         at = text.find("[", at + 1)
     return [text[a:b].splitlines() for a, b in zip(cuts, cuts[1:] + [len(text)])]
+
+
+def _sections(text: str, names: tuple[str, ...]) -> list[list[str]]:
+    """The rows of each section of a model file's text, which holds the
+    header line and then the sections names, in order.  A section runs from
+    its "[name]" line to the next line that starts with "[".  A wrong header,
+    a missing section and anything after the last are rejected."""
+    head, *blocks = _blocks(text)
+    if not head or head[0] != MODEL_HEADER:
+        raise ValueError(f"unsupported version: expected {MODEL_HEADER!r} header")
+    if len(head) > 1:  # lines between the header and the first "[" line
+        blocks.insert(0, head[1:])
+    for i, name in enumerate(names):
+        if i >= len(blocks) or blocks[i][0] != f"[{name}]":
+            raise ValueError(f"truncated or malformed model file: expected [{name}]")
+    if len(blocks) > len(names):
+        raise ValueError(f"malformed model file: unexpected {blocks[len(names)][0]!r} "
+                         f"after the [{names[-1]}] rows")
+    return [block[1:] for block in blocks]
 
 
 def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
@@ -651,25 +687,109 @@ def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
     block[...] = arr.reshape(block.shape)
 
 
+def _read(path: str | Path) -> tuple[bytes, bool]:
+    """The bytes of the file at path, and whether it is a regular file."""
+    with open(path, "rb") as f:
+        return f.read(), stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+
+
+def _head_end(data: bytes) -> int:
+    """Where the [start] line begins in the bytes of a model file that loaded:
+    at its first "[start]" after a line break, found without decoding (UTF-8
+    is self-synchronising), or -1 if there is none."""
+    at = data.find(b"[start]", 1)
+    while at > 0 and not data.endswith(_BREAK_BYTES, 0, at):
+        at = data.find(b"[start]", at + 1)
+    return at
+
+
+def _read_cache(path: str | Path) -> CrfModel | None:
+    """The model at path with its weights from its sidecar, or None unless
+    path is a regular file and the sidecar holds _CACHE_MAGIC, the SHA-256
+    of path's bytes and then exactly as many weights as the index parsed
+    from path's head needs, every one finite.  Only the bytes before the
+    [start] line are decoded, and path's bytes are dropped before the index
+    and the weights are built."""
+    try:
+        f = open(f"{path}{_CACHE_SUFFIX}", "rb")
+    except OSError:
+        return None
+    with f:
+        prefix = f.read(len(_CACHE_MAGIC) + 32)
+        if not prefix.startswith(_CACHE_MAGIC) or not os.path.isfile(path):
+            return None
+        data = _read(path)[0]
+        end = _head_end(data)
+        if prefix != _CACHE_MAGIC + hashlib.sha256(data).digest() or end < 0:
+            return None
+        head = data[:end].decode("utf-8-sig")
+        del data
+        tags, attributes = _sections(head, _SECTIONS[:2])
+        index = FeatureIndex(attributes, TagSet(tuple(tags)))
+        weights = np.empty((index.num_attributes + len(tags) + 2) * len(tags), "<f8")
+        if (os.fstat(f.fileno()).st_size != len(prefix) + weights.nbytes
+                or f.readinto(weights) != weights.nbytes or not np.isfinite(weights).all()):
+            return None
+    return CrfModel(weights, index)
+
+
+def _write_cache(path: str | Path, digest: bytes, weights: np.ndarray) -> None:
+    """Write the sidecar of the model file at path, whose bytes hash to
+    digest, with the file's permission bits, unless a file that is not a
+    sidecar of any version, one that does not start with _CACHE_KIND, is in
+    its place: to a unique temporary file in its directory, then
+    os.replace'd into place.  The sidecar only saves time, so an OSError is
+    ignored and leaves no temporary file."""
+    cache = Path(f"{path}{_CACHE_SUFFIX}")
+    try:
+        with open(cache, "rb") as f:
+            if f.read(len(_CACHE_KIND)) != _CACHE_KIND:
+                return
+    except FileNotFoundError:
+        pass
+    except OSError:
+        return
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f"{cache.name}.", suffix=".tmp", dir=cache.parent)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as f:
+            f.write(_CACHE_MAGIC + digest)
+            f.write(weights.astype("<f8", copy=False))  # from the array's buffer, no copy
+        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(tmp, cache)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)  # already gone after os.replace
+
+
 def load_model(path: str | Path) -> CrfModel:
     """Inverse of save_model; weights round trip bit for bit.  A leading
-    byte-order mark is dropped, as it is from corpus files."""
-    head, *blocks = _blocks(Path(path).read_text(encoding="utf-8-sig"))
-    if not head or head[0] != MODEL_HEADER:
-        raise ValueError(f"unsupported version: expected {MODEL_HEADER!r} header")
-    if len(head) > 1:  # lines between the header and the first "[" line
-        blocks.insert(0, head[1:])
-    # A section runs from its header to the next line that starts with "[".
-    sections = {}
-    for i, name in enumerate(_SECTIONS):
-        if i >= len(blocks) or blocks[i][0] != f"[{name}]":
-            raise ValueError(f"truncated or malformed model file: expected [{name}]")
-        sections[name] = blocks[i][1:]
-    if len(blocks) > len(_SECTIONS):
-        raise ValueError(f"malformed model file: unexpected {blocks[len(_SECTIONS)][0]!r} "
-                         "after the [emissions] rows")
+    byte-order mark is dropped, as it is from corpus files.
+
+    A load that parses the text of a regular file writes its weights to the
+    sidecar <path>.mixner-cache (_write_cache), and a later load of a file
+    with the same bytes, by SHA-256, takes the weights from there and parses
+    only the header, [tags] and [attributes] (_read_cache).  Any other
+    sidecar is ignored, so the result, or the error, is always that of the
+    text.  The text is parsed with one copy of the file held: its bytes are
+    hashed, decoded and dropped first."""
+    model = _read_cache(path)
+    if model is not None:
+        return model
+    data, regular = _read(path)
+    digest = hashlib.sha256(data).digest()
+    text = data.decode("utf-8-sig")
+    del data
+    sections = dict(zip(_SECTIONS, _sections(text, _SECTIONS)))
+    del text
     index = FeatureIndex(sections["attributes"], TagSet(tuple(sections["tags"])))
     model = CrfModel.zeros(index)
     for name in _SECTIONS[2:]:
         _read_block(sections[name], getattr(model, name), name)
+    if regular:
+        _write_cache(path, digest, model.weights)
     return model
