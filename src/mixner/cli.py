@@ -1,10 +1,12 @@
 """Command-line entry points: mix, train, tag, eval, verify.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage or data
-errors.
+errors.  main may be called many times in one process: the parser is built
+on the first call and parses every later argv too.
 """
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -124,7 +126,12 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.  Callers
+    share it and must not change it; parse_args keeps no state in it, since
+    each call returns a new namespace and argparse copies the list default
+    of an "append" option such as --aux before it appends."""
     parser = argparse.ArgumentParser(
         prog="mixner",
         description="Code-mixed NER: corpus mixing, CRF training, tagging, "

@@ -635,13 +635,20 @@ _CACHE_MAGIC = _CACHE_KIND + b"1\n"
 
 def _blocks(text: str) -> list[list[str]]:
     """text.splitlines(), cut before every line after the first that starts
-    with "[".  The cuts are found with str.find, not by a loop over lines."""
+    with "[".  The cuts are found with str.find, not by a loop over lines.
+    Each falls at a line start, so the blocks are slices of one
+    text.splitlines(), cut where the lines of the blocks before are counted:
+    the last block's text, [emissions] in a model file, is never copied."""
     cuts, at = [0], text.find("[", 1)
     while at >= 0:
         if text[at - 1] in _LINE_BREAKS:
             cuts.append(at)
         at = text.find("[", at + 1)
-    return [text[a:b].splitlines() for a, b in zip(cuts, cuts[1:] + [len(text)])]
+    starts = [0]
+    for a, b in zip(cuts, cuts[1:]):
+        starts.append(starts[-1] + len(text[a:b].splitlines()))
+    lines = text.splitlines()
+    return [lines[a:b] for a, b in zip(starts, starts[1:] + [len(lines)])]
 
 
 def _sections(text: str, names: tuple[str, ...]) -> list[list[str]]:
@@ -687,10 +694,12 @@ def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
     block[...] = arr.reshape(block.shape)
 
 
-def _read(path: str | Path) -> tuple[bytes, bool]:
-    """The bytes of the file at path, and whether it is a regular file."""
+def _read(path: str | Path) -> tuple[bytes, bytes, bool]:
+    """The bytes of the file at path, their SHA-256 digest, and whether it is
+    a regular file."""
     with open(path, "rb") as f:
-        return f.read(), stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+        data, regular = f.read(), stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+    return data, hashlib.sha256(data).digest(), regular
 
 
 def _head_end(data: bytes) -> int:
@@ -703,27 +712,29 @@ def _head_end(data: bytes) -> int:
     return at
 
 
-def _read_cache(path: str | Path) -> CrfModel | None:
-    """The model at path with its weights from its sidecar, or None unless
-    path is a regular file and the sidecar holds _CACHE_MAGIC, the SHA-256
-    of path's bytes and then exactly as many weights as the index parsed
-    from path's head needs, every one finite.  Only the bytes before the
-    [start] line are decoded, and path's bytes are dropped before the index
-    and the weights are built."""
+def _read_cache(path: str | Path) -> CrfModel | tuple[bytes, bytes, bool] | None:
+    """The model at path with its weights from its sidecar, when path is a
+    regular file and the sidecar holds _CACHE_MAGIC, the SHA-256 of path's
+    bytes and then exactly as many weights as the index parsed from path's
+    head needs, every one finite.  Only the bytes before the [start] line
+    are decoded, and path's bytes are dropped before the index and the
+    weights are built.  Otherwise what _read returned, if path was read to
+    compare digests (a stale sidecar's, say), so that the caller parses
+    those bytes without reading and hashing them again, or None."""
     try:
         f = open(f"{path}{_CACHE_SUFFIX}", "rb")
     except OSError:
         return None
     with f:
         prefix = f.read(len(_CACHE_MAGIC) + 32)
-        if not prefix.startswith(_CACHE_MAGIC) or not os.path.isfile(path):
+        if not prefix.startswith(_CACHE_MAGIC):
             return None
-        data = _read(path)[0]
+        read = data, digest, regular = _read(path)
         end = _head_end(data)
-        if prefix != _CACHE_MAGIC + hashlib.sha256(data).digest() or end < 0:
-            return None
+        if not regular or prefix != _CACHE_MAGIC + digest or end < 0:
+            return read
         head = data[:end].decode("utf-8-sig")
-        del data
+        del read, data
         tags, attributes = _sections(head, _SECTIONS[:2])
         index = FeatureIndex(attributes, TagSet(tuple(tags)))
         weights = np.empty((index.num_attributes + len(tags) + 2) * len(tags), "<f8")
@@ -776,12 +787,13 @@ def load_model(path: str | Path) -> CrfModel:
     only the header, [tags] and [attributes] (_read_cache).  Any other
     sidecar is ignored, so the result, or the error, is always that of the
     text.  The text is parsed with one copy of the file held: its bytes are
-    hashed, decoded and dropped first."""
-    model = _read_cache(path)
-    if model is not None:
-        return model
-    data, regular = _read(path)
-    digest = hashlib.sha256(data).digest()
+    hashed, decoded and dropped first, and a stale sidecar costs no second
+    read of them."""
+    found = _read_cache(path)
+    if isinstance(found, CrfModel):
+        return found
+    data, digest, regular = found or _read(path)
+    del found
     text = data.decode("utf-8-sig")
     del data
     sections = dict(zip(_SECTIONS, _sections(text, _SECTIONS)))

@@ -500,6 +500,67 @@ def test_readme_names_every_option_and_default():
                 assert f"{flag} {action.default}" in bullet, (name, flag, action.default)
 
 
+def test_main_builds_the_parser_once(monkeypatch):
+    """After one main call, later calls parse with the same parser and
+    construct no argparse.ArgumentParser, subcommand parsers included."""
+    main(["verify", "--trials", "0"])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["verify", "--trials", "0"], ["verify", "--trials", "0", "--seed", "3"]):
+        assert main(argv) == 0
+    assert built == [] and build_parser() is build_parser()
+
+
+def run_main(argv, capsys):
+    """main's exit code, argparse's included, and what it wrote."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_shared_parser_answers_as_a_fresh_one(corpus_files, tmp_path, monkeypatch, capsys):
+    """One process interleaves commands through the shared parser, and each
+    exits, prints and reports errors as it does through a parser built for
+    it alone: --aux given twice leaves nothing behind for the next mix, and
+    a bad option value still exits 2 with one error line."""
+    files = {name: str(path) for name, path in corpus_files.items()}
+    out = tmp_path / "out.conll"
+    commands = [
+        ["mix", "--primary", files["cm_train"], "--aux", files["ml_train"],
+         "--aux", files["cm_dev"], "-o", out],
+        ["mix", "--primary", files["cm_train"], "-o", out],
+        ["train", "--train", files["cm_train"], "--dev", files["cm_dev"], "--epochs", "many",
+         "-o", tmp_path / "m.txt"],
+        ["eval", "--gold", files["cm_dev"], "--pred", files["cm_dev"]],
+        ["eval", "--gold", files["cm_dev"], "--pred", files["cm_dev"], "--format", "json"],
+        ["verify", "--trials", "5"],
+    ]
+    results = []
+    for argv in commands:
+        shared = run_main(argv, capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli_module, "build_parser", build_parser.__wrapped__)
+            assert run_main(argv, capsys) == shared, argv
+        results.append(shared)
+    (code, out_aux, _), (_, out_plain, _), (code_bad, _, err_bad) = results[:3]
+    assert code == 0 and "ml_train: 40 sentences" in out_aux
+    assert out_plain.splitlines()[1:] == ["cm_train: 80 sentences", "total: 80 sentences"]
+    assert code_bad == 2 and err_bad.count("error:") == 1
+    assert "invalid int value: 'many'" in err_bad
+    assert [code for code, _, _ in results[3:]] == [0, 0, 0]
+    mix = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["mix"]
+    assert next(a for a in mix._actions if a.dest == "aux").default == []
+
+
 def run_pipeline(files, out):
     """mix, train, tag and eval through main on the corpus files, with a dev
     file whose spans open with stray I-X and a tag input with no tag column;
