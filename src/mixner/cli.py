@@ -13,9 +13,10 @@ from pathlib import Path
 
 from .corpus import (Dataset, ParseError, mix_datasets, parse_conll,
                      validate_iob, write_conll)
-from .crf import TrainConfig, decode, load_model, save_model, train
+from .crf import TrainConfig, decode, train
 from .features import build_index
 from .eval import render_report, score_entities
+from .modelfile import load_model, save_model
 from .oracle import run_verification
 
 DEFAULT_SEED = 42

@@ -1,4 +1,4 @@
-"""Linear-chain CRF: scoring, inference, training, and persistence.
+"""Linear-chain CRF: scoring, inference and training.
 
     score(y) = start[y_1] + sum_i sum_{a in attrs(i)} W_e[a, y_i]
                + sum_{i>=2} W_t[y_{i-1}, y_i] + end[y_T]
@@ -10,33 +10,21 @@ loops, when the transitions' spread is at most _MATMUL_SPREAD, proved exact
 in the comment above it, and _log_space otherwise.  Viterbi: _best_paths,
 only through _decode_paths.  _forward is the tag-major forward recursion of
 _log_space, _best_paths and sequence_score.  Training: nll_and_gradient and
-train.  Persistence: save_model, load_model.  After parsing a model file's
-text, load_model writes the weights to a sidecar, <model>.mixner-cache, keyed
-by the SHA-256 of the file's bytes, and a later load of the same bytes parses
-only the header, [tags] and [attributes] and reads the weights from it.
+train.  Model files, save_model and load_model, are modelfile's.
 """
 
-import contextlib
-import hashlib
 import math
-import os
 import random
-import stat
-import tempfile
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import Dataset, TagSet, _offsets
 from .eval import _class_scores, _span_counts
 from .features import EncodedCorpus, EncodedSentence, FeatureIndex, _ranges, encode_dataset
-from .shortest import format_rows
 
-MODEL_HEADER = "MIXNER-CRF v1"
-_SECTIONS = ("tags", "attributes", "start", "end", "transitions", "emissions")
 _ADAGRAD_EPS = 1e-8
 MIN_DELTA = 1e-4  # smallest dev F1 gain that resets the patience count
 DECODE_CHUNK = 256  # a _decode_paths chunk's limit in sentences, times the mean length in tokens
@@ -592,216 +580,3 @@ def train(train_set: Dataset, dev: Dataset, cfg: TrainConfig,
     model.weights[...] = best_weights
     return model, TrainHistory(records, best_epoch, bad_epochs > cfg.patience)
 
-
-def save_model(model: CrfModel, path: str | Path) -> None:
-    """Write the model as versioned UTF-8 text, each weight as its float's
-    repr, which reads back bit for bit.  shortest.format_rows writes each
-    block's rows: repr's shortest round-trip digits come from Schubfach in
-    exact uint64 arithmetic, for a slice of weights at once, and the bytes
-    are pinned against tests/helpers.model_text_reference, which calls repr
-    row by row.  Nothing is opened before every row is formatted, and the
-    rows are written in format_rows' parts, never joined, so the writer
-    holds one copy of the text."""
-    if not np.isfinite(model.weights).all():
-        raise ValueError("refusing to save a model with non-finite weights")
-    attributes = model.index.attributes()
-    joined = "".join(attributes)  # load_model reads back none with a line break or a leading "["
-    if "\n[" in "\n".join(["", *attributes]) or any(c in joined for c in _LINE_BREAKS):
-        bad = next(a for a in attributes if a[:1] == "[" or any(c in a for c in _LINE_BREAKS))
-        raise ValueError(f"refusing to save attribute {bad!r}: it would not load back")
-    parts = ["\n".join([MODEL_HEADER, "[tags]", *model.tagset.tags,
-                        "[attributes]", *attributes, ""]).encode("utf-8")]
-    for name in _SECTIONS[2:]:
-        block = getattr(model, name)
-        parts.append(f"[{name}]\n".encode("ascii"))
-        if block.size:  # start and end, 1-D, are written one weight a line
-            parts += [*format_rows(block.reshape(len(block), -1)), b"\n"]
-    with open(path, "wb") as f:
-        f.writelines(parts)
-
-
-# The characters str.splitlines ends a line at: a "[" after one starts a line.
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_BREAK_BYTES = tuple(c.encode("utf-8") for c in _LINE_BREAKS)
-
-_CACHE_SUFFIX = ".mixner-cache"
-_CACHE_KIND = b"MIXNER-CRF-CACHE v"  # the start of every version's sidecar
-# A sidecar's first bytes; the SHA-256 of the model file's bytes and the
-# weights, little-endian float64 in CrfModel's layout, follow.  Bump the
-# version whenever load_model's acceptance rules or the weight layout change,
-# so that no sidecar written under the old ones is read.
-_CACHE_MAGIC = _CACHE_KIND + b"1\n"
-
-
-def _blocks(text: str) -> list[list[str]]:
-    """text.splitlines(), cut before every line after the first that starts
-    with "[".  The cuts are found with str.find, not by a loop over lines.
-    Each falls at a line start, so the blocks are slices of one
-    text.splitlines(), cut where the lines of the blocks before are counted:
-    the last block's text, [emissions] in a model file, is never copied."""
-    cuts, at = [0], text.find("[", 1)
-    while at >= 0:
-        if text[at - 1] in _LINE_BREAKS:
-            cuts.append(at)
-        at = text.find("[", at + 1)
-    starts = [0]
-    for a, b in zip(cuts, cuts[1:]):
-        starts.append(starts[-1] + len(text[a:b].splitlines()))
-    lines = text.splitlines()
-    return [lines[a:b] for a, b in zip(starts, starts[1:] + [len(lines)])]
-
-
-def _sections(text: str, names: tuple[str, ...]) -> list[list[str]]:
-    """The rows of each section of a model file's text, which holds the
-    header line and then the sections names, in order.  A section runs from
-    its "[name]" line to the next line that starts with "[".  A wrong header,
-    a missing section and anything after the last are rejected."""
-    head, *blocks = _blocks(text)
-    if not head or head[0] != MODEL_HEADER:
-        raise ValueError(f"unsupported version: expected {MODEL_HEADER!r} header")
-    if len(head) > 1:  # lines between the header and the first "[" line
-        blocks.insert(0, head[1:])
-    for i, name in enumerate(names):
-        if i >= len(blocks) or blocks[i][0] != f"[{name}]":
-            raise ValueError(f"truncated or malformed model file: expected [{name}]")
-    if len(blocks) > len(names):
-        raise ValueError(f"malformed model file: unexpected {blocks[len(names)][0]!r} "
-                         f"after the [{names[-1]}] rows")
-    return [block[1:] for block in blocks]
-
-
-def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
-    """Fill a weight block from its section, one block row per line.  Rows are
-    read with np.loadtxt, which reads the same bits as Python's float."""
-    width = block.shape[1] if block.ndim == 2 else 1
-    if len(rows) != len(block):
-        raise ValueError(f"truncated model file: bad row count in [{section}]")
-    if not rows:
-        return
-    try:  # a blank first row is left to the check below: loadtxt warns on no data
-        arr = (np.loadtxt(rows, comments=None, ndmin=2, dtype=np.float64)
-               if rows[0].strip() else None)
-    except ValueError:
-        arr = None
-    # loadtxt skips blank rows and rejects ragged ones, so this shape means
-    # every row has `width` fields; anything else gets the row-by-row check.
-    if arr is None or arr.shape != (len(rows), width):
-        if any(len(row.split()) != width for row in rows):
-            raise ValueError(f"truncated model file: bad row width in [{section}]")
-        raise ValueError(f"malformed number in [{section}]")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"non-finite weight in [{section}]")
-    block[...] = arr.reshape(block.shape)
-
-
-def _read(path: str | Path) -> tuple[bytes, bytes, bool]:
-    """The bytes of the file at path, their SHA-256 digest, and whether it is
-    a regular file."""
-    with open(path, "rb") as f:
-        data, regular = f.read(), stat.S_ISREG(os.fstat(f.fileno()).st_mode)
-    return data, hashlib.sha256(data).digest(), regular
-
-
-def _head_end(data: bytes) -> int:
-    """Where the [start] line begins in the bytes of a model file that loaded:
-    at its first "[start]" after a line break, found without decoding (UTF-8
-    is self-synchronising), or -1 if there is none."""
-    at = data.find(b"[start]", 1)
-    while at > 0 and not data.endswith(_BREAK_BYTES, 0, at):
-        at = data.find(b"[start]", at + 1)
-    return at
-
-
-def _read_cache(path: str | Path) -> CrfModel | tuple[bytes, bytes, bool] | None:
-    """The model at path with its weights from its sidecar, when path is a
-    regular file and the sidecar holds _CACHE_MAGIC, the SHA-256 of path's
-    bytes and then exactly as many weights as the index parsed from path's
-    head needs, every one finite.  Only the bytes before the [start] line
-    are decoded, and path's bytes are dropped before the index and the
-    weights are built.  Otherwise what _read returned, if path was read to
-    compare digests (a stale sidecar's, say), so that the caller parses
-    those bytes without reading and hashing them again, or None."""
-    try:
-        f = open(f"{path}{_CACHE_SUFFIX}", "rb")
-    except OSError:
-        return None
-    with f:
-        prefix = f.read(len(_CACHE_MAGIC) + 32)
-        if not prefix.startswith(_CACHE_MAGIC):
-            return None
-        read = data, digest, regular = _read(path)
-        end = _head_end(data)
-        if not regular or prefix != _CACHE_MAGIC + digest or end < 0:
-            return read
-        head = data[:end].decode("utf-8-sig")
-        del read, data
-        tags, attributes = _sections(head, _SECTIONS[:2])
-        index = FeatureIndex(attributes, TagSet(tuple(tags)))
-        weights = np.empty((index.num_attributes + len(tags) + 2) * len(tags), "<f8")
-        if (os.fstat(f.fileno()).st_size != len(prefix) + weights.nbytes
-                or f.readinto(weights) != weights.nbytes or not np.isfinite(weights).all()):
-            return None
-    return CrfModel(weights, index)
-
-
-def _write_cache(path: str | Path, digest: bytes, weights: np.ndarray) -> None:
-    """Write the sidecar of the model file at path, whose bytes hash to
-    digest, with the file's permission bits, unless a file that is not a
-    sidecar of any version, one that does not start with _CACHE_KIND, is in
-    its place: to a unique temporary file in its directory, then
-    os.replace'd into place.  The sidecar only saves time, so an OSError is
-    ignored and leaves no temporary file."""
-    cache = Path(f"{path}{_CACHE_SUFFIX}")
-    try:
-        with open(cache, "rb") as f:
-            if f.read(len(_CACHE_KIND)) != _CACHE_KIND:
-                return
-    except FileNotFoundError:
-        pass
-    except OSError:
-        return
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=f"{cache.name}.", suffix=".tmp", dir=cache.parent)
-    except OSError:
-        return
-    try:
-        with open(fd, "wb") as f:
-            f.write(_CACHE_MAGIC + digest)
-            f.write(weights.astype("<f8", copy=False))  # from the array's buffer, no copy
-        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        os.replace(tmp, cache)
-    except OSError:
-        pass
-    finally:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)  # already gone after os.replace
-
-
-def load_model(path: str | Path) -> CrfModel:
-    """Inverse of save_model; weights round trip bit for bit.  A leading
-    byte-order mark is dropped, as it is from corpus files.
-
-    A load that parses the text of a regular file writes its weights to the
-    sidecar <path>.mixner-cache (_write_cache), and a later load of a file
-    with the same bytes, by SHA-256, takes the weights from there and parses
-    only the header, [tags] and [attributes] (_read_cache).  Any other
-    sidecar is ignored, so the result, or the error, is always that of the
-    text.  The text is parsed with one copy of the file held: its bytes are
-    hashed, decoded and dropped first, and a stale sidecar costs no second
-    read of them."""
-    found = _read_cache(path)
-    if isinstance(found, CrfModel):
-        return found
-    data, digest, regular = found or _read(path)
-    del found
-    text = data.decode("utf-8-sig")
-    del data
-    sections = dict(zip(_SECTIONS, _sections(text, _SECTIONS)))
-    del text
-    index = FeatureIndex(sections["attributes"], TagSet(tuple(sections["tags"])))
-    model = CrfModel.zeros(index)
-    for name in _SECTIONS[2:]:
-        _read_block(sections[name], getattr(model, name), name)
-    if regular:
-        _write_cache(path, digest, model.weights)
-    return model

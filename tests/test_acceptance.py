@@ -21,9 +21,10 @@ from mixner.cli import main
 from mixner.corpus import (Dataset, Sentence, mix_datasets, parse_conll,
                            validate_iob, write_conll)
 from mixner.crf import (TrainConfig, log_partition, marginals,
-                        nll_and_gradient, save_model, train, viterbi)
+                        nll_and_gradient, train, viterbi)
 from mixner.eval import score_entities
 from mixner.features import EncodedCorpus, build_index
+from mixner.modelfile import save_model
 from mixner.oracle import (enumerate_best, enumerate_logZ,
                            enumerate_marginals, fd_gradient, gradient_error,
                            random_instance)

@@ -20,8 +20,9 @@ import mixner.cli as cli_module
 import mixner.crf as crf_module
 from mixner.cli import build_parser, main
 from mixner.corpus import Dataset, Sentence, parse_conll, write_conll
-from mixner.crf import CrfModel, TrainConfig, load_model, save_model, train
+from mixner.crf import CrfModel, TrainConfig, train
 from mixner.features import build_index
+from mixner.modelfile import load_model, save_model
 
 
 @pytest.fixture

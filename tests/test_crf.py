@@ -28,12 +28,13 @@ from helpers import (make_separable_corpus, model_text_reference, naive_nll_and_
 from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset, write_conll
 import mixner.crf as crf_module
 import mixner.eval as eval_module
-from mixner.crf import (MIN_DELTA, CrfModel, TrainConfig, decode, load_model,
-                        log_partition, marginals, nll_and_gradient, save_model,
-                        sequence_score, train, viterbi)
+import mixner.modelfile as modelfile
+from mixner.crf import (MIN_DELTA, CrfModel, TrainConfig, decode, log_partition, marginals,
+                        nll_and_gradient, sequence_score, train, viterbi)
 from mixner.eval import score_entities
 from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset)
+from mixner.modelfile import load_model, save_model
 from mixner.oracle import (TOL, TinyInstance, enumerate_best, enumerate_logZ,
                            enumerate_marginals, naive_sequence_score, random_instance,
                            run_verification)
@@ -616,7 +617,7 @@ class TestPersistence:
         other three are formatted, raises and leaves no file: nothing is
         opened before every block is formatted."""
         m, path, shapes = self.trained_like_model(), tmp_path / "model.txt", []
-        real = crf_module.format_rows
+        real = modelfile.format_rows
 
         def format_rows(block):
             shapes.append(block.shape)
@@ -624,7 +625,7 @@ class TestPersistence:
                 raise MemoryError("formatting [emissions]")
             return real(block)
 
-        with patch("mixner.crf.format_rows", format_rows), pytest.raises(MemoryError):
+        with patch("mixner.modelfile.format_rows", format_rows), pytest.raises(MemoryError):
             save_model(m, path)
         assert shapes == [(3, 1), (3, 1), (3, 3), (5, 3)]
         assert not path.exists()
@@ -635,7 +636,7 @@ class TestPersistence:
         plus 5 MB for format_rows' slice temporaries: the text is written in
         its parts, never joined into a second copy."""
         m, path = big_model(), tmp_path / "model.txt"
-        crf_module.format_rows(np.ones((1, 1)))  # its tables are built once per process
+        modelfile.format_rows(np.ones((1, 1)))  # its tables are built once per process
         tracemalloc.start()
         try:
             save_model(m, path)
@@ -744,8 +745,8 @@ class TestPersistence:
         load_model(path)
         m.weights *= 2.0
         save_model(m, path)
-        with patch("mixner.crf._read", wraps=crf_module._read) as reads, \
-                patch("mixner.crf.hashlib.sha256", wraps=hashlib.sha256) as hashes:
+        with patch("mixner.modelfile._read", wraps=modelfile._read) as reads, \
+                patch("mixner.modelfile.hashlib.sha256", wraps=hashlib.sha256) as hashes:
             loaded = load_model(path)
         assert (reads.call_count, hashes.call_count) == (1, 1)
         assert loaded.weights.tobytes() == m.weights.tobytes()
@@ -770,8 +771,8 @@ class TestPersistence:
 
     @staticmethod
     def failing_write(real_open):
-        """An open for mixner.crf whose files opened for writing fail on their
-        second write, the weights, after writing half of them."""
+        """An open for mixner.modelfile whose files opened for writing fail on
+        their second write, the weights, after writing half of them."""
         def opener(file, mode="r", *args, **kwargs):
             f = real_open(file, mode, *args, **kwargs)
             if "w" in mode:
@@ -798,16 +799,34 @@ class TestPersistence:
         PermissionError, since the tests may run as root."""
         m, path, _ = self.saved(tmp_path)
         target, kwargs = {
-            "unwritable directory": ("mixner.crf.tempfile.mkstemp",
+            "unwritable directory": ("mixner.modelfile.tempfile.mkstemp",
                                      {"side_effect": PermissionError(errno.EACCES, "denied")}),
-            "write fails midway": ("mixner.crf.open",
+            "write fails midway": ("mixner.modelfile.open",
                                    {"new": self.failing_write(open), "create": True}),
-            "replace fails": ("mixner.crf.os.replace",
+            "replace fails": ("mixner.modelfile.os.replace",
                               {"side_effect": OSError(errno.EXDEV, "cross-device link")}),
         }[failure]
         with patch(target, **kwargs):
             assert load_model(path).weights.tobytes() == m.weights.tobytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_at_sidecar_path_is_never_waited_on(self, tmp_path):
+        """A named pipe at the sidecar's path, which nothing writes, is neither
+        read nor replaced: each of two loads, in a daemon thread so that a
+        load stuck on the pipe fails the test, returns the text's weights
+        within 5 s, and the pipe is still there."""
+        m, path, sidecar = self.saved(tmp_path)
+        os.mkfifo(sidecar)
+        for _ in range(2):
+            loaded = []
+            loader = threading.Thread(target=lambda: loaded.append(load_model(path)),
+                                      daemon=True)
+            loader.start()
+            loader.join(timeout=5)
+            assert not loader.is_alive(), "load_model waited on the pipe"
+            assert loaded[0].weights.tobytes() == m.weights.tobytes()
+        assert sidecar.is_fifo()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_model_from_a_pipe_leaves_no_sidecar(self, tmp_path):
@@ -1653,7 +1672,7 @@ def test_blocks_match_per_line_scan_property(text):
         if i and line.startswith("["):
             expected.append([])
         expected[-1].append(line)
-    assert crf_module._blocks(text) == expected
+    assert modelfile._blocks(text) == expected
 
 
 def saved_model_lines(seed):

@@ -3,9 +3,12 @@ model (exp and log bits vary across numpy builds, so a trained model's
 bytes would not).
 
 tests/golden holds a hand-made 3-tag model whose weights include long reprs
-(0.30000000000000004, 1.2345678901234567, 5e-324), a token-only input with
-a "#hashtag" token and words the model has never seen, and the output of
-`mixner tag` on it; every check runs on copies in tmp_path.
+(0.30000000000000004, 1.2345678901234567, 5e-324), the sidecar a load of it
+writes (model.sidecar: .gitignore hides *.mixner-cache), a token-only input
+with a "#hashtag" token and words the model has never seen, the output of
+`mixner tag` on it, a hand-tagged gold.conll of the same tokens, and
+`mixner eval`'s text and JSON reports of that output against it; every
+check runs on copies in tmp_path.
 """
 
 import hashlib
@@ -18,10 +21,16 @@ from unittest.mock import patch
 import numpy as np
 
 from mixner.cli import main
-from mixner.crf import load_model, save_model
+from mixner.modelfile import load_model, save_model
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def parsing_no_weight_row():
+    """A patch under which a load that parses a weight row fails."""
+    return patch("mixner.modelfile._read_block",
+                 side_effect=AssertionError("a weight row was parsed"))
 
 
 def copied(tmp_path, *names):
@@ -48,7 +57,7 @@ def test_tag_writes_the_golden_bytes_cold_and_warm(tmp_path, capsys):
 
     tag(tmp_path / "cold.conll")
     assert Path(f"{model}.mixner-cache").exists()
-    with patch("mixner.crf._read_block", side_effect=AssertionError("a weight row was parsed")):
+    with parsing_no_weight_row():
         tag(tmp_path / "warm.conll")
     assert capsys.readouterr().out == "tagged 3 sentences\n" * 2
 
@@ -67,6 +76,52 @@ def test_sidecar_is_magic_digest_and_little_endian_weights(tmp_path):
     assert Path(f"{model}.mixner-cache").read_bytes() == (
         b"MIXNER-CRF-CACHE v1\n" + hashlib.sha256(data).digest()
         + np.array(weights, "<f8").tobytes())
+
+
+def test_cold_load_writes_the_golden_sidecar(tmp_path):
+    """A cold load leaves the committed sidecar's bytes beside the model, and
+    a load beside those bytes parses no weight row."""
+    model, = copied(tmp_path, "model.txt")
+    cold = load_model(model)
+    assert Path(f"{model}.mixner-cache").read_bytes() == (GOLDEN / "model.sidecar").read_bytes()
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    shutil.copyfile(GOLDEN / "model.txt", fresh / "model.txt")
+    shutil.copyfile(GOLDEN / "model.sidecar", fresh / "model.txt.mixner-cache")
+    with parsing_no_weight_row():
+        assert load_model(fresh / "model.txt").weights.tobytes() == cold.weights.tobytes()
+
+
+def test_start_line_after_no_newline_is_parsed_every_load(tmp_path):
+    """load_model looks for the [start] line after a "\\n" alone.  The golden
+    model with every "\\n" written "\\r" has none: it loads to the same
+    weights every time, by parsing its text, and gets no sidecar.  The
+    original, and a copy with "\\r\\n" line ends, load warm the second time."""
+    model, = copied(tmp_path, "model.txt")
+    cr, crlf = tmp_path / "cr.txt", tmp_path / "crlf.txt"
+    cr.write_bytes(model.read_bytes().replace(b"\n", b"\r"))
+    crlf.write_bytes(model.read_bytes().replace(b"\n", b"\r\n"))
+    expected = load_model(model).weights.tobytes()
+    for _ in range(2):
+        assert load_model(cr).weights.tobytes() == expected
+    assert not Path(f"{cr}.mixner-cache").exists()
+    assert load_model(crlf).weights.tobytes() == expected
+    with parsing_no_weight_row():
+        for path in (model, crlf):
+            assert load_model(path).weights.tobytes() == expected
+
+
+def test_eval_writes_the_golden_reports(tmp_path, capsys):
+    """eval of tagged.conll against gold.conll writes the committed text and
+    JSON reports: one CW span right and one cut short, one EN span typed CW
+    and one missed."""
+    gold, pred = copied(tmp_path, "gold.conll", "tagged.conll")
+    for fmt, name in [("text", "report.txt"), ("json", "report.json")]:
+        out = tmp_path / name
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--format", fmt,
+                     "--report", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    assert capsys.readouterr().out == "weighted_f1 0.2000\n" * 2
 
 
 def test_readme_json_report_is_evals_output(tmp_path, capsys):

@@ -21,10 +21,11 @@ from helpers import (extract_entities, naive_nll_and_gradient, naive_train, span
 from mixner.cli import main
 from mixner.corpus import Dataset, Sentence, TagSet, induce_tagset, parse_conll, write_conll
 import mixner.crf as crf_module
-from mixner.crf import (CrfModel, TrainConfig, load_model, log_partition, marginals,
-                        nll_and_gradient, train, viterbi)
+from mixner.crf import (CrfModel, TrainConfig, log_partition, marginals, nll_and_gradient,
+                        train, viterbi)
 from mixner.features import (EncodedCorpus, EncodedSentence, FeatureIndex, build_index,
                              encode_dataset)
+from mixner.modelfile import load_model
 from mixner.oracle import (TOL, TinyInstance, enumerate_best, enumerate_logZ,
                            enumerate_marginals, fd_gradient, gradient_error,
                            naive_sequence_score, random_instance, run_verification,
