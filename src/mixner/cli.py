@@ -11,8 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import (Dataset, ParseError, mix_datasets, parse_conll,
-                     validate_iob, write_conll)
+from .corpus import Dataset, mix_datasets, parse_conll, validate_iob, write_conll
 from .crf import TrainConfig, decode, train
 from .features import build_index
 from .eval import render_report, score_entities
@@ -188,7 +187,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

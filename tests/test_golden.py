@@ -8,7 +8,9 @@ writes (model.sidecar: .gitignore hides *.mixner-cache), a token-only input
 with a "#hashtag" token and words the model has never seen, the output of
 `mixner tag` on it, a hand-tagged gold.conll of the same tokens, and
 `mixner eval`'s text and JSON reports of that output against it; every
-check runs on copies in tmp_path.
+check runs on copies in tmp_path.  (verify.out and verify.err, the output of
+`mixner verify --trials 300 --seed 7`, are checked in tests/test_oracle.py,
+in its one 300-trial run.)
 """
 
 import hashlib

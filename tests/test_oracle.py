@@ -150,11 +150,14 @@ class TestDriver:
                                              "gradient"]
         assert all(r.ok and r.passed == 25 for r in results)
 
-    def test_checks_reach_both_paths_and_tally_them(self, monkeypatch):
+    def test_checks_reach_both_paths_and_tally_them(self, monkeypatch, capsys):
         """In one 300-trial run, every check passes on both forward-backward
         paths, and the returned tally counts, per trial, the path that
-        crf.log_partition on that trial's model runs."""
-        calls, taken = Counter(), []
+        crf.log_partition on that trial's model runs.  The run goes through
+        `mixner verify --trials 300 --seed 7`, whose stdout and stderr are
+        tests/golden/verify.out and verify.err byte for byte."""
+        import mixner.cli as cli_module
+        calls, taken, returned = Counter(), [], []
         for name in ("_scaled", "_log_space"):
             def counting(*args, _real=getattr(crf_module, name), _name=name):
                 calls[_name] += 1
@@ -168,8 +171,18 @@ class TestDriver:
             taken.extend((calls - before).elements())
             return result
 
+        def keeping(*args, _real=cli_module.run_verification):
+            returned.append(_real(*args))
+            return returned[-1]
+
         monkeypatch.setattr(crf_module, "log_partition", recording)
-        results, paths = run_verification(300, 7)
+        monkeypatch.setattr(cli_module, "run_verification", keeping)
+        assert main(["verify", "--trials", "300", "--seed", "7"]) == 0
+        golden = Path(__file__).resolve().parent / "golden"
+        captured = capsys.readouterr()
+        assert captured.out.encode() == (golden / "verify.out").read_bytes()
+        assert captured.err.encode() == (golden / "verify.err").read_bytes()
+        (results, paths), = returned
         assert all(r.ok and r.passed == 300 for r in results)
         assert calls["_scaled"] > 0 and calls["_log_space"] > 0
         assert paths == Counter(taken)
