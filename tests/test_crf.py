@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -752,7 +753,29 @@ class TestPersistence:
         assert loaded.weights.tobytes() == m.weights.tobytes()
         assert sidecar.read_bytes() == self.sidecar_bytes(m, path)
 
-    @pytest.mark.parametrize("content", [b"", b"notes\n", b"MIXNER-CRF-CACHE", b"MIXNER-CRF v1\n"])
+    @pytest.mark.parametrize("stale", [False, True], ids=["no-sidecar", "stale-sidecar"])
+    def test_cold_load_looks_at_each_path_once(self, tmp_path, stale):
+        """A cold load, with nothing at the sidecar path or a sidecar of other
+        bytes, opens that path once, through _open_sidecar, for both the warm
+        check and the rewrite, and never stats the model by name: the sidecar
+        takes the permission bits of the file whose bytes were read."""
+        m, path, sidecar = self.saved(tmp_path)
+        if stale:
+            load_model(path)
+            m.weights *= 2.0
+            save_model(m, path)
+        path.chmod(0o640)
+        with patch("mixner.modelfile._open_sidecar", wraps=modelfile._open_sidecar) as opens, \
+                patch.object(os, "stat", wraps=os.stat) as stats:
+            loaded = load_model(path)
+        named = [c for c in stats.call_args_list
+                 if not isinstance(c.args[0], int) and os.fspath(c.args[0]) == os.fspath(path)]
+        assert (opens.call_count, named) == (1, [])
+        assert loaded.weights.tobytes() == m.weights.tobytes()
+        assert sidecar.read_bytes() == self.sidecar_bytes(m, path)
+        assert stat.S_IMODE(sidecar.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("content",[b"", b"notes\n", b"MIXNER-CRF-CACHE", b"MIXNER-CRF v1\n"])
     def test_other_file_at_sidecar_path_left(self, tmp_path, content):
         """A file at the sidecar's path that does not start as every sidecar
         does, with "MIXNER-CRF-CACHE v", is never read as one or written
