@@ -124,12 +124,11 @@ def _read_block(rows: list[str], block: np.ndarray, section: str) -> None:
     block[...] = arr.reshape(block.shape)
 
 
-def _read(path: str | Path) -> tuple[bytes, bytes, bool]:
-    """The bytes of the file at path, their SHA-256 digest, and whether it is
-    a regular file."""
+def _read(path: str | Path) -> tuple[bytes, bytes, int]:
+    """The bytes of the file at path, their SHA-256 digest, and its st_mode."""
     with open(path, "rb") as f:
-        data, regular = f.read(), stat.S_ISREG(os.fstat(f.fileno()).st_mode)
-    return data, hashlib.sha256(data).digest(), regular
+        data, mode = f.read(), os.fstat(f.fileno()).st_mode
+    return data, hashlib.sha256(data).digest(), mode
 
 
 def _open_sidecar(path: str | Path):
@@ -149,18 +148,12 @@ def _open_sidecar(path: str | Path):
     return io.BytesIO()
 
 
-def _write_cache(path: str | Path, digest: bytes, weights: np.ndarray) -> None:
+def _write_cache(path: str | Path, digest: bytes, weights: np.ndarray, mode: int) -> None:
     """Write the sidecar of the model file at path, whose bytes hash to
-    digest, with the file's permission bits, unless what _open_sidecar finds
-    in its place does not start with _CACHE_KIND, as a sidecar of every
-    version does: to a unique temporary file in its directory, then
-    os.replace'd into place.  The sidecar only saves time, so an OSError is
-    ignored and leaves no temporary file."""
-    found = _open_sidecar(path)
-    if found:
-        with found:
-            if found.read(len(_CACHE_KIND)) != _CACHE_KIND:
-                return
+    digest, with the permission bits of mode, that file's st_mode: to a
+    unique temporary file in its directory, then os.replace'd into place.
+    The sidecar only saves time, so an OSError is ignored and leaves no
+    temporary file."""
     cache = Path(f"{path}{_CACHE_SUFFIX}")
     try:
         fd, tmp = tempfile.mkstemp(prefix=f"{cache.name}.", suffix=".tmp", dir=cache.parent)
@@ -170,7 +163,7 @@ def _write_cache(path: str | Path, digest: bytes, weights: np.ndarray) -> None:
         with open(fd, "wb") as f:
             f.write(_CACHE_MAGIC + digest)
             f.write(weights.astype("<f8", copy=False))  # from the array's buffer, no copy
-        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, cache)
     except OSError:
         pass
@@ -183,19 +176,22 @@ def load_model(path: str | Path) -> CrfModel:
     """Inverse of save_model; weights round trip bit for bit.  A leading
     byte-order mark is dropped, as it is from corpus files.
 
-    The file is read and hashed once.  When it is a regular file whose
-    [start] line follows a "\\n" and _open_sidecar finds its sidecar holding
-    _CACHE_MAGIC, the digest and then exactly as many weights as the index
-    parsed from the text before that line needs, every one finite, the
-    weights come from the sidecar, read after the bytes are dropped.
-    Otherwise the text is parsed with one copy of the file held, its bytes
-    decoded and dropped first, and a regular file with such a [start] line
-    gets its sidecar written (_write_cache).  Any other sidecar is ignored,
-    so the result, or the error, is always that of the text."""
-    data, digest, regular = _read(path)
-    end = data.find(b"\n[start]") + 1 if regular else 0  # 0: no warm load, no sidecar
-    with _open_sidecar(path) or io.BytesIO() as sidecar:
-        if end and sidecar.read(len(_CACHE_MAGIC) + 32) == _CACHE_MAGIC + digest:
+    The file is read and hashed once.  Only a regular file whose [start]
+    line follows a "\\n" has a sidecar, and _open_sidecar looks at its path
+    once, as the load starts: what is there decides both the warm read and
+    the rewrite, neither of them atomic with the os.replace.  If it holds
+    _CACHE_MAGIC, the digest and as many weights as the head's index needs,
+    all finite, they are read after the bytes are dropped (so a failed
+    weight check costs a second read and hash: holding the bytes would hold
+    the file and the weights at once).  Otherwise the text decides: it is
+    decoded, its bytes dropped, and parsed, and the sidecar is written
+    (_write_cache) where nothing, or a regular file of _CACHE_KIND, was."""
+    data, digest, mode = _read(path)
+    end = data.find(b"\n[start]") + 1 if stat.S_ISREG(mode) else 0  # 0: no warm load, no sidecar
+    found = _open_sidecar(path) if end else io.BytesIO()  # None: nothing there
+    with found or io.BytesIO() as sidecar:
+        first = sidecar.read(len(_CACHE_MAGIC) + 32)
+        if first == _CACHE_MAGIC + digest:
             head = data[:end].decode("utf-8-sig")
             del data
             tags, attributes = _sections(head, _SECTIONS[:2])
@@ -204,7 +200,7 @@ def load_model(path: str | Path) -> CrfModel:
             if (os.fstat(sidecar.fileno()).st_size == sidecar.tell() + weights.nbytes
                     and sidecar.readinto(weights) == weights.nbytes and np.isfinite(weights).all()):
                 return CrfModel(weights, index)
-            data, digest, _ = _read(path)  # the weights failed a check: the text decides
+            data, digest, mode = _read(path)  # the weights failed a check: the text decides
     text = data.decode("utf-8-sig")
     del data
     sections = dict(zip(_SECTIONS, _sections(text, _SECTIONS)))
@@ -213,6 +209,6 @@ def load_model(path: str | Path) -> CrfModel:
     model = CrfModel.zeros(index)
     for name in _SECTIONS[2:]:
         _read_block(sections[name], getattr(model, name), name)
-    if end:
-        _write_cache(path, digest, model.weights)
+    if found is None or first.startswith(_CACHE_KIND):
+        _write_cache(path, digest, model.weights, mode)
     return model
